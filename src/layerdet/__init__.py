@@ -8,16 +8,15 @@ from .energy import (EnergyResult, QuadConfig, SmoothFunctionSpec,
                      power_trace, trace_df)
 from .errors import (ConvergenceError, LayerDetError, SceneError,
                      SceneFileError, SingularOperatorError)
-from .fields import (FieldEvaluator, FieldPoint, field_point,
-                     rel_resolvent_kernel, resolvent_diff_kernel)
+from .fields import FieldEvaluator, FieldPoint, field_point
 from .geometry import (BoundaryGrid, Curve, Scene, discretize,
                        distance_to_boundary, make_circle, make_ellipse,
-                       make_kite, make_polar_fourier, make_scene, min_gap)
+                       make_kite, make_polar_fourier, make_scene)
 from .kernel import (SpectralPoint, green_free, green_free_dlambda,
                      kress_split)
 from .layer_ops import (Factorization, LayerMatrix, assemble_dq,
-                        assemble_q, assemble_q_diag, diagonal_part,
-                        dump_matrix, factorize, load_matrix, solve)
+                        assemble_q, assemble_q_diag, diagonal_part, factorize,
+                        solve)
 from .oracle import (NystromExtrapolation, PartialWaveConfig, default_l_max,
                      xi_nystrom_extrapolated, xi_two_disks)
 from .xi import (ShiftSample, XiSample, trace_rrel, xi_imag, xi_on_ray,

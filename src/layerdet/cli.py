@@ -22,11 +22,11 @@ import numpy as np
 from . import specfun
 from .energy import (QuadConfig, SmoothFunctionSpec, casimir_energy,
                      casimir_force, power_trace, trace_df)
-from .errors import LayerDetError, SceneFileError
+from .errors import LayerDetError, SceneError, SceneFileError
 from .geometry import Scene, discretize, make_circle, make_ellipse, make_kite, \
     make_polar_fourier, make_scene
 from .oracle import PartialWaveConfig, xi_two_disks
-from .xi import xi_imag, xi_real, xi_rel_many
+from .xi import _DELTA_PRIME_FRACTION, xi_imag, xi_real, xi_rel_many
 
 _SCENE_KEYS = {"version", "dimension", "n", "obstacles"}
 _OBSTACLE_KEYS = {
@@ -35,6 +35,13 @@ _OBSTACLE_KEYS = {
     "kite": {"kind", "center", "scale", "n"},
     "polar_fourier": {"kind", "center", "cos", "sin", "n"},
 }
+
+
+def _node_count(value, where: str) -> int:
+    # JSON true/false are ints to Python; int() would truncate 100.7
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SceneFileError(f"{where}: \"n\" must be an integer, got {value!r}")
+    return value
 
 
 def parse_scene_file(path: str):
@@ -59,13 +66,13 @@ def parse_scene_file(path: str):
     obstacles = doc.get("obstacles")
     if not isinstance(obstacles, list) or not obstacles:
         raise SceneFileError("scene needs a non-empty obstacle list")
-    default_n = doc.get("n", 128)
+    default_n = _node_count(doc.get("n", 128), "scene")
     curves, ns = [], []
     for i, ob in enumerate(obstacles):
         if not isinstance(ob, dict) or "kind" not in ob:
             raise SceneFileError(f"obstacle {i}: needs a \"kind\"")
         kind = ob["kind"]
-        if kind not in _OBSTACLE_KEYS:
+        if not isinstance(kind, str) or kind not in _OBSTACLE_KEYS:
             raise SceneFileError(f"obstacle {i}: unknown kind {kind!r}")
         unknown = set(ob) - _OBSTACLE_KEYS[kind]
         if unknown:
@@ -84,8 +91,14 @@ def parse_scene_file(path: str):
                                                  ob.get("sin", ())))
         except KeyError as exc:
             raise SceneFileError(f"obstacle {i}: missing key {exc}") from exc
-        ns.append(int(ob.get("n", default_n)))
-    return make_scene(curves), ns
+        except (TypeError, IndexError, ValueError) as exc:
+            # SceneError is a ValueError: bad parameters land here as well
+            raise SceneFileError(f"obstacle {i}: {exc}") from exc
+        ns.append(_node_count(ob.get("n", default_n), f"obstacle {i}"))
+    try:
+        return make_scene(curves), ns
+    except SceneError as exc:
+        raise SceneFileError(str(exc)) from exc
 
 
 def _fmt(x: float) -> str:
@@ -159,7 +172,10 @@ def _load(args):
     scene, ns = parse_scene_file(args.scene)
     if args.n is not None:
         ns = [args.n] * scene.n_obstacles
-    return scene, discretize(scene, ns)
+    try:
+        return scene, discretize(scene, ns)
+    except SceneError as exc:
+        raise SceneFileError(str(exc)) from exc
 
 
 def cmd_xi(args) -> int:
@@ -232,11 +248,10 @@ def cmd_tracedf(args) -> int:
 
 
 def cmd_force(args) -> int:
-    scene, ns = parse_scene_file(args.scene)
+    scene, grid = _load(args)
     if scene.n_obstacles != 2:
         raise LayerDetError("force needs a two-obstacle scene")
-    if args.n is not None:
-        ns = [args.n] * 2
+    ns = grid.n_per_obstacle
     c0 = np.array(scene.obstacles[0].center)
     c1 = np.array(scene.obstacles[1].center)
     sep0 = float(np.hypot(*(c1 - c0)))
@@ -328,7 +343,7 @@ def _suite_scaling(report):
 
 def _suite_decay(report):
     scene, grid = _canonical()
-    dprime = 0.9 * scene.gap
+    dprime = _DELTA_PRIME_FRACTION * scene.gap
     ks = np.linspace(8 / scene.gap, 16 / scene.gap, 5)
     vals = [abs(xi_imag(scene, grid, k).xi.real) for k in ks]
     ok = all(vals[i + 1] <= vals[i] * np.exp(-dprime * (ks[i + 1] - ks[i])) + 1e-14
@@ -380,19 +395,23 @@ def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="layerdet")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, scene=True):
-        if scene:
-            sp.add_argument("--scene", required=True)
-            sp.add_argument("--n", type=int, default=None)
-        sp.add_argument("--tol", type=float, default=1e-8)
-        sp.add_argument("--threads", type=int, default=1)
+    optional = {
+        "tol": dict(type=float, default=1e-8),
+        "threads": dict(type=int, default=1),
+        "emit-plot": dict(action="store_true"),
+        "samples": dict(action="store_true",
+                        help="include per-panel sample dump in JSON output"),
+    }
+
+    def common(sp, *flags):
+        sp.add_argument("--scene", required=True)
+        sp.add_argument("--n", type=int, default=None)
         sp.add_argument("--output", default=None)
-        sp.add_argument("--emit-plot", action="store_true")
-        sp.add_argument("--samples", action="store_true",
-                        help="include per-panel sample dump in JSON output")
+        for flag in flags:
+            sp.add_argument(f"--{flag}", **optional[flag])
 
     sp = sub.add_parser("xi", help="Xi along a spectral grid")
-    common(sp)
+    common(sp, "threads", "emit-plot")
     sp.add_argument("--axis", choices=("imag", "real"), default="imag")
     sp.add_argument("--kappa-min", type=float, default=0.1)
     sp.add_argument("--kappa-max", type=float, default=10.0)
@@ -400,30 +419,30 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_xi)
 
     sp = sub.add_parser("shift", help="relative spectral shift on a lambda grid")
-    common(sp)
+    common(sp, "emit-plot")
     sp.add_argument("--kappa-min", type=float, default=0.1)
     sp.add_argument("--kappa-max", type=float, default=5.0)
     sp.add_argument("--kappa-count", type=int, default=16)
     sp.set_defaults(fn=cmd_shift)
 
     sp = sub.add_parser("energy", help="Casimir energy")
-    common(sp)
+    common(sp, "tol", "threads", "samples")
     sp.set_defaults(fn=cmd_energy)
 
     sp = sub.add_parser("power", help="fractional power trace")
-    common(sp)
+    common(sp, "tol", "threads", "samples")
     sp.add_argument("--s", type=float, required=True)
     sp.set_defaults(fn=cmd_power)
 
     sp = sub.add_parser("tracedf", help="smoothed relative trace Tr D_f")
-    common(sp)
+    common(sp, "tol", "samples")
     sp.add_argument("--a", type=float, required=True)
     sp.add_argument("--t", type=float, required=True)
     sp.add_argument("--theta", type=float, default=np.pi / 8)
     sp.set_defaults(fn=cmd_tracedf)
 
     sp = sub.add_parser("force", help="Casimir force by central difference")
-    common(sp)
+    common(sp, "tol")
     sp.add_argument("--h", type=float, default=None)
     sp.set_defaults(fn=cmd_force)
 

@@ -23,9 +23,7 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConvergenceError, LayerDetError
 from .geometry import BoundaryGrid, Scene, discretize
 from .kernel import KAPPA_MIN_FACTOR
-from .xi import xi_imag, xi_on_ray, xi_rel_many
-
-_DELTA_PRIME_FRACTION = 0.9
+from .xi import _DELTA_PRIME_FRACTION, xi_imag, xi_on_ray, xi_rel_many
 
 
 @dataclass(frozen=True)

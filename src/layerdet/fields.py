@@ -27,10 +27,6 @@ class FieldPoint:
     x: tuple
     dist: float
 
-    @property
-    def valid(self) -> bool:
-        return self.dist > 0
-
 
 def field_point(scene: Scene, xy) -> FieldPoint:
     """Wrap a planar point with its distance to the obstacle union; points
@@ -54,9 +50,10 @@ class FieldEvaluator:
         self.grid = grid
         self.sp = sp
         q = assemble_q(grid, sp)
+        qt = diagonal_part(q)
         self._fq = factorize(q)
-        self._ft = factorize(diagonal_part(q))
-        self._T = q.entries - diagonal_part(q).entries
+        self._ft = factorize(qt)
+        self._T = q.entries - qt.entries
         gap = scene.gap
         if np.isfinite(gap):
             self._standoff = 0.1 * gap
@@ -74,7 +71,7 @@ class FieldEvaluator:
     def _boundary_vector(self, p: FieldPoint) -> np.ndarray:
         r = np.hypot(self.grid.points[:, 0] - p.x[0],
                      self.grid.points[:, 1] - p.x[1])
-        return green_free(2, self.sp, r)
+        return green_free(self.sp, r)
 
     def resolvent_diff(self, x: FieldPoint, y: FieldPoint) -> complex:
         """Kernel of (Delta - lambda^2)^{-1} - (Delta_0 - lambda^2)^{-1}."""
@@ -96,13 +93,3 @@ class FieldEvaluator:
         v = solve(self._ft, gx)
         u = solve(self._fq, self._T @ v)
         return complex(np.dot(gy * self.grid.weights, u))
-
-
-def resolvent_diff_kernel(scene: Scene, grid: BoundaryGrid, sp: SpectralPoint,
-                          x: FieldPoint, y: FieldPoint) -> complex:
-    return FieldEvaluator(scene, grid, sp).resolvent_diff(x, y)
-
-
-def rel_resolvent_kernel(scene: Scene, grid: BoundaryGrid, sp: SpectralPoint,
-                         x: FieldPoint, y: FieldPoint) -> complex:
-    return FieldEvaluator(scene, grid, sp).rel_resolvent(x, y)

@@ -1,9 +1,9 @@
 """Smooth closed obstacle boundaries, scenes, and Nystrom boundary grids.
 
 Curves are parametrized over t in [0, 2pi) with closed-form first and second
-derivatives, oriented counterclockwise so the outward normal is
-(v_y, -v_x)/|v|.  A Scene is an ordered list of pairwise disjoint curves;
-its minimal boundary-to-boundary gap controls every decay rate downstream.
+derivatives, oriented counterclockwise.  A Scene is an ordered list of
+pairwise disjoint curves; its minimal boundary-to-boundary gap controls every
+decay rate downstream.
 """
 
 from __future__ import annotations
@@ -270,8 +270,6 @@ class Scene:
     def n_obstacles(self) -> int:
         return len(self.obstacles)
 
-    dimension: int = 2
-
 
 def make_scene(obstacles: Sequence[Curve], gap_samples: int = 4096) -> Scene:
     obstacles = tuple(obstacles)
@@ -291,15 +289,6 @@ def make_scene(obstacles: Sequence[Curve], gap_samples: int = 4096) -> Scene:
     if not np.isfinite(gap) or gap <= 0:
         raise SceneError("invalid gap")
     return Scene(obstacles, gap)
-
-
-def min_gap(scene: Scene, samples: int = 4096) -> float:
-    """Minimal pairwise boundary distance; +inf sentinel for N = 1."""
-    if scene.n_obstacles == 1:
-        return np.inf
-    return min(_pair_min_distance(scene.obstacles[j], scene.obstacles[k], samples)
-               for j in range(scene.n_obstacles)
-               for k in range(j + 1, scene.n_obstacles))
 
 
 def distance_to_boundary(scene: Scene, xy, samples: int = 2048) -> float:
@@ -345,7 +334,6 @@ class BoundaryGrid:
     t: np.ndarray
     points: np.ndarray
     speeds: np.ndarray
-    normals: np.ndarray
     weights: np.ndarray
     blocks: Tuple[Tuple[int, int], ...]
 
@@ -370,7 +358,7 @@ def discretize(scene: Scene, n_per_obstacle) -> BoundaryGrid:
         if n < 16 or n % 2:
             raise SceneError(f"node count {n} must be even and >= 16 "
                              "(log-quadrature needs even counts)")
-    ts, pts, sps, nrm, wts, blocks = [], [], [], [], [], []
+    ts, pts, sps, wts, blocks = [], [], [], [], []
     start = 0
     for curve, n in zip(scene.obstacles, ns):
         t = 2 * np.pi * np.arange(n) / n
@@ -380,13 +368,11 @@ def discretize(scene: Scene, n_per_obstacle) -> BoundaryGrid:
         ts.append(t)
         pts.append(p)
         sps.append(sp)
-        nrm.append(np.stack([v[:, 1], -v[:, 0]], axis=1) / sp[:, None])
         wts.append((2 * np.pi / n) * sp)
         blocks.append((start, start + n))
         start += n
     arrays = [np.concatenate(a) if a[0].ndim == 1 else np.vstack(a)
-              for a in (ts, pts, sps, nrm, wts)]
+              for a in (ts, pts, sps, wts)]
     for a in arrays:
         a.setflags(write=False)
-    return BoundaryGrid(scene, ns, arrays[0], arrays[1], arrays[2],
-                        arrays[3], arrays[4], tuple(blocks))
+    return BoundaryGrid(scene, ns, *arrays, tuple(blocks))

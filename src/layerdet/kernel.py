@@ -3,8 +3,8 @@ log-singularity splitting for diagonal-block quadrature.
 
 Spectral points live in the closed upper half plane: lambda = i*kappa on the
 imaginary axis (where every kernel is real and exponentially decaying) or
-lambda = |lambda| e^{i theta} on a ray with 0 < theta < pi/2.  In d = 2 the
-kernel is (i/4) H1_0(lambda r), which at lambda = i kappa collapses to
+lambda = |lambda| e^{i theta} on a ray with 0 < theta < pi/2.  The kernel
+is (i/4) H1_0(lambda r), which at lambda = i kappa collapses to
 (1/2pi) K_0(kappa r); the code uses the modified-Bessel form there so the
 imaginary part is exactly zero.
 
@@ -27,11 +27,10 @@ import numpy as np
 from scipy import special as _sp
 
 from . import specfun
-from .errors import LayerDetError
 
 EULER = np.euler_gamma
 
-#: kappa below KAPPA_MIN_FACTOR / gap is rejected (d = 2 log-singular regime).
+#: kappa below KAPPA_MIN_FACTOR / gap is rejected (planar log-singular regime).
 KAPPA_MIN_FACTOR = 1e-6
 
 
@@ -100,42 +99,28 @@ def _check_r(r):
     return r
 
 
-def green_free(d: int, sp: SpectralPoint, r):
-    """Free-resolvent kernel as a function of the distance r = |x - y|.
+def green_free(sp: SpectralPoint, r):
+    """Free-resolvent kernel (i/4) H1_0(lambda r) as a function of the
+    distance r = |x - y|.  On the imaginary axis the returned array is real
+    (float dtype)."""
+    r = _check_r(r)
+    if sp.is_imaginary:
+        return specfun.bessel_k(0, sp.value * r) / (2 * np.pi)
+    return 0.25j * _sp.hankel1(0, sp.lam * r)
 
-    d = 2: (i/4) H1_0(lambda r); d = 3: e^{i lambda r}/(4 pi r).
-    On the imaginary axis the returned array is real (float dtype).
+
+def green_free_dlambda(sp: SpectralPoint, r):
+    """d/dlambda of green_free at fixed points: -(i r/4) H1_1(lambda r); on
+    the imaginary axis this equals i (r/2pi) K_1(kappa r), purely imaginary.
     """
     r = _check_r(r)
-    if d == 2:
-        if sp.is_imaginary:
-            return specfun.bessel_k(0, sp.value * r) / (2 * np.pi)
-        return 0.25j * _sp.hankel1(0, sp.lam * r)
-    if d == 3:
-        if sp.is_imaginary:
-            return np.exp(-sp.value * r) / (4 * np.pi * r)
-        return np.exp(1j * sp.lam * r) / (4 * np.pi * r)
-    raise LayerDetError("kernel dimension must be 2 or 3")
-
-
-def green_free_dlambda(d: int, sp: SpectralPoint, r):
-    """d/dlambda of green_free at fixed points.
-
-    d = 2: -(i r/4) H1_1(lambda r); on the imaginary axis this equals
-    i (r/2pi) K_1(kappa r), purely imaginary.  d = 3: i e^{i lambda r}/(4 pi).
-    """
-    r = _check_r(r)
-    if d == 2:
-        if sp.is_imaginary:
-            return 1j * (r / (2 * np.pi)) * specfun.bessel_k(1, sp.value * r)
-        return -0.25j * r * _sp.hankel1(1, sp.lam * r)
-    if d == 3:
-        return 1j * np.exp(1j * sp.lam * r) / (4 * np.pi)
-    raise LayerDetError("kernel dimension must be 2 or 3")
+    if sp.is_imaginary:
+        return 1j * (r / (2 * np.pi)) * specfun.bessel_k(1, sp.value * r)
+    return -0.25j * r * _sp.hankel1(1, sp.lam * r)
 
 
 def green_free_dkappa(sp: SpectralPoint, r):
-    """d/dkappa of the (real) imaginary-axis kernel, d = 2: -(r/2pi) K_1(kappa r)."""
+    """d/dkappa of the (real) imaginary-axis kernel: -(r/2pi) K_1(kappa r)."""
     if not sp.is_imaginary:
         raise ValueError("green_free_dkappa is an imaginary-axis helper")
     r = _check_r(r)
@@ -239,9 +224,9 @@ def split_block(sp: SpectralPoint, t: np.ndarray, pts: np.ndarray,
 def offdiag_kernel(sp: SpectralPoint, r: np.ndarray, deriv: str = "none"):
     """Smooth cross-obstacle kernel values (no speed/weight factors)."""
     if deriv == "none":
-        return green_free(2, sp, r)
+        return green_free(sp, r)
     if deriv == "kappa":
         return green_free_dkappa(sp, r)
     if deriv == "lambda":
-        return green_free_dlambda(2, sp, r)
+        return green_free_dlambda(sp, r)
     raise ValueError(f"unknown deriv mode {deriv!r}")

@@ -15,7 +15,6 @@ weights, so no symmetrized weighting is needed.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple
@@ -23,10 +22,9 @@ from typing import Tuple
 import numpy as np
 import scipy.linalg as sla
 
-from . import kernel
 from .errors import SingularOperatorError
 from .geometry import BoundaryGrid
-from .kernel import SpectralPoint, offdiag_kernel, split_block
+from .kernel import KAPPA_MIN_FACTOR, SpectralPoint, offdiag_kernel, split_block
 
 
 @dataclass(frozen=True)
@@ -71,8 +69,7 @@ def _check_sp(grid: BoundaryGrid, sp: SpectralPoint):
     if sp.axis == "real":
         raise ValueError("assembly requires Im(lambda) > 0; use a ray offset")
     gap = grid.scene.gap
-    # kernel.KAPPA_MIN_FACTOR read at call time so the guard stays configurable
-    kmin = kernel.KAPPA_MIN_FACTOR / gap if np.isfinite(gap) else 0.0
+    kmin = KAPPA_MIN_FACTOR / gap if np.isfinite(gap) else 0.0
     if sp.is_imaginary and sp.value < kmin:
         raise ValueError(f"kappa = {sp.value} below kappa_min = {kmin}")
 
@@ -183,42 +180,3 @@ def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:
     resid = rhs - f.matrix @ x
     x += sla.lu_solve((f.lu, f.piv), resid, check_finite=False)
     return x
-
-
-def log_det(m) -> Tuple[float, float]:
-    """(log|det|, phase) of a matrix or LayerMatrix through one LU."""
-    f = factorize(m)
-    return f.log_abs_det, f.phase
-
-
-# ---------------------------------------------------------------------------
-# debugging dump: 32-byte header + row-major payload
-# ---------------------------------------------------------------------------
-
-_MAGIC = b"KCLM"
-_HEADER = struct.Struct("<4sIIIId4x")  # magic, version, dim, axis, flags, |lambda|
-_AXIS_TAG = {"imaginary": 0, "ray": 1, "real": 2}
-_AXIS_NAME = {v: k for k, v in _AXIS_TAG.items()}
-
-
-def dump_matrix(m: LayerMatrix, path) -> None:
-    """Binary dump: little-endian float64 payload (interleaved re/im pairs
-    when complex), preceded by the 32-byte header."""
-    flags = 1 if np.iscomplexobj(m.entries) else 0
-    header = _HEADER.pack(_MAGIC, 1, m.entries.shape[0],
-                          _AXIS_TAG[m.sp.axis], flags, float(m.sp.value))
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(np.ascontiguousarray(m.entries).tobytes())
-
-
-def load_matrix(path) -> Tuple[np.ndarray, dict]:
-    with open(path, "rb") as fh:
-        magic, version, dim, axis, flags, lam_mag = _HEADER.unpack(fh.read(_HEADER.size))
-        if magic != _MAGIC:
-            raise ValueError("bad magic in matrix dump")
-        dtype = np.complex128 if flags & 1 else np.float64
-        data = np.frombuffer(fh.read(), dtype=dtype).reshape(dim, dim)
-    meta = dict(version=version, dim=dim, axis=_AXIS_NAME[axis],
-                lam_magnitude=lam_mag, is_complex=bool(flags & 1))
-    return data, meta

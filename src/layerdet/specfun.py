@@ -1,11 +1,10 @@
-"""Integer-order Bessel and Hankel functions on the positive real axis.
+"""Integer-order Bessel functions on the positive real axis.
 
-This is the single special-function surface the kernel layer consumes for
-real arguments: J_n, Y_n (oscillatory), I_n, K_n (modified), the outgoing
-Hankel combination H1_n = J_n + i Y_n, and Hankel derivatives through the
-binomial order-shift recurrence.  Evaluation is delegated to scipy.special
-(AMOS/cephes), which comfortably exceeds the accuracy budget of the
-quadrature layer; this module adds the domain contract: order cap,
+These are the checked special functions the kernel layer and the validation
+suites consume for real arguments: J_n, Y_n (oscillatory) and I_n, K_n
+(modified).  Evaluation is delegated to
+scipy.special (AMOS/cephes), which comfortably exceeds the accuracy budget
+of the quadrature layer; this module adds the domain contract: order cap,
 argument-domain checks, underflow flagging.
 
 All functions are pure and accept scalars or numpy arrays.
@@ -14,7 +13,6 @@ All functions are pure and accept scalars or numpy arrays.
 from __future__ import annotations
 
 import warnings
-from math import comb
 
 import numpy as np
 from scipy import special as _sp
@@ -101,37 +99,3 @@ def bessel_k(n, x):
         warnings.warn("bessel_k underflowed to 0 beyond the exponential range",
                       RuntimeWarning, stacklevel=2)
     return out if x.ndim else float(out)
-
-
-def hankel1(n, x):
-    """H^(1)_n(x) = J_n(x) + i Y_n(x) for x > 0."""
-    n = _check_order(n)
-    x = _check_arg(x, positive=True, name="hankel1")
-    out = _sp.hankel1(n, x)
-    return out if x.ndim else complex(out)
-
-
-def _hankel1_signed(n: int, x):
-    # negative orders via H_{-m} = (-1)^m H_m
-    if n >= 0:
-        return _sp.hankel1(n, x)
-    return (-1.0) ** (-n) * _sp.hankel1(-n, x)
-
-
-def hankel1_deriv(j, n, x):
-    """j-th derivative of H^(1)_n at x > 0.
-
-    Uses the order-shift recurrence
-        d^j/dx^j H_n = 2^{-j} sum_l (-1)^l C(j, l) H_{n-j+2l},
-    with H_{-m} = (-1)^m H_m resolving negative orders.
-    """
-    j = int(j)
-    if j < 1:
-        raise ValueError("derivative order j must be >= 1")
-    n = _check_order(n)
-    x = _check_arg(x, positive=True, name="hankel1_deriv")
-    acc = 0.0 + 0.0j
-    for l in range(j + 1):
-        acc = acc + ((-1.0) ** l * comb(j, l)) * _hankel1_signed(n - j + 2 * l, x)
-    out = acc * 0.5 ** j
-    return out if x.ndim else complex(out)

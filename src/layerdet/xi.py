@@ -95,16 +95,12 @@ def _xi_raw(grid: BoundaryGrid, lam: complex) -> complex:
 
 
 class _Unwrapper:
-    """Continuous-branch walker: feeds successive path points, keeping the
-    running Im within pi/2 of the previous point by absorbing 2 pi multiples
-    and bisecting oversized steps."""
+    """Continuous-branch walker along a path of spectral points."""
 
     def __init__(self, grid: BoundaryGrid, budget: int = 600):
         self.grid = grid
         self.budget = budget
         self.evals = 0
-        self.prev_z = None
-        self.prev_val = None
         self.offset = 0
 
     def _eval(self, z: complex) -> complex:
@@ -121,26 +117,33 @@ class _Unwrapper:
         raise SingularOperatorError("path deformation failed near a "
                                     f"singular spectral point {z}")
 
-    def start(self, z: complex) -> complex:
-        raw = self._eval(z)
+    def walk(self, path) -> list:
+        """Xi at every point of path.  The first point is an anchor where
+        Xi is negligible and takes the branch nearest Im Xi = 0; every later
+        point keeps Im within pi/2 of its predecessor by absorbing 2 pi
+        multiples and bisecting oversized steps."""
+        raw = self._eval(path[0])
         m = -np.round(raw.imag / (2 * np.pi))
         self.offset = int(m)
-        self.prev_z, self.prev_val = z, raw + 2j * np.pi * m
-        return self.prev_val
+        prev = (path[0], raw + 2j * np.pi * m)
+        vals = [prev[1]]
+        for z in path[1:]:
+            prev = self._step(prev, z, 0)
+            vals.append(prev[1])
+        return vals
 
-    def advance(self, z: complex, _depth: int = 0) -> complex:
+    def _step(self, prev, z: complex, depth: int):
+        prev_z, prev_val = prev
         raw = self._eval(z)
-        m = np.round((self.prev_val.imag - raw.imag) / (2 * np.pi))
+        m = np.round((prev_val.imag - raw.imag) / (2 * np.pi))
         val = raw + 2j * np.pi * m
-        if abs(val.imag - self.prev_val.imag) > np.pi / 2:
-            if _depth > 48:
+        if abs(val.imag - prev_val.imag) > np.pi / 2:
+            if depth > 48:
                 raise ConvergenceError("unwrapping step cannot be refined further")
-            mid = 0.5 * (self.prev_z + z)
-            self.advance(mid, _depth + 1)
-            return self.advance(z, _depth + 1)
+            prev = self._step(prev, 0.5 * (prev_z + z), depth + 1)
+            return self._step(prev, z, depth + 1)
         self.offset += int(m)
-        self.prev_z, self.prev_val = z, val
-        return val
+        return z, val
 
 
 def _delta_prime(scene: Scene) -> float:
@@ -157,26 +160,33 @@ def _descent_points(target: complex, dprime: float, n_steps: int = 24):
     return mod * np.exp(1j * ang)
 
 
+def _positive(values, what: str) -> None:
+    if np.any(np.asarray(values) <= 0):
+        raise ValueError(f"{what} must be positive")
+
+
+def _richardson(f4, f2, f1):
+    """Extrapolate samples at eta in {4, 2, 1} * eta0 to eta -> 0; returns
+    the extrapolated value and its error estimate."""
+    g2, g1 = 2 * f2 - f4, 2 * f1 - f2
+    rich = (4 * g1 - g2) / 3.0
+    return rich, np.abs(rich - g1) + 64 * _EPS
+
+
 def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
             eta: float | None = None) -> XiSample:
     """Xi(lambda + i eta) near the positive real axis, branch fixed by
     continuity from i*Lambda where Xi vanishes."""
     _check(scene, grid)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _positive(lam, "lam")
     eta = 1e-3 * lam if eta is None else float(eta)
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    _positive(eta, "eta")
     target = lam + 1j * eta
     sp = SpectralPoint.from_complex(target)
     if scene.n_obstacles == 1:
         return XiSample(sp, 0.0 + 0.0j, 0, 0.0)
     walker = _Unwrapper(grid)
-    pts = _descent_points(target, _delta_prime(scene))
-    walker.start(pts[0])
-    val = walker.prev_val
-    for z in pts[1:]:
-        val = walker.advance(z)
+    val = walker.walk(_descent_points(target, _delta_prime(scene)))[-1]
     floor = (abs(val.real) + 1.0) * 16 * _EPS
     return XiSample(sp, val, walker.offset, floor)
 
@@ -186,34 +196,25 @@ def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float,
     """Relative spectral shift xi_rel(lambda) = -(1/pi) Im Xi(lambda + i0),
     Richardson-extrapolated over eta in {4, 2, 1} * eta0."""
     _check(scene, grid)
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    _positive(lam, "lam")
     eta0 = 1e-3 * lam if eta0 is None else float(eta0)
     if scene.n_obstacles == 1:
         return ShiftSample(lam, 0.0, eta0, 0.0)
-    walker = _Unwrapper(grid)
-    dprime = _delta_prime(scene)
-    pts = _descent_points(lam + 4j * eta0, dprime)
-    walker.start(pts[0])
-    for z in pts[1:]:
-        walker.advance(z)
-    f4 = -walker.prev_val.imag / np.pi
-    f2 = -walker.advance(lam + 2j * eta0).imag / np.pi
-    f1 = -walker.advance(lam + 1j * eta0).imag / np.pi
-    g2, g1 = 2 * f2 - f4, 2 * f1 - f2
-    rich = (4 * g1 - g2) / 3.0
-    return ShiftSample(lam, rich, eta0, abs(rich - g1) + 64 * _EPS)
+    path = [*_descent_points(lam + 4j * eta0, _delta_prime(scene)),
+            lam + 2j * eta0, lam + 1j * eta0]
+    f4, f2, f1 = (-v.imag / np.pi for v in _Unwrapper(grid).walk(path)[-3:])
+    rich, err = _richardson(f4, f2, f1)
+    return ShiftSample(lam, rich, eta0, err)
 
 
 def xi_rel_many(scene: Scene, grid: BoundaryGrid, lams: Sequence[float],
                 eta_scale: float = 1e-3) -> List[ShiftSample]:
     """Batch xi_rel on a lambda grid: one continuous unwrapping sweep per
     eta level (each level's points lie on a common ray through the origin),
-    sharing the descent from i*Lambda."""
+    each sweep descending from i*Lambda to the largest lambda."""
     _check(scene, grid)
     lams = np.asarray(list(lams), dtype=float)
-    if np.any(lams <= 0):
-        raise ValueError("lambda grid must be positive")
+    _positive(lams, "lambda grid")
     if scene.n_obstacles == 1:
         return [ShiftSample(l, 0.0, eta_scale * l, 0.0) for l in lams]
     order = np.argsort(lams)[::-1]
@@ -223,18 +224,10 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid, lams: Sequence[float],
     for c in (4 * eta_scale, 2 * eta_scale, eta_scale):
         walker = _Unwrapper(grid, budget=80 + 30 * lams.size)
         ray = sorted_lams * (1.0 + 1j * c)
-        pts = _descent_points(ray[0], dprime)
-        walker.start(pts[0])
-        for z in pts[1:]:
-            walker.advance(z)
-        vals = [walker.prev_val]
-        for z in ray[1:]:
-            vals.append(walker.advance(z))
+        path = [*_descent_points(ray[0], dprime), *ray[1:]]
+        vals = walker.walk(path)[-ray.size:]
         levels.append(-np.array([v.imag for v in vals]) / np.pi)
-    f4, f2, f1 = levels
-    g2, g1 = 2 * f2 - f4, 2 * f1 - f2
-    rich = (4 * g1 - g2) / 3.0
-    err = np.abs(rich - g1) + 64 * _EPS
+    rich, err = _richardson(*levels)
     out = [None] * lams.size
     for pos, idx in enumerate(order):
         out[idx] = ShiftSample(float(lams[idx]), float(rich[pos]),
@@ -248,25 +241,17 @@ def xi_on_ray(scene: Scene, grid: BoundaryGrid, angle: float,
     ray where the exponential bound makes Xi negligible."""
     _check(scene, grid)
     u = np.asarray(list(u_values), dtype=float)
-    if np.any(u <= 0):
-        raise ValueError("ray moduli must be positive")
+    _positive(u, "ray moduli")
     if scene.n_obstacles == 1:
         return np.zeros(u.size, dtype=complex)
-    dprime = _delta_prime(scene)
-    u_anchor = _LAMBDA_FACTOR / (dprime * np.sin(angle))
+    u_anchor = _LAMBDA_FACTOR / (_delta_prime(scene) * np.sin(angle))
     order = np.argsort(u)[::-1]
     phase = np.exp(1j * angle)
-    walker = _Unwrapper(grid, budget=120 + 30 * u.size)
-    start = max(u_anchor, u[order[0]] * 1.5)
     # geometric approach from the anchor to the largest node
-    lead = np.geomspace(start, u[order[0]], 8)
-    walker.start(lead[0] * phase)
-    for v in lead[1:]:
-        walker.advance(v * phase)
+    lead = np.geomspace(max(u_anchor, u[order[0]] * 1.5), u[order[0]], 8)
+    path = [v * phase for v in lead] + [u[idx] * phase for idx in order[1:]]
     out = np.empty(u.size, dtype=complex)
-    out[order[0]] = walker.prev_val
-    for idx in order[1:]:
-        out[idx] = walker.advance(u[idx] * phase)
+    out[order] = _Unwrapper(grid, budget=120 + 30 * u.size).walk(path)[-u.size:]
     return out
 
 
@@ -279,8 +264,12 @@ def _trace_product(U: np.ndarray, V: np.ndarray):
     return np.sum(U * V.T)
 
 
-def _structured_pieces(grid: BoundaryGrid, sp: SpectralPoint):
-    """Factorizations and difference blocks shared by xi_prime/trace_rrel.
+def _trace_terms(grid: BoundaryGrid, sp: SpectralPoint, both_paths: bool):
+    """Assemble and factor Q and Qtilde once and return the
+    difference-structured trace  d = Tr[(dT) Q^{-1}] - Tr[(dQtilde)
+    Qtilde^{-1} T Q^{-1}]  and, with both_paths, the independent
+    Tr[(dQ)(Q^{-1} - Qtilde^{-1})] = -Tr[Qtilde^{-1} dQ Q^{-1} T]  (else
+    None).
 
     On the imaginary axis all matrices are real and derivatives are taken
     in kappa; callers apply the chain factor dlambda = i dkappa.
@@ -293,7 +282,18 @@ def _structured_pieces(grid: BoundaryGrid, sp: SpectralPoint):
     dT = dq.entries - dqt.entries
     fq = factorize(q)
     ft = factorize(qt)
-    return fq, ft, T, dT, dq.entries, dqt.entries
+    d = np.trace(solve(fq, dT)) - _trace_product(solve(fq, dqt.entries), solve(ft, T))
+    if not both_paths:
+        return d, None
+    return d, -_trace_product(solve(ft, dq.entries), solve(fq, T))
+
+
+def _rrel_from_trace(d, sp: SpectralPoint) -> complex:
+    # -Xi'/(2 lambda); on the imaginary axis d is a kappa derivative and
+    # -(-i d)/(2 i kappa) = d/(2 kappa) is real
+    if sp.is_imaginary:
+        return complex(d / (2 * sp.value))
+    return complex(-d / (2 * sp.lam))
 
 
 def xi_prime(scene: Scene, grid: BoundaryGrid, sp: SpectralPoint) -> complex:
@@ -302,10 +302,7 @@ def xi_prime(scene: Scene, grid: BoundaryGrid, sp: SpectralPoint) -> complex:
     _check(scene, grid)
     if scene.n_obstacles == 1:
         return 0.0 + 0.0j
-    fq, ft, T, dT, _, dqt = _structured_pieces(grid, sp)
-    term1 = np.trace(solve(fq, dT))
-    term2 = _trace_product(solve(fq, dqt), solve(ft, T))
-    d = term1 - term2
+    d, _ = _trace_terms(grid, sp, both_paths=False)
     if sp.is_imaginary:
         return -1j * d        # dXi/dlambda = -i dXi/dkappa at lambda = i kappa
     return complex(d)
@@ -321,23 +318,10 @@ def trace_rrel(scene: Scene, grid: BoundaryGrid, sp: SpectralPoint,
     difference in its factorized form -Q^{-1} T Qtilde^{-1}.
     """
     _check(scene, grid)
-    lam = sp.lam
     if scene.n_obstacles == 1:
         return (0j, 0j) if both_paths else 0j
-    fq, ft, T, dT, dq, dqt = _structured_pieces(grid, sp)
-    term1 = np.trace(solve(fq, dT))
-    term2 = _trace_product(solve(fq, dqt), solve(ft, T))
-    d = term1 - term2
-    if sp.is_imaginary:
-        primary = complex(d / (2 * sp.value))   # -(-i d)/(2 i kappa), real
-    else:
-        primary = complex(-d / (2 * lam))
+    d, alt = _trace_terms(grid, sp, both_paths)
+    primary = _rrel_from_trace(d, sp)
     if not both_paths:
         return primary
-    # independent path: Tr[(dQ)(Q^{-1}-Qt^{-1})] = -Tr[Qt^{-1} dQ Q^{-1} T]
-    tr_diff = -_trace_product(solve(ft, dq), solve(fq, T))
-    if sp.is_imaginary:
-        alt = complex(tr_diff / (2 * sp.value))
-    else:
-        alt = complex(-tr_diff / (2 * lam))
-    return primary, alt
+    return primary, _rrel_from_trace(alt, sp)

@@ -14,6 +14,21 @@ KITE = os.path.join(DATA, "single_kite.json")
 #: on the canonical scene (n = 96), committed from the dual-path run
 BK_CROSS_VALUE = -0.01165083458919235
 
+#: edits that turn the canonical scene file into a malformed one
+MALFORMED = {
+    "n_fractional": lambda d: d.update(n=100.7),
+    "n_string": lambda d: d.update(n="abc"),
+    "n_boolean": lambda d: d.update(n=True),
+    "n_odd_per_obstacle": lambda d: d["obstacles"][0].update(n=33),
+    "kind_list": lambda d: d["obstacles"][0].update(kind=["circle"]),
+    "center_one_element": lambda d: d["obstacles"][0].update(center=[0.0]),
+    "radius_string": lambda d: d["obstacles"][0].update(radius="x"),
+    "radius_null": lambda d: d["obstacles"][0].update(radius=None),
+    "cos_scalar": lambda d: d["obstacles"].__setitem__(
+        0, {"kind": "polar_fourier", "center": [0.0, 0.0], "cos": 1.0}),
+    "overlapping": lambda d: d["obstacles"][1].update(center=[1.5, 0.0]),
+}
+
 
 class TestSceneFiles:
     def test_parse_canonical(self):
@@ -49,6 +64,15 @@ class TestSceneFiles:
         p = tmp_path / "bad.json"
         p.write_text("{ not json")
         assert main(["xi", "--scene", str(p), "--output", "-"]) == 2
+
+    @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_malformed_exit_code(self, tmp_path, capsys, edit):
+        doc = json.load(open(CANONICAL))
+        edit(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        assert main(["xi", "--scene", str(p), "--output", "-"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestCmdXi:
@@ -141,6 +165,13 @@ class TestCmdShift:
             rc_ = [float(v) for v in r.split(",")]
             tol = 5 * max(gc[3], rc_[3]) + 1e-10
             assert abs(gc[1] - rc_[1]) <= tol
+
+    def test_tol_rejected(self, capsys):
+        # shift reads no tolerance, so the flag is not registered
+        with pytest.raises(SystemExit) as exc:
+            main(["shift", "--scene", CANONICAL, "--tol", "1e-3"])
+        assert exc.value.code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_single_obstacle_zeros(self, tmp_path):
         out = tmp_path / "shift.csv"

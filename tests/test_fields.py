@@ -3,8 +3,7 @@ import pytest
 from scipy.special import iv, kv
 
 from layerdet import (FieldEvaluator, LayerDetError, SpectralPoint,
-                      discretize, field_point, make_circle, make_scene,
-                      resolvent_diff_kernel)
+                      discretize, field_point, make_circle, make_scene)
 
 
 def disk_diff_kernel_series(kappa, a, rx, ry, dtheta, nmax=60):
@@ -73,12 +72,13 @@ class TestResolventDiff:
         with pytest.raises(LayerDetError):
             evaluator.resolvent_diff(x, x)
 
-    def test_oneshot_wrappers(self, canonical_scene, canonical_grid_96):
+    def test_oneshot_wrappers(self, canonical_scene, canonical_grid_96, evaluator):
+        # a freshly built evaluator reproduces the cached one bitwise
         sp = SpectralPoint.imaginary(1.0)
         x = field_point(canonical_scene, (2.0, 2.0))
-        a = resolvent_diff_kernel(canonical_scene, canonical_grid_96, sp, x, x)
-        b = FieldEvaluator(canonical_scene, canonical_grid_96, sp).resolvent_diff(x, x)
-        assert a == b
+        fresh = FieldEvaluator(canonical_scene, canonical_grid_96, sp)
+        assert fresh.resolvent_diff(x, x) == evaluator.resolvent_diff(x, x)
+        assert fresh.rel_resolvent(x, x) == evaluator.rel_resolvent(x, x)
 
 
 class TestRelResolvent:

@@ -28,37 +28,32 @@ class TestSpectralPoint:
 
 
 class TestGreenFree:
-    def test_d3_zero_wavenumber_limit(self):
-        v = green_free(3, SpectralPoint.imaginary(1e-12), 1.0)
-        assert v == pytest.approx(1.0 / (4 * np.pi), rel=1e-10)
-
     def test_symmetry_in_r_only(self):
         sp = SpectralPoint.imaginary(1.3)
-        assert green_free(2, sp, 0.8) == green_free(2, sp, 0.8)
+        assert green_free(sp, 0.8) == green_free(sp, 0.8)
 
     def test_d2_imag_axis_vs_series_continuation(self):
         # (i/4) H1_0(i kappa r) continued through the ascending series
         # must equal (1/2pi) K_0(kappa r); evaluated with mpmath at (1, 1)
         with mp.workdps(40):
             lhs = complex(mp.mpf(0.25) * 1j * mp.hankel1(0, 1j))
-        v = green_free(2, SpectralPoint.imaginary(1.0), 1.0)
+        v = green_free(SpectralPoint.imaginary(1.0), 1.0)
         assert v == pytest.approx(lhs.real, rel=1e-13)
         assert float(np.imag(v)) == 0.0
 
     def test_imaginary_axis_exactly_real(self):
         sp = SpectralPoint.imaginary(0.7)
-        out = green_free(2, sp, np.geomspace(0.01, 10, 50))
+        out = green_free(sp, np.geomspace(0.01, 10, 50))
         assert not np.iscomplexobj(out)
 
     def test_monotone_decay_in_r(self):
         sp = SpectralPoint.imaginary(1.0)
-        for d in (2, 3):
-            vals = green_free(d, sp, np.geomspace(0.05, 20, 60))
-            assert np.all(np.diff(vals) < 0)
+        vals = green_free(sp, np.geomspace(0.05, 20, 60))
+        assert np.all(np.diff(vals) < 0)
 
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
-            green_free(2, SpectralPoint.imaginary(1.0), 0.0)
+            green_free(SpectralPoint.imaginary(1.0), 0.0)
 
     def test_pointwise_decay_envelope_d2(self):
         # |G| <= C (kappa r)^{-1/2} e^{-kappa r} for kappa r >= 1, C fitted
@@ -66,38 +61,31 @@ class TestGreenFree:
         sp = SpectralPoint.imaginary(kap)
         fit_r = np.geomspace(1.0 / kap, 30.0 / kap, 20)
         shape = (kap * fit_r) ** -0.5 * np.exp(-kap * fit_r)
-        C = float(np.max(np.abs(green_free(2, sp, fit_r)) / shape)) * 1.02
+        C = float(np.max(np.abs(green_free(sp, fit_r)) / shape)) * 1.02
         test_r = np.geomspace(1.05 / kap, 28.0 / kap, 77)
         shape_t = (kap * test_r) ** -0.5 * np.exp(-kap * test_r)
-        assert np.all(np.abs(green_free(2, sp, test_r)) <= C * shape_t)
+        assert np.all(np.abs(green_free(sp, test_r)) <= C * shape_t)
 
 
 class TestGreenFreeDLambda:
-    def test_d3_closed_form(self):
-        sp = SpectralPoint.ray(2.0, np.pi / 6)
-        lam = sp.lam
-        r = 1.7
-        assert green_free_dlambda(3, sp, r) == pytest.approx(
-            1j * np.exp(1j * lam * r) / (4 * np.pi), rel=1e-14)
-
     def test_d2_vs_finite_difference(self):
         # step along the pi/4 ray: d/du G(u e^{i theta}) = e^{i theta} G'(lambda)
         mod, theta, r = 2.0, np.pi / 4, 1.3
         h = 1e-6 * mod
-        fd = (green_free(2, SpectralPoint.ray(mod + h, theta), r)
-              - green_free(2, SpectralPoint.ray(mod - h, theta), r)) / (2 * h)
-        val = green_free_dlambda(2, SpectralPoint.ray(mod, theta), r)
+        fd = (green_free(SpectralPoint.ray(mod + h, theta), r)
+              - green_free(SpectralPoint.ray(mod - h, theta), r)) / (2 * h)
+        val = green_free_dlambda(SpectralPoint.ray(mod, theta), r)
         assert val * np.exp(1j * theta) == pytest.approx(fd, rel=1e-8)
 
     def test_imag_axis_purely_imaginary(self):
         sp = SpectralPoint.imaginary(0.9)
-        v = green_free_dlambda(2, sp, 1.1)
+        v = green_free_dlambda(sp, 1.1)
         assert v.real == 0.0 and v.imag > 0
 
     def test_dkappa_consistency(self):
         # chain rule at lambda = i kappa: dG/dlambda = -i dG/dkappa
         sp = SpectralPoint.imaginary(0.9)
-        assert green_free_dlambda(2, sp, 1.1) == pytest.approx(
+        assert green_free_dlambda(sp, 1.1) == pytest.approx(
             -1j * green_free_dkappa(sp, 1.1))
 
 
@@ -127,7 +115,7 @@ class TestKressSplit:
                 t, s = 1.0, 1.0 - dt
                 A, B = kress_split(sp, curve, t, s)
                 r = float(np.hypot(*(curve.point(t) - curve.point(s))))
-                direct = green_free(2, sp, r) * float(curve.speed(s))
+                direct = green_free(sp, r) * float(curve.speed(s))
                 recon = A * np.log(4 * np.sin((t - s) / 2) ** 2) + B
                 assert recon == pytest.approx(direct, rel=1e-12)
 
@@ -172,6 +160,6 @@ class TestKressSplit:
     def test_offdiag_kernel_modes(self):
         sp = SpectralPoint.imaginary(1.0)
         r = np.array([0.5, 2.0])
-        assert np.allclose(offdiag_kernel(sp, r), green_free(2, sp, r))
+        assert np.allclose(offdiag_kernel(sp, r), green_free(sp, r))
         assert np.allclose(offdiag_kernel(sp, r, "lambda"),
-                           green_free_dlambda(2, sp, r))
+                           green_free_dlambda(sp, r))

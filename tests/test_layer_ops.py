@@ -3,9 +3,8 @@ import pytest
 from scipy.special import iv, ivp, kv, kvp
 
 from layerdet import (SingularOperatorError, SpectralPoint, assemble_dq,
-                      assemble_q, assemble_q_diag, discretize,
-                      dump_matrix, factorize, load_matrix, make_circle,
-                      make_scene, solve)
+                      assemble_q, assemble_q_diag, discretize, factorize,
+                      make_circle, make_scene, solve)
 from layerdet.layer_ops import assemble_dq_dkappa, kress_log_weights
 
 
@@ -234,25 +233,3 @@ class TestOperatorProperties:
         err128 = abs(quad_form(128) - ref)
         assert err64 > 1e-13  # not yet at the rounding floor
         assert err128 <= err64 / 10
-
-
-class TestDump:
-    def test_roundtrip_real(self, tmp_path, canonical_scene, two_disk_grid):
-        sp = SpectralPoint.imaginary(1.5)
-        q = assemble_q(two_disk_grid, sp)
-        path = tmp_path / "q.kclm"
-        dump_matrix(q, path)
-        data, meta = load_matrix(path)
-        assert np.array_equal(data, q.entries)
-        assert meta["axis"] == "imaginary" and meta["lam_magnitude"] == 1.5
-        assert meta["dim"] == q.entries.shape[0] and not meta["is_complex"]
-        assert path.stat().st_size == 32 + q.entries.nbytes
-
-    def test_roundtrip_complex(self, tmp_path, canonical_scene, two_disk_grid):
-        sp = SpectralPoint.ray(2.0, np.pi / 8)
-        q = assemble_q(two_disk_grid, sp)
-        path = tmp_path / "qc.kclm"
-        dump_matrix(q, path)
-        data, meta = load_matrix(path)
-        assert np.array_equal(data, q.entries)
-        assert meta["is_complex"] and meta["axis"] == "ray"

@@ -10,8 +10,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from layerdet import specfun
+from layerdet import SpectralPoint, green_free, green_free_dlambda, specfun
 from layerdet.specfun import OrderError
+
+
+def h1(nu, x):
+    """Outgoing Hankel function H1_nu(x) = J_nu(x) + i Y_nu(x)."""
+    return complex(specfun.bessel_j(nu, x), specfun.bessel_y(nu, x))
+
+
+def real_axis(x):
+    """Spectral point on the positive real axis, where the kernel module's
+    Green's functions are (i/4) H1_0(x r) and its lambda-derivative."""
+    return SpectralPoint("real", x)
 
 
 def j_series_oracle(n, x, dps=50):
@@ -91,27 +102,27 @@ class TestExamples:
         assert abs(resid) <= 1e-13
 
     def test_hankel_definition(self):
-        h = specfun.hankel1(0, 1.0)
-        assert h == pytest.approx(
-            complex(specfun.bessel_j(0, 1.0), specfun.bessel_y(0, 1.0)), rel=1e-14)
+        # the kernel's Hankel form against J_0 + i Y_0 from this layer
+        assert green_free(real_axis(1.0), 1.0) == pytest.approx(
+            0.25j * h1(0, 1.0), rel=1e-14)
 
     def test_hankel_deriv_j1_n0(self):
+        # d/dx H1_0 = -H1_1: the kernel's lambda-derivative at r = 1
         x = 2.5
-        assert specfun.hankel1_deriv(1, 0, x) == pytest.approx(-specfun.hankel1(1, x))
-
-    def test_hankel_deriv_order_shift(self):
-        lhs = specfun.hankel1_deriv(1, 1, 2.0)
-        rhs = 0.5 * (specfun.hankel1(0, 2.0) - specfun.hankel1(2, 2.0))
-        assert lhs == pytest.approx(rhs, rel=1e-15)
+        assert green_free_dlambda(real_axis(x), 1.0) == pytest.approx(
+            -0.25j * h1(1, x), rel=1e-14)
 
     def test_hankel_deriv_fd_oracle(self):
         x, h = 3.0, 1e-5
-        fd = (specfun.hankel1(0, x + h) - specfun.hankel1(0, x - h)) / (2 * h)
-        assert specfun.hankel1_deriv(1, 0, x) == pytest.approx(fd, rel=1e-9)
+        fd = (green_free(real_axis(x + h), 1.0)
+              - green_free(real_axis(x - h), 1.0)) / (2 * h)
+        assert green_free_dlambda(real_axis(x), 1.0) == pytest.approx(fd, rel=1e-9)
 
     def test_hankel_small_argument_imag(self):
+        # Im H1_0(x) ~ (2/pi) log x, so the kernel's real part is
+        # -(1/2pi) log r near the diagonal
         x = 1e-7
-        assert specfun.hankel1(0, x).imag / ((2 / np.pi) * np.log(x)) == \
+        assert green_free(real_axis(1.0), x).real / (-np.log(x) / (2 * np.pi)) == \
             pytest.approx(1.0, rel=1e-2)
 
 
@@ -170,9 +181,9 @@ def test_hankel_small_argument_envelope(nu):
     # fit C once at r0 = 0.5, bound must hold on (0, r0]
     r0 = 0.5
     shape = (lambda x: np.abs(np.log(x))) if nu == 0 else (lambda x: x ** (-nu))
-    C = abs(specfun.hankel1(nu, r0)) / shape(r0) * 1.02
+    C = abs(h1(nu, r0)) / shape(r0) * 1.02
     for x in np.geomspace(1e-4, r0, 25):
-        assert abs(specfun.hankel1(nu, x)) <= C * shape(x)
+        assert abs(h1(nu, x)) <= C * shape(x)
 
 
 @pytest.mark.parametrize("nu", [0, 1, 5])
@@ -180,6 +191,6 @@ def test_hankel_large_argument_envelope(nu):
     # envelope constant fitted on a coarse grid, verified on a fine one
     r0 = 0.5
     fit = np.geomspace(r0, 1e4, 40)
-    C = max(abs(specfun.hankel1(nu, x)) * np.sqrt(x) for x in fit) * 1.02
+    C = max(abs(h1(nu, x)) * np.sqrt(x) for x in fit) * 1.02
     for x in np.geomspace(r0 * 1.11, 9.7e3, 97):
-        assert abs(specfun.hankel1(nu, x)) <= C / np.sqrt(x)
+        assert abs(h1(nu, x)) <= C / np.sqrt(x)

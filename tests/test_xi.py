@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerdet import (PartialWaveConfig, SpectralPoint, discretize,
-                      make_circle, make_ellipse, make_kite, make_scene,
-                      trace_rrel, xi_imag, xi_on_ray, xi_prime, xi_real,
-                      xi_rel, xi_rel_many, xi_two_disks)
+                      layer_ops, make_circle, make_ellipse, make_kite,
+                      make_scene, trace_rrel, xi_imag, xi_on_ray, xi_prime,
+                      xi_real, xi_rel, xi_rel_many, xi_two_disks)
 
 
 def richardson_fd(f, x, h):
@@ -247,3 +249,49 @@ class TestXiOnRay:
         for u, v in zip(us, vals):
             direct = xi_imag(canonical_scene, canonical_grid_64, u).xi.real
             assert v.real == pytest.approx(direct, rel=0.25, abs=1e-10)
+
+
+@pytest.fixture(scope="module")
+def canonical_grid_32(canonical_scene):
+    return discretize(canonical_scene, 32)
+
+
+@pytest.fixture
+def q_assemblies(monkeypatch):
+    """Counts full Q assemblies at layer_ops._assemble, the point where the
+    benchmark counts determinant evaluations."""
+    count = [0]
+    assemble = layer_ops._assemble
+
+    def counted(grid, sp, deriv, diagonal_only):
+        if deriv == "none" and not diagonal_only:
+            count[0] += 1
+        return assemble(grid, sp, deriv, diagonal_only)
+
+    monkeypatch.setattr(layer_ops, "_assemble", counted)
+    return count
+
+
+class TestWalkerPaths:
+    # every walker visits a fixed path: the 25-point descent from i*Lambda
+    # (or the 8-point lead-in on a ray), then its own evaluation points,
+    # plus any bisections of oversized phase steps
+    @pytest.mark.parametrize("call, expected", [
+        (lambda s, g: xi_real(s, g, 0.7), 25),
+        (lambda s, g: xi_rel(s, g, 0.7), 27),
+        (lambda s, g: xi_rel_many(s, g, [0.5, 0.9, 1.3, 3.0]), 84),
+        (lambda s, g: xi_on_ray(s, g, np.pi / 8, [0.5, 1.1, 2.0]), 10),
+    ], ids=["xi_real", "xi_rel", "xi_rel_many", "xi_on_ray"])
+    def test_q_assemblies(self, canonical_scene, canonical_grid_32,
+                          q_assemblies, call, expected):
+        call(canonical_scene, canonical_grid_32)
+        assert q_assemblies[0] == expected
+
+    @settings(max_examples=5, deadline=None)
+    @given(lams=st.lists(st.floats(0.3, 3.0), min_size=1, max_size=3))
+    def test_batch_matches_single_within_err_est(self, canonical_scene,
+                                                 canonical_grid_32, lams):
+        batch = xi_rel_many(canonical_scene, canonical_grid_32, lams)
+        for lam, b in zip(lams, batch):
+            single = xi_rel(canonical_scene, canonical_grid_32, lam)
+            assert abs(b.xi_rel - single.xi_rel) <= b.err_est + single.err_est
