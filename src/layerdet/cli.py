@@ -21,7 +21,7 @@ import numpy as np
 
 from . import specfun
 from .energy import (QuadConfig, SmoothFunctionSpec, casimir_energy,
-                     casimir_force, power_trace, trace_df)
+                     casimir_force_result, power_trace, trace_df)
 from .errors import LayerDetError, SceneError, SceneFileError
 from .geometry import Scene, discretize, make_circle, make_ellipse, make_kite, \
     make_polar_fourier, make_scene
@@ -215,7 +215,7 @@ def _energy_payload(args, result, extra_cfg: dict) -> dict:
         "config": {"scene": args.scene, "n": args.n, "tol": args.tol,
                    **extra_cfg},
     }
-    if args.samples:
+    if getattr(args, "samples", False):
         payload["samples"] = [[k, getattr(v, "real", v)] for k, v in result.samples]
     return payload
 
@@ -263,12 +263,10 @@ def cmd_force(args) -> int:
         return make_scene([first, moved])
 
     h = args.h if args.h is not None else 0.05 * scene.gap
-    value = casimir_force(builder, sep0, h, ns, QuadConfig(tol=args.tol))
-    _write_json(args.output, {
-        "value": value, "quad_err": 0.0, "tail_bound": 0.0,
-        "config": {"scene": args.scene, "n": args.n, "tol": args.tol,
-                   "kind": "force", "separation": sep0, "h": h,
-                   "sign_convention": "negative = attractive"}})
+    res = casimir_force_result(builder, sep0, h, ns, QuadConfig(tol=args.tol))
+    _write_json(args.output, _energy_payload(
+        args, res, {"kind": "force", "separation": sep0, "h": h,
+                    "sign_convention": "negative = attractive"}))
     return 0
 
 

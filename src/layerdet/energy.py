@@ -2,19 +2,24 @@
 traces, smoothed relative traces over a sector contour, and finite
 difference forces.
 
-The imaginary-axis integrals use composite Gauss-Legendre panels placed
-geometrically between kappa_min and kappa_max (both proportional to inverse
-gap, so scene rescaling maps every sample exactly onto its scaled
-counterpart); panel orders double until the panel increment is below its
-share of the tolerance.  The integrand decays like C e^{-delta' kappa}
-beyond the gap scale and the truncated tail is bounded by fitting C on the
-last decade of samples with the conservative rate delta' = 0.9 * gap.
+Every integral goes through one driver, `_nested_cc`: nested
+Clenshaw-Curtis rules in the logarithm of the integration variable on one
+or two pieces, each level evaluating only its new nodes, until
+|I_n - I_{n/2}| <= tol, which is the reported quadrature error.  The
+imaginary-axis integrals use one piece over [kappa_min, kappa_max], the
+contour two split at 1 / gap (all ends proportional to inverse gap, so scene
+rescaling maps every node onto its scaled counterpart).  The integrand
+decays like C e^{-delta' kappa} beyond the gap scale and the truncated tail
+is bounded by fitting C on the last decade of samples with the
+conservative rate delta' = 0.9 * gap.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,16 +33,16 @@ from .xi import _DELTA_PRIME_FRACTION, xi_imag, xi_on_ray, xi_rel_many
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Panel quadrature controls.  kappa_min/kappa_max default to
-    1e-6 / gap and 30 / (0.9 gap); explicit panel_edges override the
-    geometric construction (used to match grids across force evaluations)."""
+    """Spectral-quadrature controls: Clenshaw-Curtis rules with n + 1 nodes
+    per piece, n doubling from `order` until the integral moves by <= `tol`
+    (ConvergenceError past `max_order`); kappa_min/kappa_max default to
+    1e-6 / gap and 30 / (0.9 gap); `threads` evaluates Xi concurrently."""
 
     tol: float = 1e-8
     order: int = 16
     max_order: int = 256
     kappa_min: Optional[float] = None
     kappa_max: Optional[float] = None
-    panel_edges: Optional[Tuple[float, ...]] = None
     threads: int = 1
 
 
@@ -77,106 +82,119 @@ class SmoothFunctionSpec:
             * np.exp(-self.t * z) * (self.a - self.t * z)
 
 
-def panel_edges_for(scene: Scene, cfg: QuadConfig) -> Tuple[float, ...]:
-    """Geometric panel edges kappa_min * 2^j capped at kappa_max."""
-    if cfg.panel_edges is not None:
-        return tuple(cfg.panel_edges)
+@lru_cache(maxsize=64)
+def _cc_rule(n: int):
+    """Clenshaw-Curtis nodes cos(j pi / n), j = 0..n, and weights on [-1, 1]."""
+    j = np.arange(n + 1)
+    k = np.arange(1, n // 2 + 1)
+    b = np.where(2 * k == n, 1.0, 2.0) / (4.0 * k ** 2 - 1.0)
+    c = np.where((j == 0) | (j == n), 1.0, 2.0)
+    w = c / n * (1.0 - np.cos(2.0 * np.pi * np.outer(j, k) / n) @ b)
+    t = np.cos(np.pi * j / n)
+    for a in (t, w):
+        a.setflags(write=False)
+    return t, w
+
+
+def _pieces_rule(edges: np.ndarray, n: int):
+    """Nodes and weights, shape (pieces, n + 1), of the rule mapped in log x
+    onto each piece [edges[i], edges[i + 1]], end nodes exactly the edges."""
+    t, w = _cc_rule(n)
+    lo, hi = np.log(edges[:-1])[:, None], np.log(edges[1:])[:, None]
+    x = np.exp(0.5 * (hi - lo) * t + 0.5 * (hi + lo))
+    x[:, 0], x[:, -1] = edges[1:], edges[:-1]
+    return x, 0.5 * (hi - lo) * w * x
+
+
+def _eval_unique(evaluate, x: np.ndarray) -> np.ndarray:
+    # pieces share their end points; evaluate each abscissa once
+    u, inv = np.unique(x.ravel(), return_inverse=True)
+    vals = np.asarray(evaluate(u))
+    return vals[..., inv.ravel()].reshape(vals.shape[:-1] + x.shape)
+
+
+def _nested_cc(edges: Sequence[float], evaluate: Callable[[np.ndarray], np.ndarray],
+               weight: Callable[[np.ndarray], np.ndarray], cfg: QuadConfig):
+    """Integral of weight(x) * evaluate(x) from edges[0] to edges[-1], one
+    log-mapped piece between consecutive edges.
+
+    evaluate maps an array of abscissae to samples along its last axis
+    (leading axes integrate independently and converge together); each
+    level calls it once, on that level's new nodes.  Returns (value, err,
+    nodes, samples): err = |I_n - I_{n/2}|, the last level's nodes sorted.
+    """
+    n, edges = cfg.order, np.asarray(edges, dtype=float)
+    x, w = _pieces_rule(edges, n)
+    vals = _eval_unique(evaluate, x)
+    cur = np.sum(vals * w * weight(x), axis=(-2, -1))
+    while True:
+        n *= 2
+        x, w = _pieces_rule(edges, n)
+        # the odd nodes are new; the even ones are the previous level's
+        vals = np.insert(vals, np.arange(1, n // 2 + 1),
+                         _eval_unique(evaluate, x[:, 1::2]), axis=-1)
+        prev, cur = cur, np.sum(vals * w * weight(x), axis=(-2, -1))
+        err = np.abs(cur - prev)
+        if np.all(err <= cfg.tol):
+            break
+        if n >= cfg.max_order:
+            raise ConvergenceError(f"spectral quadrature did not converge: "
+                                   f"|delta| = {np.max(err):.3e} at n = {n}")
+    nodes, first = np.unique(x.ravel(), return_index=True)
+    return cur, err, nodes, vals.reshape(vals.shape[:-2] + (-1,))[..., first]
+
+
+def _fit_tail(nodes, xis, kmax: float, dprime: float) -> float:
+    """Least-squares fit of C in |Xi| <= C e^{-delta' kappa} on the last
+    decade of samples; returns the integrated tail bound beyond kmax."""
+    fit = (nodes >= kmax / 10.0) & (np.abs(xis) > 1e-300)
+    if not np.any(fit):
+        return 0.0
+    ln_c = float(np.mean(np.log(np.abs(xis[fit])) + dprime * nodes[fit]))
+    return np.exp(ln_c - dprime * kmax) / dprime
+
+
+def _kappa_range(scene: Scene, cfg: QuadConfig) -> Tuple[float, float]:
     gap = scene.gap
     if not np.isfinite(gap):
-        raise LayerDetError("panel construction needs a multi-obstacle scene")
+        raise LayerDetError("the kappa range needs a multi-obstacle scene")
     kmin = cfg.kappa_min if cfg.kappa_min is not None else KAPPA_MIN_FACTOR / gap
     kmax = cfg.kappa_max if cfg.kappa_max is not None else \
         30.0 / (_DELTA_PRIME_FRACTION * gap)
     if not 0 < kmin < kmax:
         raise ValueError("need 0 < kappa_min < kappa_max")
-    edges = [kmin]
-    while edges[-1] < kmax:
-        edges.append(min(edges[-1] * 2.0, kmax))
-    return tuple(edges)
+    return kmin, kmax
 
 
-def _gl_panel(fn, mapper, a: float, b: float, order: int, samples: list) -> float:
-    x, w = leggauss(order)
-    xs = 0.5 * (b - a) * x + 0.5 * (a + b)
-    vals = np.fromiter(mapper(fn, xs), dtype=float, count=xs.size)
-    samples.extend(zip(xs.tolist(), vals.tolist()))
-    return 0.5 * (b - a) * float(np.dot(w, vals))
+def _xi_imag_weighted(systems: Sequence[Tuple[Scene, BoundaryGrid]],
+                      weight: Callable, cfg: QuadConfig) -> List[EnergyResult]:
+    """Integral of weight(kappa) Xi(i kappa) for every (scene, grid) of
+    systems on one shared node set over the first scene's kappa range."""
+    kmin, kmax = _kappa_range(systems[0][0], cfg)
+    with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
+        mapper = pool.map if pool is not None else map
 
+        def evaluate(ks: np.ndarray) -> np.ndarray:
+            # the ordered map keeps results independent of the thread count
+            jobs = [(scene, grid, k) for scene, grid in systems for k in ks.tolist()]
+            xis = mapper(lambda job: xi_imag(*job).xi.real, jobs)
+            return np.fromiter(xis, dtype=float, count=len(jobs)).reshape(-1, ks.size)
 
-def _integrate_panels(fn: Callable[[float], float], edges: Sequence[float],
-                      cfg: QuadConfig):
-    """Per-panel order doubling until each panel increment is below its
-    share of the tolerance.  Returns (value, quad_err, samples).
-
-    Samples within a panel evaluate concurrently when cfg.threads > 1; the
-    ordered collection keeps results independent of the thread count.
-    """
-    npan = len(edges) - 1
-    tol_panel = cfg.tol / max(npan, 1)
-    total, err = 0.0, 0.0
-    samples: List[Tuple[float, float]] = []
-    pool = ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else None
-    mapper = pool.map if pool is not None else map
-    try:
-        for a, b in zip(edges[:-1], edges[1:]):
-            order = cfg.order
-            prev = _gl_panel(fn, mapper, a, b, order, [])
-            while True:
-                order *= 2
-                keep: list = []
-                cur = _gl_panel(fn, mapper, a, b, order, keep)
-                delta = abs(cur - prev)
-                if delta <= tol_panel or order >= cfg.max_order:
-                    if delta > tol_panel:
-                        raise ConvergenceError(
-                            f"panel [{a:g}, {b:g}] did not converge: "
-                            f"|delta| = {delta:.3e} at order {order}")
-                    total += cur
-                    err += delta
-                    samples.extend(keep)
-                    break
-                prev = cur
-    finally:
-        if pool is not None:
-            pool.shutdown()
-    return total, err, samples
-
-
-def _fit_tail(samples, kmax: float, dprime: float) -> float:
-    """Least-squares fit of C in |Xi| <= C e^{-delta' kappa} on the last
-    decade of samples; returns the integrated tail bound beyond kmax."""
-    pts = [(k, abs(v)) for k, v in samples if k >= kmax / 10.0 and abs(v) > 1e-300]
-    if not pts:
-        return 0.0
-    ks = np.array([p[0] for p in pts])
-    lv = np.log(np.array([p[1] for p in pts]))
-    ln_c = float(np.mean(lv + dprime * ks))
-    return np.exp(ln_c - dprime * kmax) / dprime
-
-
-def _xi_imag_weighted(scene: Scene, grid: BoundaryGrid,
-                      weight: Callable[[float], float], cfg: QuadConfig):
-    edges = panel_edges_for(scene, cfg)
-    gap = scene.gap
-    dprime = _DELTA_PRIME_FRACTION * gap
-
-    def integrand(k: float) -> float:
-        return weight(k) * xi_imag(scene, grid, k).xi.real
-
-    value, err, wsamples = _integrate_panels(integrand, edges, cfg)
-    # recover bare Xi samples for the tail fit and the result trace
-    samples = tuple((k, v / weight(k)) for k, v in wsamples)
-    kmin, kmax = edges[0], edges[-1]
-    first = [abs(v) for k, v in samples if k <= edges[1]]
-    near_zero = kmin * max(abs(weight(kmin)), abs(weight(edges[1]))) * \
-        (max(first) if first else 0.0)
-    tail = abs(weight(kmax)) * _fit_tail(samples, kmax, dprime)
-    # once the integrand sits below the log-determinant rounding scale, any
-    # extension integrates noise; bound that by a rectangle over the last
-    # panel's observed magnitudes
-    last = max((abs(v) for k, v in samples if k >= edges[-2]), default=0.0)
-    noise_tail = 0.5 * kmax * abs(weight(kmax)) * last
-    return value, err + near_zero, max(tail, noise_tail), samples
+        values, errs, nodes, xis = _nested_cc((kmin, kmax), evaluate, weight, cfg)
+    results = []
+    for (scene, _), value, err, xi in zip(systems, values, errs, xis):
+        near_zero = kmin * max(abs(weight(kmin)), abs(weight(2.0 * kmin))) * \
+            np.max(np.abs(xi[nodes <= 2.0 * kmin]))
+        tail = _fit_tail(nodes, xi, kmax, _DELTA_PRIME_FRACTION * scene.gap)
+        # once the integrand sits below the log-determinant rounding scale,
+        # any extension integrates noise; bound that by a rectangle over the
+        # magnitudes observed on [kappa_max / 2, kappa_max]
+        noise_tail = 0.5 * kmax * np.max(np.abs(xi[nodes >= 0.5 * kmax]))
+        results.append(EnergyResult(
+            float(value), float(err + near_zero),
+            float(abs(weight(kmax)) * max(tail, noise_tail)),
+            tuple(zip(nodes.tolist(), xi.tolist()))))
+    return results
 
 
 def casimir_energy(scene: Scene, grid: BoundaryGrid,
@@ -185,9 +203,7 @@ def casimir_energy(scene: Scene, grid: BoundaryGrid,
     the assembled configuration relative to separated obstacles."""
     if scene.n_obstacles == 1:
         return EnergyResult(0.0, 0.0, 0.0, ())
-    value, err, tail, samples = _xi_imag_weighted(
-        scene, grid, lambda k: 1.0 / np.pi, cfg)
-    return EnergyResult(value, err, tail, tuple(samples))
+    return _xi_imag_weighted([(scene, grid)], lambda k: 1.0 / np.pi, cfg)[0]
 
 
 def power_trace(scene: Scene, grid: BoundaryGrid, s: float,
@@ -200,17 +216,11 @@ def power_trace(scene: Scene, grid: BoundaryGrid, s: float,
     """
     if not 0.0 < s <= 1.0:
         raise ValueError("power trace supports s in (0, 1]")
-    if s == 1.0:
-        return EnergyResult(0.0, 0.0, 0.0, ())
-    if scene.n_obstacles == 1:
+    if s == 1.0 or scene.n_obstacles == 1:
         return EnergyResult(0.0, 0.0, 0.0, ())
     pref = (2.0 * s / np.pi) * np.sin(np.pi * s)
-
-    def weight(k: float) -> float:
-        return pref * k ** (2.0 * s - 1.0)
-
-    value, err, tail, samples = _xi_imag_weighted(scene, grid, weight, cfg)
-    return EnergyResult(value, err, tail, tuple(samples))
+    return _xi_imag_weighted([(scene, grid)], lambda k: pref * k ** (2.0 * s - 1.0),
+                             cfg)[0]
 
 
 def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
@@ -232,45 +242,20 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
         return EnergyResult(0.0, 0.0, 0.0, ())
     gap = scene.gap
     dprime = _DELTA_PRIME_FRACTION * gap
-    u_min = KAPPA_MIN_FACTOR / gap
     u_max = min(np.sqrt(45.0 / (f.t * np.cos(2 * theta))),
                 45.0 / (dprime * np.sin(theta)))
-    edges = [u_min]
-    while edges[-1] < u_max:
-        edges.append(min(edges[-1] * 2.0, u_max))
+    # the integrand is smooth in log u over the decades below 1 / gap; the
+    # piece beyond gets its own nodes for the oscillation of Xi on the ray
     phase = np.exp(1j * theta)
-
-    def ray_integral(order: int):
-        x, w = leggauss(order)
-        nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-            weights.append(0.5 * (b - a) * w)
-        nodes = np.concatenate(nodes)
-        weights = np.concatenate(weights)
-        xis = xi_on_ray(scene, grid, theta, nodes)
-        fp = f.f_prime(nodes * phase)
-        return complex(phase * np.sum(weights * fp * xis)), nodes, xis
-
-    order = cfg.order
-    prev, _, _ = ray_integral(order)
-    while True:
-        order *= 2
-        cur, nodes, xis = ray_integral(order)
-        delta = abs(cur - prev)
-        if delta <= cfg.tol or order >= cfg.max_order:
-            if delta > cfg.tol:
-                raise ConvergenceError(f"contour quadrature stalled at order "
-                                       f"{order}: |delta| = {delta:.3e}")
-            break
-        prev = cur
-    value = float(cur.imag) / np.pi
+    value, delta, nodes, xis = _nested_cc(
+        (KAPPA_MIN_FACTOR / gap, min(1.0 / gap, 0.5 * u_max), u_max),
+        lambda u: xi_on_ray(scene, grid, theta, u),
+        lambda u: phase * f.f_prime(u * phase), cfg)
     # tail: |f'| * C e^{-delta' u sin(theta)} beyond u_max
     fmax = abs(f.f_prime(u_max * phase))
-    tail = fmax * _fit_tail([(u, x) for u, x in zip(nodes, xis)],
-                            u_max, dprime * np.sin(theta)) / np.pi
-    samples = tuple((float(u), complex(x)) for u, x in zip(nodes, xis))
-    return EnergyResult(value, delta / np.pi, tail, samples)
+    tail = fmax * _fit_tail(nodes, xis, u_max, dprime * np.sin(theta)) / np.pi
+    return EnergyResult(float(value.imag) / np.pi, float(delta) / np.pi, tail,
+                        tuple(zip(nodes.tolist(), xis.tolist())))
 
 
 def birman_krein_trace(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
@@ -295,20 +280,30 @@ def birman_krein_trace(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
     return -total
 
 
-def casimir_force(scene_builder: Callable[[float], Scene], separation: float,
-                  h: float, n_per_obstacle, cfg: QuadConfig = QuadConfig()) -> float:
-    """-dE/d(separation) by central difference with matched kappa panels
-    (panels frozen from the centre separation so quadrature bias cancels).
+def casimir_force_result(scene_builder: Callable[[float], Scene],
+                         separation: float, h: float, n_per_obstacle,
+                         cfg: QuadConfig = QuadConfig()) -> EnergyResult:
+    """-dE/d(separation) by central difference, with quad_err and
+    tail_bound propagated as (err+ + err-) / (2h).  Both energies share one
+    node set, frozen from the tighter configuration (its kappa_min is the
+    largest, so it is admissible for both), so quadrature bias cancels.
     Negative force = attraction (energy increases with separation)."""
     if h <= 0 or h >= separation:
         raise ValueError("need 0 < h < separation")
-    # freeze panels from the tightest configuration: its kappa_min is the
-    # largest, so the shared edges stay admissible for both evaluations
-    edges = panel_edges_for(scene_builder(separation - h), cfg)
-    cfg_frozen = replace(cfg, panel_edges=edges)
-    energies = []
+    kmin, kmax = _kappa_range(scene_builder(separation - h), cfg)
+    systems = []
     for s in (separation + h, separation - h):
         scene = scene_builder(s)
-        grid = discretize(scene, n_per_obstacle)
-        energies.append(casimir_energy(scene, grid, cfg_frozen).value)
-    return -(energies[0] - energies[1]) / (2.0 * h)
+        systems.append((scene, discretize(scene, n_per_obstacle)))
+    plus, minus = _xi_imag_weighted(
+        systems, lambda k: 1.0 / np.pi,
+        replace(cfg, kappa_min=kmin, kappa_max=kmax))
+    return EnergyResult(-(plus.value - minus.value) / (2.0 * h),
+                        (plus.quad_err + minus.quad_err) / (2.0 * h),
+                        (plus.tail_bound + minus.tail_bound) / (2.0 * h), ())
+
+
+def casimir_force(scene_builder: Callable[[float], Scene], separation: float,
+                  h: float, n_per_obstacle, cfg: QuadConfig = QuadConfig()) -> float:
+    """casimir_force_result(...).value: -dE/d(separation), < 0 attracts."""
+    return casimir_force_result(scene_builder, separation, h, n_per_obstacle, cfg).value

@@ -209,9 +209,9 @@ def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float,
 
 def xi_rel_many(scene: Scene, grid: BoundaryGrid, lams: Sequence[float],
                 eta_scale: float = 1e-3) -> List[ShiftSample]:
-    """Batch xi_rel on a lambda grid: one continuous unwrapping sweep per
-    eta level (each level's points lie on a common ray through the origin),
-    each sweep descending from i*Lambda to the largest lambda."""
+    """Batch xi_rel on a lambda grid: one descent from i*Lambda to the
+    largest lambda at 4 eta, then one unwrapping walk down the 4 eta ray, up
+    the 2 eta ray and down the 1 eta ray (rays through the origin)."""
     _check(scene, grid)
     lams = np.asarray(list(lams), dtype=float)
     _positive(lams, "lambda grid")
@@ -220,14 +220,16 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid, lams: Sequence[float],
     order = np.argsort(lams)[::-1]
     sorted_lams = lams[order]
     dprime = _delta_prime(scene)
-    levels = []
-    for c in (4 * eta_scale, 2 * eta_scale, eta_scale):
-        walker = _Unwrapper(grid, budget=80 + 30 * lams.size)
-        ray = sorted_lams * (1.0 + 1j * c)
-        path = [*_descent_points(ray[0], dprime), *ray[1:]]
-        vals = walker.walk(path)[-ray.size:]
-        levels.append(-np.array([v.imag for v in vals]) / np.pi)
-    rich, err = _richardson(*levels)
+    rays = [sorted_lams * (1.0 + 1j * c)
+            for c in (4 * eta_scale, 2 * eta_scale, eta_scale)]
+    path = [*_descent_points(rays[0][0], dprime), *rays[0][1:]]
+    # each level's largest point is where a descent to it ends, ulps off the ray
+    rays[1][0], rays[2][0] = (_descent_points(r[0], dprime)[-1] for r in rays[1:])
+    path += [*rays[1][::-1], *rays[2]]
+    vals = _Unwrapper(grid, budget=80 + 90 * lams.size).walk(path)[-3 * lams.size:]
+    f4, f2, f1 = (-np.array([v.imag for v in level]) / np.pi
+                  for level in np.split(np.array(vals), 3))
+    rich, err = _richardson(f4, f2[::-1], f1)
     out = [None] * lams.size
     for pos, idx in enumerate(order):
         out[idx] = ShiftSample(float(lams[idx]), float(rich[pos]),

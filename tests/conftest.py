@@ -1,6 +1,22 @@
 import pytest
 
-from layerdet import discretize, make_circle, make_kite, make_scene
+from layerdet import discretize, layer_ops, make_circle, make_kite, make_scene
+
+
+@pytest.fixture
+def q_assemblies(monkeypatch):
+    """Counts full Q assemblies at layer_ops._assemble, the point where the
+    benchmark counts determinant evaluations."""
+    count = [0]
+    assemble = layer_ops._assemble
+
+    def counted(grid, sp, deriv, diagonal_only):
+        if deriv == "none" and not diagonal_only:
+            count[0] += 1
+        return assemble(grid, sp, deriv, diagonal_only)
+
+    monkeypatch.setattr(layer_ops, "_assemble", counted)
+    return count
 
 
 @pytest.fixture(scope="session")

@@ -1,10 +1,12 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from layerdet.cli import main, parse_scene_file
 from layerdet.errors import SceneFileError
+from layerdet.kernel import KAPPA_MIN_FACTOR
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 CANONICAL = os.path.join(DATA, "canonical_two_disks.json")
@@ -212,12 +214,17 @@ class TestEnergyCommands:
         tol = v1["quad_err"] + v2["quad_err"]
         assert abs(v2["value"] - v1["value"] / 2) <= max(tol, 1e-6 * abs(v1["value"]))
 
-    def test_samples_dump(self, tmp_path):
+    def test_samples_dump(self, tmp_path, q_assemblies):
         out = tmp_path / "e.json"
         assert main(["energy", "--scene", CANONICAL, "--n", "64",
                      "--samples", "--output", str(out)]) == 0
-        payload = json.load(open(out))
-        assert len(payload["samples"]) > 100
+        kappas = np.array([k for k, _ in json.load(open(out))["samples"]])
+        # one sample per Xi evaluation, distinct and sorted, spanning the
+        # default range [1e-6 / gap, 30 / (0.9 gap)] with gap 2
+        assert kappas.size == q_assemblies[0]
+        assert np.all(np.diff(kappas) > 0)
+        assert (kappas[0], kappas[-1]) == (KAPPA_MIN_FACTOR / 2.0,
+                                           30.0 / (0.9 * 2.0))
 
     def test_tracedf_vs_committed_cross_value(self, tmp_path):
         out = tmp_path / "t.json"
@@ -236,6 +243,9 @@ class TestEnergyCommands:
         payload = json.load(open(out))
         assert payload["value"] < 0
         assert payload["config"]["sign_convention"].startswith("negative")
+        # propagated from the two energies, not a placeholder
+        assert payload["quad_err"] > 0
+        assert payload["tail_bound"] >= 0
 
 
 class TestValidate:

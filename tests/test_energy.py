@@ -1,15 +1,23 @@
 import numpy as np
 import pytest
 
-from layerdet import (LayerDetError, QuadConfig, SmoothFunctionSpec,
-                      casimir_energy, casimir_force, discretize, make_circle,
-                      make_scene, power_trace, trace_df)
-from layerdet.energy import panel_edges_for
+from numpy.polynomial.legendre import leggauss
+
+from layerdet import (LayerDetError, PartialWaveConfig, QuadConfig,
+                      SmoothFunctionSpec, casimir_energy, casimir_force,
+                      default_l_max, discretize, make_circle, make_scene,
+                      power_trace, trace_df, xi_two_disks)
+from layerdet.kernel import KAPPA_MIN_FACTOR
+from layerdet.xi import _DELTA_PRIME_FRACTION
 
 
 def disk_pair(sep, radius=1.0):
     return make_scene([make_circle((0.0, 0.0), radius),
                        make_circle((sep, 0.0), radius)])
+
+
+def default_kappa_range(scene):
+    return KAPPA_MIN_FACTOR / scene.gap, 30.0 / (_DELTA_PRIME_FRACTION * scene.gap)
 
 
 @pytest.fixture(scope="module")
@@ -34,16 +42,41 @@ class TestCasimirEnergy:
         scene, grid = single_disk
         assert casimir_energy(scene, grid).value == 0.0
 
-    def test_error_fields(self, energy_gap2):
-        assert energy_gap2.quad_err >= 0
-        assert energy_gap2.tail_bound >= 0
-        assert np.isfinite(energy_gap2.value)
-        assert len(energy_gap2.samples) > 100
+    def test_error_fields(self, canonical_scene, canonical_grid_64, q_assemblies):
+        energy = casimir_energy(canonical_scene, canonical_grid_64)
+        assert energy.quad_err >= 0
+        assert energy.tail_bound >= 0
+        assert np.isfinite(energy.value)
+        # one sample per Xi evaluation, on distinct sorted nodes spanning
+        # exactly [kappa_min, kappa_max]
+        kappas = np.array([k for k, _ in energy.samples])
+        assert kappas.size == q_assemblies[0]
+        assert np.all(np.diff(kappas) > 0)
+        assert (kappas[0], kappas[-1]) == default_kappa_range(canonical_scene)
+
+    def test_evaluation_count_and_oracle_error(self, canonical_scene,
+                                               canonical_grid_64, q_assemblies):
+        # nested Clenshaw-Curtis levels 16, 32, 64 and at most 128
+        energy = casimir_energy(canonical_scene, canonical_grid_64)
+        assert q_assemblies[0] <= 129
+        # (1/pi) * integral of the partial-wave Xi over the same kappa range,
+        # by an independent Gauss-Legendre rule in log kappa
+        gap = canonical_scene.gap
+        lo, hi = np.log(default_kappa_range(canonical_scene))
+        x, w = leggauss(96)
+        kappas = np.exp(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
+        xi = [xi_two_disks(PartialWaveConfig(default_l_max(k, 1.0, 1.0) + 16,
+                                             1.0, 1.0, 2.0 + gap, k))
+              for k in kappas]
+        oracle = 0.5 * (hi - lo) * np.dot(w, kappas * np.array(xi)) / np.pi
+        true_err = abs(energy.value - oracle)
+        assert true_err <= 1e-8
+        assert energy.quad_err >= true_err
 
     def test_tail_honesty(self, canonical_scene, canonical_grid_64, energy_gap2):
         # extending kappa_max by 50% changes the value by <= tail_bound
-        edges = panel_edges_for(canonical_scene, QuadConfig())
-        extended = QuadConfig(kappa_max=edges[-1] * 1.5)
+        _, kappa_max = default_kappa_range(canonical_scene)
+        extended = QuadConfig(kappa_max=kappa_max * 1.5)
         e2 = casimir_energy(canonical_scene, canonical_grid_64, extended)
         assert abs(e2.value - energy_gap2.value) <= energy_gap2.tail_bound + 1e-15
 
