@@ -14,9 +14,8 @@ from .geometry import (BoundaryGrid, Curve, Scene, discretize,
                        make_kite, make_polar_fourier, make_scene)
 from .kernel import (SpectralPoint, green_free, green_free_dlambda,
                      kress_split)
-from .layer_ops import (Factorization, LayerMatrix, assemble_dq,
-                        assemble_q, assemble_q_diag, diagonal_part, factorize,
-                        solve)
+from .layer_ops import (Factorization, LayerMatrix, LayerPair, assemble_dq,
+                        assemble_q, factorize, layer_pair, solve)
 from .oracle import (NystromExtrapolation, PartialWaveConfig, default_l_max,
                      xi_nystrom_extrapolated, xi_two_disks)
 from .xi import (ShiftSample, XiSample, trace_rrel, xi_imag, xi_on_ray,

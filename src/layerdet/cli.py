@@ -398,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "threads": dict(type=int, default=1),
         "emit-plot": dict(action="store_true"),
         "samples": dict(action="store_true",
-                        help="include per-panel sample dump in JSON output"),
+                        help="include the spectral samples in JSON output"),
     }
 
     def common(sp, *flags):

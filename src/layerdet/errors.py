@@ -23,8 +23,8 @@ class SingularOperatorError(LayerDetError, ArithmeticError):
 
 
 class ConvergenceError(LayerDetError, RuntimeError):
-    """A refinement loop (quadrature panels, unwrapping, truncation) ran
-    out of budget before reaching its tolerance."""
+    """A refinement loop (nested quadrature levels, unwrapping,
+    truncation) ran out of budget before reaching its tolerance."""
 
 
 class SceneFileError(LayerDetError, ValueError):

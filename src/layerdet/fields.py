@@ -19,7 +19,7 @@ import numpy as np
 from .errors import LayerDetError
 from .geometry import BoundaryGrid, Scene, _winding_contains, distance_to_boundary
 from .kernel import SpectralPoint, green_free
-from .layer_ops import assemble_q, diagonal_part, factorize, solve
+from .layer_ops import layer_pair, solve
 
 
 @dataclass(frozen=True)
@@ -49,11 +49,7 @@ class FieldEvaluator:
         self.scene = scene
         self.grid = grid
         self.sp = sp
-        q = assemble_q(grid, sp)
-        qt = diagonal_part(q)
-        self._fq = factorize(q)
-        self._ft = factorize(qt)
-        self._T = q.entries - qt.entries
+        self._fq, self._ft, self._T = layer_pair(grid, sp)
         gap = scene.gap
         if np.isfinite(gap):
             self._standoff = 0.1 * gap

@@ -10,14 +10,16 @@ spectrally there.
 
 Storage is real on the imaginary axis and complex elsewhere.  Determinants
 are only ever consumed as ratios of two factorizations sharing the same
-weights, so no symmetrized weighting is needed.
+weights, so no symmetrized weighting is needed.  `layer_pair` is the one
+place where Q, its block-diagonal part Qtilde and the coupling T = Q - Qtilde
+are formed and factored.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -31,8 +33,6 @@ from .kernel import KAPPA_MIN_FACTOR, SpectralPoint, offdiag_kernel, split_block
 class LayerMatrix:
     entries: np.ndarray
     sp: SpectralPoint
-    blocks: Tuple[Tuple[int, int], ...]
-    kind: str  # "Q" | "Qdiag" | "dQ" | "dQdk"
 
 
 @dataclass(frozen=True)
@@ -94,54 +94,45 @@ def _offdiag_block(grid: BoundaryGrid, sp: SpectralPoint, j: int, k: int,
 
 def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
               diagonal_only: bool) -> np.ndarray:
+    """Full matrix for deriv in ("none", "lambda", "kappa").  diagonal_only
+    is unused (always False); it is kept because the benchmark's QCounter
+    wraps this function positionally to count Q assemblies."""
     _check_sp(grid, sp)
     dtype = float if (sp.is_imaginary and deriv in ("none", "kappa")) else complex
-    N = grid.size
-    out = np.zeros((N, N), dtype=dtype)
+    out = np.zeros((grid.size, grid.size), dtype=dtype)
     nb = grid.scene.n_obstacles
     for j in range(nb):
         sl = grid.block_slice(j)
         out[sl, sl] = _diag_block(grid, sp, j, deriv)
-    if not diagonal_only:
-        for j in range(nb):
-            for k in range(nb):
-                if j != k:
-                    out[grid.block_slice(j), grid.block_slice(k)] = \
-                        _offdiag_block(grid, sp, j, k, deriv)
+        for k in range(nb):
+            if k != j:
+                out[sl, grid.block_slice(k)] = _offdiag_block(grid, sp, j, k, deriv)
     return out
 
 
 def assemble_q(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
     """Full single-layer matrix Q at the spectral point."""
-    return LayerMatrix(_assemble(grid, sp, "none", False), sp, grid.blocks, "Q")
-
-
-def assemble_q_diag(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
-    """Block-diagonal part; off-diagonal blocks exactly zero, diagonal
-    blocks bitwise equal to assemble_q's (same code path)."""
-    return LayerMatrix(_assemble(grid, sp, "none", True), sp, grid.blocks, "Qdiag")
+    return LayerMatrix(_assemble(grid, sp, "none", False), sp)
 
 
 def assemble_dq(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
     """dQ/dlambda; purely imaginary entries on the imaginary axis."""
-    return LayerMatrix(_assemble(grid, sp, "lambda", False), sp, grid.blocks, "dQ")
+    return LayerMatrix(_assemble(grid, sp, "lambda", False), sp)
 
 
-def assemble_dq_dkappa(grid: BoundaryGrid, sp: SpectralPoint,
-                       diagonal_only: bool = False) -> LayerMatrix:
+def assemble_dq_dkappa(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
     """dQ/dkappa on the imaginary axis (real storage); the derivative used
     by the difference-structured trace formulas."""
-    return LayerMatrix(_assemble(grid, sp, "kappa", diagonal_only), sp,
-                       grid.blocks, "dQdk")
+    return LayerMatrix(_assemble(grid, sp, "kappa", False), sp)
 
 
-def diagonal_part(m: LayerMatrix) -> LayerMatrix:
-    """Zero out cross-obstacle blocks of an assembled matrix."""
-    out = np.zeros_like(m.entries)
-    for (a, b) in m.blocks:
-        out[a:b, a:b] = m.entries[a:b, a:b]
-    kind = "Qdiag" if m.kind == "Q" else m.kind + "diag"
-    return LayerMatrix(out, m.sp, m.blocks, kind)
+def split_blocks(entries: np.ndarray, blocks):
+    """(Qtilde, T) of Q, or (dQtilde, dT) of dQ: the obstacles' own blocks
+    bitwise with exactly zero cross blocks, and the rest (zero diagonal)."""
+    diag = np.zeros_like(entries)
+    for a, b in blocks:
+        diag[a:b, a:b] = entries[a:b, a:b]
+    return diag, entries - diag
 
 
 def factorize(m) -> Factorization:
@@ -169,6 +160,32 @@ def factorize(m) -> Factorization:
     mags = np.abs(d)
     return Factorization(lu, piv, a, log_abs, phase, sign, parity,
                          float(mags.min()), float(mags.max()))
+
+
+class LayerPair(NamedTuple):
+    """Q and Qtilde factored at one spectral point, and T = Q - Qtilde.
+
+    Qtilde is factored at full N x N size on purpose: Xi = log|det Q| -
+    log|det Qtilde| is exact to rounding only because both LUs' pivots on
+    the obstacles' own blocks round alike.  At the energy's kappa_max those
+    blocks have condition number ~5e10 (unit disks) and Xi is exactly 0.0;
+    per-block LUs move log|det Qtilde| by 3e-7 and the energy by 8e-8."""
+    fq: Factorization
+    ft: Factorization
+    T: np.ndarray
+
+    def log_det_ratio(self) -> complex:
+        """Xi = log det(Q Qtilde^{-1}); off the imaginary axis the
+        imaginary part is known only modulo 2 pi."""
+        return ((self.fq.log_abs_det - self.ft.log_abs_det)
+                + 1j * (self.fq.phase - self.ft.phase))
+
+
+def layer_pair(grid: BoundaryGrid, sp: SpectralPoint) -> LayerPair:
+    """Assemble Q once, split off Qtilde and T, and factor Q and Qtilde."""
+    q = assemble_q(grid, sp).entries
+    qt, T = split_blocks(q, grid.blocks)
+    return LayerPair(factorize(q), factorize(qt), T)
 
 
 def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:

@@ -3,11 +3,12 @@ derivative, the relative resolvent trace, and the relative spectral shift.
 
 Xi is computed as the difference of two LU log-determinants, never through
 the difference operator itself: each log-magnitude is O(1)-conditioned and
-the subtraction is exact to the rounding floor.  The derivative Xi' uses the
-opposite strategy: it is evaluated from the difference-structured operator
-form  (dT) Q^{-1} - (dQtilde) Qtilde^{-1} T Q^{-1}, whose traces involve only
-small (cross-coupling) factors, avoiding the cancellation of two large
-traces.
+the subtraction is exact to the rounding floor, because Qtilde is factored
+at full size (`layer_ops.LayerPair`), so its pivots round as Q's do.  The
+derivative Xi' uses the opposite strategy: it is evaluated from the
+difference-structured operator form  (dT) Q^{-1} - (dQtilde) Qtilde^{-1} T
+Q^{-1}, whose traces involve only small (cross-coupling) factors, avoiding
+the cancellation of two large traces.
 
 On the imaginary axis everything is real; Xi elsewhere carries the branch of
 the logarithm fixed by continuity along a descent path from i*Lambda (where
@@ -25,8 +26,8 @@ import numpy as np
 from .errors import ConvergenceError, LayerDetError, SingularOperatorError
 from .geometry import BoundaryGrid, Scene
 from .kernel import SpectralPoint
-from .layer_ops import (assemble_dq, assemble_dq_dkappa, assemble_q,
-                        diagonal_part, factorize, solve)
+from .layer_ops import (LayerPair, assemble_dq, assemble_dq_dkappa,
+                        layer_pair, solve, split_blocks)
 
 #: descent anchor i*Lambda with Lambda = _LAMBDA_FACTOR / delta'
 _LAMBDA_FACTOR = 20.0
@@ -58,40 +59,30 @@ def _check(scene: Scene, grid: BoundaryGrid):
         raise LayerDetError("grid was built for a different scene")
 
 
-def _logdet_pair(grid: BoundaryGrid, sp: SpectralPoint):
-    q = assemble_q(grid, sp)
-    qt = diagonal_part(q)
-    fq = factorize(q)
-    ft = factorize(qt)
-    if sp.is_imaginary and (fq.sign < 0 or ft.sign < 0):
+def _logdet_pair(grid: BoundaryGrid, sp: SpectralPoint) -> LayerPair:
+    pair = layer_pair(grid, sp)
+    if sp.is_imaginary and (pair.fq.sign < 0 or pair.ft.sign < 0):
         # positivity of the layer operator at imaginary wavenumber is an
         # empirical diagnostic, not a correctness assumption; fixed message
         # so the default warning filter deduplicates repeats
         warnings.warn("negative LU pivot sign for an imaginary-axis layer "
                       "matrix (grid underresolved for this kappa?)",
                       RuntimeWarning, stacklevel=3)
-    return fq, ft
+    return pair
 
 
 def xi_imag(scene: Scene, grid: BoundaryGrid, kappa: float) -> XiSample:
     """Xi(i kappa): real, from two real LU log-determinants."""
     _check(scene, grid)
     sp = SpectralPoint.imaginary(kappa)
-    fq, ft = _logdet_pair(grid, sp)
+    pair = _logdet_pair(grid, sp)
+    fq, ft = pair.fq, pair.ft
     if fq.sign * ft.sign <= 0:
         raise LayerDetError(
             "negative determinant sign product on the imaginary axis "
             f"(signs {fq.sign}, {ft.sign}); internal consistency violated")
-    val = fq.log_abs_det - ft.log_abs_det
     floor = (abs(fq.log_abs_det) + abs(ft.log_abs_det) + 1.0) * 8 * _EPS
-    return XiSample(sp, complex(val), 0, floor)
-
-
-def _xi_raw(grid: BoundaryGrid, lam: complex) -> complex:
-    """Xi with Im part known only modulo 2 pi."""
-    sp = SpectralPoint.from_complex(lam)
-    fq, ft = _logdet_pair(grid, sp)
-    return (fq.log_abs_det - ft.log_abs_det) + 1j * (fq.phase - ft.phase)
+    return XiSample(sp, pair.log_det_ratio(), 0, floor)
 
 
 class _Unwrapper:
@@ -109,7 +100,7 @@ class _Unwrapper:
         self.evals += 1
         for attempt in range(4):
             try:
-                return _xi_raw(self.grid, z)
+                return _logdet_pair(self.grid, SpectralPoint.from_complex(z)).log_det_ratio()
             except SingularOperatorError:
                 # lambda^2 grazing an interior Dirichlet eigenvalue: deform
                 # the path locally upward
@@ -198,6 +189,7 @@ def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float,
     _check(scene, grid)
     _positive(lam, "lam")
     eta0 = 1e-3 * lam if eta0 is None else float(eta0)
+    _positive(eta0, "eta0")
     if scene.n_obstacles == 1:
         return ShiftSample(lam, 0.0, eta0, 0.0)
     path = [*_descent_points(lam + 4j * eta0, _delta_prime(scene)),
@@ -215,6 +207,7 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid, lams: Sequence[float],
     _check(scene, grid)
     lams = np.asarray(list(lams), dtype=float)
     _positive(lams, "lambda grid")
+    _positive(eta_scale, "eta_scale")
     if scene.n_obstacles == 1:
         return [ShiftSample(l, 0.0, eta_scale * l, 0.0) for l in lams]
     order = np.argsort(lams)[::-1]
@@ -276,18 +269,13 @@ def _trace_terms(grid: BoundaryGrid, sp: SpectralPoint, both_paths: bool):
     On the imaginary axis all matrices are real and derivatives are taken
     in kappa; callers apply the chain factor dlambda = i dkappa.
     """
-    q = assemble_q(grid, sp)
-    qt = diagonal_part(q)
-    dq = assemble_dq_dkappa(grid, sp) if sp.is_imaginary else assemble_dq(grid, sp)
-    dqt = diagonal_part(dq)
-    T = q.entries - qt.entries
-    dT = dq.entries - dqt.entries
-    fq = factorize(q)
-    ft = factorize(qt)
-    d = np.trace(solve(fq, dT)) - _trace_product(solve(fq, dqt.entries), solve(ft, T))
+    fq, ft, T = layer_pair(grid, sp)
+    dq = (assemble_dq_dkappa if sp.is_imaginary else assemble_dq)(grid, sp).entries
+    dqt, dT = split_blocks(dq, grid.blocks)
+    d = np.trace(solve(fq, dT)) - _trace_product(solve(fq, dqt), solve(ft, T))
     if not both_paths:
         return d, None
-    return d, -_trace_product(solve(ft, dq.entries), solve(fq, T))
+    return d, -_trace_product(solve(ft, dq), solve(fq, T))
 
 
 def _rrel_from_trace(d, sp: SpectralPoint) -> complex:

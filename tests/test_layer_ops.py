@@ -3,9 +3,9 @@ import pytest
 from scipy.special import iv, ivp, kv, kvp
 
 from layerdet import (SingularOperatorError, SpectralPoint, assemble_dq,
-                      assemble_q, assemble_q_diag, discretize, factorize,
-                      make_circle, make_scene, solve)
-from layerdet.layer_ops import assemble_dq_dkappa, kress_log_weights
+                      assemble_q, discretize, factorize, make_circle,
+                      make_scene, solve)
+from layerdet.layer_ops import assemble_dq_dkappa, kress_log_weights, split_blocks
 
 
 @pytest.fixture(scope="module")
@@ -34,9 +34,10 @@ class TestAssembly:
     def test_single_obstacle_q_equals_qdiag(self, single_disk):
         scene, grid = single_disk
         sp = SpectralPoint.imaginary(1.0)
-        q = assemble_q(grid, sp)
-        qd = assemble_q_diag(grid, sp)
-        assert np.array_equal(q.entries, qd.entries)
+        q = assemble_q(grid, sp).entries
+        qd, t = split_blocks(q, grid.blocks)
+        assert np.array_equal(q, qd)
+        assert np.all(t == 0.0)
 
     def test_symmetry_defect(self, canonical_scene, two_disk_grid):
         q = assemble_q(two_disk_grid, SpectralPoint.imaginary(1.0)).entries
@@ -62,23 +63,28 @@ class TestAssembly:
 
     def test_qdiag_offblocks_zero(self, canonical_scene, two_disk_grid):
         sp = SpectralPoint.imaginary(0.7)
-        qd = assemble_q_diag(two_disk_grid, sp)
-        assert np.all(qd.entries[:64, 64:] == 0.0)
-        assert np.all(qd.entries[64:, :64] == 0.0)
+        q = assemble_q(two_disk_grid, sp).entries
+        qd, t = split_blocks(q, two_disk_grid.blocks)
+        assert np.all(qd[:64, 64:] == 0.0)
+        assert np.all(qd[64:, :64] == 0.0)
+        assert np.all(t[:64, :64] == 0.0)
+        assert np.all(t[64:, 64:] == 0.0)
+        assert np.array_equal(t[:64, 64:], q[:64, 64:])
 
     def test_qdiag_blocks_bitwise_equal_q(self, canonical_scene, two_disk_grid):
         sp = SpectralPoint.imaginary(0.7)
-        q = assemble_q(two_disk_grid, sp)
-        qd = assemble_q_diag(two_disk_grid, sp)
-        assert np.array_equal(q.entries[:64, :64], qd.entries[:64, :64])
-        assert np.array_equal(q.entries[64:, 64:], qd.entries[64:, 64:])
+        q = assemble_q(two_disk_grid, sp).entries
+        qd, _ = split_blocks(q, two_disk_grid.blocks)
+        assert np.array_equal(q[:64, :64], qd[:64, :64])
+        assert np.array_equal(q[64:, 64:], qd[64:, 64:])
 
     def test_qdiag_block_equals_single_scene(self, canonical_scene, two_disk_grid):
         sp = SpectralPoint.imaginary(0.9)
-        qd = assemble_q_diag(two_disk_grid, sp)
+        qd, _ = split_blocks(assemble_q(two_disk_grid, sp).entries,
+                             two_disk_grid.blocks)
         solo = make_scene([make_circle((4.0, 0.0), 1.0)])
         solo_q = assemble_q(discretize(solo, 64), sp)
-        assert np.allclose(qd.entries[64:, 64:], solo_q.entries, atol=1e-15)
+        assert np.allclose(qd[64:, 64:], solo_q.entries, atol=1e-15)
 
     def test_real_storage_on_imaginary_axis(self, two_disk_grid):
         assert not np.iscomplexobj(assemble_q(two_disk_grid,

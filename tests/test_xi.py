@@ -272,6 +272,19 @@ class TestWalkerPaths:
         call(canonical_scene, canonical_grid_32)
         assert q_assemblies[0] == expected
 
+    @pytest.mark.parametrize("call", [
+        lambda s, g: xi_rel(s, g, 0.7, eta0=0.0),
+        lambda s, g: xi_rel(s, g, 0.7, eta0=-1e-3),
+        lambda s, g: xi_rel_many(s, g, [0.5, 1.3], eta_scale=0.0),
+        lambda s, g: xi_rel_many(s, g, [0.5, 1.3], eta_scale=-1e-3),
+    ], ids=["xi_rel_zero", "xi_rel_negative", "xi_rel_many_zero",
+            "xi_rel_many_negative"])
+    def test_nonpositive_eta_rejected_before_walking(
+            self, canonical_scene, canonical_grid_64, q_assemblies, call):
+        with pytest.raises(ValueError, match="eta"):
+            call(canonical_scene, canonical_grid_64)
+        assert q_assemblies[0] == 0
+
     @settings(max_examples=5, deadline=None)
     @given(lams=st.lists(st.floats(0.3, 3.0), min_size=1, max_size=3))
     def test_batch_matches_single_within_err_est(self, canonical_scene,
