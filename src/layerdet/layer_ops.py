@@ -8,11 +8,12 @@ log-singular part is integrated with the spectrally accurate product rule
 Cross-obstacle blocks are analytic, so the trapezoid rule alone converges
 spectrally there.
 
-Storage is real on the imaginary axis and complex elsewhere.  Determinants
-are only ever consumed as ratios of two factorizations sharing the same
-weights, so no symmetrized weighting is needed.  `layer_pair` is the one
-place where Q, its block-diagonal part Qtilde and the coupling T = Q - Qtilde
-are formed and factored.
+Storage is real on the imaginary axis and complex elsewhere, for Q and for
+its derivative alike, which is taken in the axis variable (kappa or lambda).
+Determinants are only ever consumed as ratios of two factorizations sharing
+the same weights, so no symmetrized weighting is needed.  `layer_pair` is the
+one place where Q, its block-diagonal part Qtilde and the coupling
+T = Q - Qtilde are formed and factored.
 """
 
 from __future__ import annotations
@@ -74,7 +75,7 @@ def _check_sp(grid: BoundaryGrid, sp: SpectralPoint):
         raise ValueError(f"kappa = {sp.value} below kappa_min = {kmin}")
 
 
-def _diag_block(grid: BoundaryGrid, sp: SpectralPoint, j: int, deriv: str) -> np.ndarray:
+def _diag_block(grid: BoundaryGrid, sp: SpectralPoint, j: int, deriv: bool) -> np.ndarray:
     sl = grid.block_slice(j)
     t = grid.t[sl]
     A, B = split_block(sp, t, grid.points[sl], grid.speeds[sl], deriv=deriv)
@@ -85,7 +86,7 @@ def _diag_block(grid: BoundaryGrid, sp: SpectralPoint, j: int, deriv: str) -> np
 
 
 def _offdiag_block(grid: BoundaryGrid, sp: SpectralPoint, j: int, k: int,
-                   deriv: str) -> np.ndarray:
+                   deriv: bool) -> np.ndarray:
     sj, sk = grid.block_slice(j), grid.block_slice(k)
     r = np.hypot(grid.points[sj, 0][:, None] - grid.points[sk, 0][None, :],
                  grid.points[sj, 1][:, None] - grid.points[sk, 1][None, :])
@@ -94,12 +95,13 @@ def _offdiag_block(grid: BoundaryGrid, sp: SpectralPoint, j: int, k: int,
 
 def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
               diagonal_only: bool) -> np.ndarray:
-    """Full matrix for deriv in ("none", "lambda", "kappa").  diagonal_only
-    is unused (always False); it is kept because the benchmark's QCounter
-    wraps this function positionally to count Q assemblies."""
+    """Full matrix: Q for deriv "none", dQ/dv for any other value.  The
+    string and the unused diagonal_only (always False) are kept because the
+    benchmark's QCounter wraps this function positionally and counts
+    deriv == "none" as one Q assembly."""
     _check_sp(grid, sp)
-    dtype = float if (sp.is_imaginary and deriv in ("none", "kappa")) else complex
-    out = np.zeros((grid.size, grid.size), dtype=dtype)
+    deriv = deriv != "none"
+    out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
     nb = grid.scene.n_obstacles
     for j in range(nb):
         sl = grid.block_slice(j)
@@ -116,14 +118,9 @@ def assemble_q(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
 
 
 def assemble_dq(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
-    """dQ/dlambda; purely imaginary entries on the imaginary axis."""
-    return LayerMatrix(_assemble(grid, sp, "lambda", False), sp)
-
-
-def assemble_dq_dkappa(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
-    """dQ/dkappa on the imaginary axis (real storage); the derivative used
-    by the difference-structured trace formulas."""
-    return LayerMatrix(_assemble(grid, sp, "kappa", False), sp)
+    """dQ/dv in the axis variable: dQ/dkappa on the imaginary axis (real
+    storage, dQ/dlambda = -i dQ/dkappa there) and dQ/dlambda on a ray."""
+    return LayerMatrix(_assemble(grid, sp, "dv", False), sp)
 
 
 def split_blocks(entries: np.ndarray, blocks):

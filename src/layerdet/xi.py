@@ -26,8 +26,7 @@ import numpy as np
 from .errors import ConvergenceError, LayerDetError, SingularOperatorError
 from .geometry import BoundaryGrid, Scene
 from .kernel import SpectralPoint
-from .layer_ops import (LayerPair, assemble_dq, assemble_dq_dkappa,
-                        layer_pair, solve, split_blocks)
+from .layer_ops import LayerPair, assemble_dq, layer_pair, solve, split_blocks
 
 #: descent anchor i*Lambda with Lambda = _LAMBDA_FACTOR / delta'
 _LAMBDA_FACTOR = 20.0
@@ -208,7 +207,7 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid, lams: Sequence[float],
     lams = np.asarray(list(lams), dtype=float)
     _positive(lams, "lambda grid")
     _positive(eta_scale, "eta_scale")
-    if scene.n_obstacles == 1:
+    if scene.n_obstacles == 1 or not lams.size:
         return [ShiftSample(l, 0.0, eta_scale * l, 0.0) for l in lams]
     order = np.argsort(lams)[::-1]
     sorted_lams = lams[order]
@@ -237,7 +236,7 @@ def xi_on_ray(scene: Scene, grid: BoundaryGrid, angle: float,
     _check(scene, grid)
     u = np.asarray(list(u_values), dtype=float)
     _positive(u, "ray moduli")
-    if scene.n_obstacles == 1:
+    if scene.n_obstacles == 1 or not u.size:
         return np.zeros(u.size, dtype=complex)
     u_anchor = _LAMBDA_FACTOR / (_delta_prime(scene) * np.sin(angle))
     order = np.argsort(u)[::-1]
@@ -266,11 +265,12 @@ def _trace_terms(grid: BoundaryGrid, sp: SpectralPoint, both_paths: bool):
     Tr[(dQ)(Q^{-1} - Qtilde^{-1})] = -Tr[Qtilde^{-1} dQ Q^{-1} T]  (else
     None).
 
-    On the imaginary axis all matrices are real and derivatives are taken
-    in kappa; callers apply the chain factor dlambda = i dkappa.
+    Derivatives are in the axis variable of `assemble_dq`: on the
+    imaginary axis all matrices are real and d is a kappa derivative, so
+    callers apply the chain factor dlambda = i dkappa.
     """
     fq, ft, T = layer_pair(grid, sp)
-    dq = (assemble_dq_dkappa if sp.is_imaginary else assemble_dq)(grid, sp).entries
+    dq = assemble_dq(grid, sp).entries
     dqt, dT = split_blocks(dq, grid.blocks)
     d = np.trace(solve(fq, dT)) - _trace_product(solve(fq, dqt), solve(ft, T))
     if not both_paths:

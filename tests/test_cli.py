@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from layerdet.cli import main, parse_scene_file
+from layerdet.cli import _translated, main, parse_scene_file
+from layerdet.geometry import make_circle, make_ellipse, make_kite, make_polar_fourier
 from layerdet.errors import SceneFileError
 from layerdet.kernel import KAPPA_MIN_FACTOR
 
@@ -246,6 +247,47 @@ class TestEnergyCommands:
         # propagated from the two energies, not a placeholder
         assert payload["quad_err"] > 0
         assert payload["tail_bound"] >= 0
+
+
+#: flag values outside their command's domain, checked before any work
+BAD_FLAGS = {
+    "power_s_above_one": ["power", "--s", "2"],
+    "force_h_negative": ["force", "--h", "-1"],
+    "force_h_beyond_separation": ["force", "--h", "5"],
+    "tracedf_a_negative": ["tracedf", "--a", "-1", "--t", "4"],
+    "tracedf_t_negative": ["tracedf", "--a", "1", "--t", "-1"],
+    "tracedf_theta_wide": ["tracedf", "--a", "1", "--t", "4", "--theta", "1.0"],
+    "xi_count_negative": ["xi", "--kappa-count", "-1"],
+    "shift_count_zero": ["shift", "--kappa-count", "0"],
+    "xi_kappa_max_infinite": ["xi", "--kappa-max", "inf"],
+    "xi_threads_zero": ["xi", "--threads", "0"],
+    "energy_tol_negative": ["energy", "--tol", "-1"],
+}
+
+
+class TestFlagDomains:
+    @pytest.mark.parametrize("argv", BAD_FLAGS.values(), ids=BAD_FLAGS.keys())
+    def test_out_of_domain_exit_code(self, capsys, q_assemblies, argv):
+        try:
+            code = main(argv + ["--scene", CANONICAL, "--n", "32", "--output", "-"])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert "error: " in capsys.readouterr().err
+        assert q_assemblies[0] == 0
+
+    @pytest.mark.parametrize("curve", [
+        make_circle((0.5, -1.0), 1.3),
+        make_ellipse((0.5, -1.0), 1.2, 0.6, 0.4),
+        make_kite((0.5, -1.0), 0.8),
+        make_polar_fourier((0.5, -1.0), (1.0, 0.15, -0.05), (0.1,)),
+    ], ids=lambda c: c.kind)
+    def test_translated_is_shifted(self, curve):
+        moved = _translated(curve, (3.0, 2.5))
+        t = 2 * np.pi * np.arange(64) / 64
+        assert (moved.kind, moved.params) == (curve.kind, curve.params)
+        assert np.abs(moved.point(t) - curve.point(t) - (2.5, 3.5)).max() <= 1e-13
+        assert np.abs(moved.velocity(t) - curve.velocity(t)).max() <= 1e-13
 
 
 class TestValidate:

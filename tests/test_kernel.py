@@ -145,21 +145,22 @@ class TestKressSplit:
         t = 2 * np.pi * np.arange(n) / n
         pts = curve.point(t)
         speeds = curve.speed(t)
-        sp = SpectralPoint.imaginary(0.8)
-        A1, B1 = split_block(sp, t, pts, speeds, deriv="kappa")
-        assert np.all(np.diag(A1) == 0.0)
         i, j = 2, 9
         r = float(np.hypot(*(pts[i] - pts[j])))
-        direct = green_free_dkappa(sp, r) * speeds[j]
         L = np.log(4 * np.sin((t[i] - t[j]) / 2) ** 2)
-        assert A1[i, j] * L + B1[i, j] == pytest.approx(direct, rel=1e-12)
-        # lambda-derivative split is the chain-rule image
-        A2, B2 = split_block(sp, t, pts, speeds, deriv="lambda")
-        assert np.allclose(A2, -1j * A1) and np.allclose(B2, -1j * B1)
+        # the derivative is in the axis variable: kappa (real) on the
+        # imaginary axis, lambda on a ray
+        for sp, dg in ((SpectralPoint.imaginary(0.8), green_free_dkappa),
+                       (SpectralPoint.ray(1.1, np.pi / 3), green_free_dlambda)):
+            A, B = split_block(sp, t, pts, speeds, deriv=True)
+            assert np.iscomplexobj(B) != sp.is_imaginary
+            assert np.all(np.diag(A) == 0.0)
+            direct = dg(sp, r) * speeds[j]
+            assert A[i, j] * L + B[i, j] == pytest.approx(direct, rel=1e-12)
 
     def test_offdiag_kernel_modes(self):
-        sp = SpectralPoint.imaginary(1.0)
         r = np.array([0.5, 2.0])
-        assert np.allclose(offdiag_kernel(sp, r), green_free(sp, r))
-        assert np.allclose(offdiag_kernel(sp, r, "lambda"),
-                           green_free_dlambda(sp, r))
+        for sp, dg in ((SpectralPoint.imaginary(1.0), green_free_dkappa),
+                       (SpectralPoint.ray(1.1, np.pi / 3), green_free_dlambda)):
+            assert np.array_equal(offdiag_kernel(sp, r), green_free(sp, r))
+            assert np.array_equal(offdiag_kernel(sp, r, deriv=True), dg(sp, r))

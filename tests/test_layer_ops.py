@@ -5,7 +5,7 @@ from scipy.special import iv, ivp, kv, kvp
 from layerdet import (SingularOperatorError, SpectralPoint, assemble_dq,
                       assemble_q, discretize, factorize, make_circle,
                       make_scene, solve)
-from layerdet.layer_ops import assemble_dq_dkappa, kress_log_weights, split_blocks
+from layerdet.layer_ops import kress_log_weights, split_blocks
 
 
 @pytest.fixture(scope="module")
@@ -87,10 +87,11 @@ class TestAssembly:
         assert np.allclose(qd[64:, 64:], solo_q.entries, atol=1e-15)
 
     def test_real_storage_on_imaginary_axis(self, two_disk_grid):
-        assert not np.iscomplexobj(assemble_q(two_disk_grid,
-                                              SpectralPoint.imaginary(1.0)).entries)
-        assert np.iscomplexobj(assemble_q(two_disk_grid,
-                                          SpectralPoint.ray(1.0, np.pi / 4)).entries)
+        for assemble in (assemble_q, assemble_dq):
+            assert not np.iscomplexobj(assemble(two_disk_grid,
+                                                SpectralPoint.imaginary(1.0)).entries)
+            assert np.iscomplexobj(assemble(two_disk_grid,
+                                            SpectralPoint.ray(1.0, np.pi / 4)).entries)
 
     def test_deterministic(self, two_disk_grid):
         sp = SpectralPoint.imaginary(1.0)
@@ -105,20 +106,19 @@ class TestAssembly:
 
 class TestAssembleDq:
     def test_entrywise_finite_difference(self, canonical_scene, two_disk_grid):
-        kap, h = 1.2, 1e-5
-        dq = assemble_dq_dkappa(two_disk_grid, SpectralPoint.imaginary(kap)).entries
-        qp = assemble_q(two_disk_grid, SpectralPoint.imaginary(kap + h)).entries
-        qm = assemble_q(two_disk_grid, SpectralPoint.imaginary(kap - h)).entries
-        fd = (qp - qm) / (2 * h)
-        off = np.s_[:64, 64:]
-        assert np.abs(fd[off] - dq[off]).max() <= 1e-7 * np.abs(dq[off]).max()
-        assert np.abs(fd - dq).max() <= 1e-7 * np.abs(dq).max()
-
-    def test_purely_imaginary_on_axis(self, two_disk_grid):
-        dq = assemble_dq(two_disk_grid, SpectralPoint.imaginary(1.0)).entries
-        assert np.all(dq.real == 0.0)
-        dqk = assemble_dq_dkappa(two_disk_grid, SpectralPoint.imaginary(1.0)).entries
-        assert np.allclose(dq.imag, -dqk, atol=0)
+        # dQ/dkappa on the imaginary axis; on the ray u e^{i theta},
+        # d/du Q(u e^{i theta}) = e^{i theta} dQ/dlambda
+        u, h = 1.2, 1e-5
+        for point, phase in ((SpectralPoint.imaginary, 1.0),
+                             (lambda v: SpectralPoint.ray(v, np.pi / 5),
+                              np.exp(1j * np.pi / 5))):
+            dq = phase * assemble_dq(two_disk_grid, point(u)).entries
+            qp = assemble_q(two_disk_grid, point(u + h)).entries
+            qm = assemble_q(two_disk_grid, point(u - h)).entries
+            fd = (qp - qm) / (2 * h)
+            off = np.s_[:64, 64:]
+            assert np.abs(fd[off] - dq[off]).max() <= 1e-7 * np.abs(dq[off]).max()
+            assert np.abs(fd - dq).max() <= 1e-7 * np.abs(dq).max()
 
     def test_circle_mode_derivative(self):
         # Fourier modes diagonalize the circle; the projected kappa-derivative
@@ -126,7 +126,7 @@ class TestAssembleDq:
         scene = make_scene([make_circle((0, 0), 1.0)])
         grid = discretize(scene, 128)
         kap = 1.0
-        dqk = assemble_dq_dkappa(grid, SpectralPoint.imaginary(kap)).entries
+        dqk = assemble_dq(grid, SpectralPoint.imaginary(kap)).entries
         t = grid.t
         for n in (0, 1, 3):
             v = np.cos(n * t)

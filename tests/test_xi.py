@@ -107,6 +107,15 @@ class TestXiPrime:
             # dXi/dkappa = i * Xi'(i kappa)
             assert (1j * xp).real == pytest.approx(fd, rel=1e-6)
             assert abs(xp.real) <= 1e-10 * abs(xp)
+        # on a ray Xi'(lambda) = e^{-i theta} d/du Xi(u e^{i theta}), with Xi
+        # on one branch-tracked walk through all difference nodes
+        theta, h, us = np.pi / 8, 2e-3, (0.8, 2.0)
+        nodes = [u + d for u in us for d in (-h, -h / 2, h / 2, h)]
+        on_ray = dict(zip(nodes, xi_on_ray(scene, grid, theta, nodes)))
+        for u in us:
+            fd = np.exp(-1j * theta) * richardson_fd(on_ray.__getitem__, u, h)
+            xp = xi_prime(scene, grid, SpectralPoint.ray(u, theta))
+            assert abs(xp - fd) <= 1e-6 * abs(fd)
 
     def test_vs_finite_difference_gap_units(self, mixed_scene):
         # kappa in {0.5, 1, 2}/delta on a second shipped scene
@@ -283,6 +292,12 @@ class TestWalkerPaths:
             self, canonical_scene, canonical_grid_64, q_assemblies, call):
         with pytest.raises(ValueError, match="eta"):
             call(canonical_scene, canonical_grid_64)
+        assert q_assemblies[0] == 0
+
+    def test_empty_sweeps(self, canonical_scene, canonical_grid_64, q_assemblies):
+        assert xi_rel_many(canonical_scene, canonical_grid_64, []) == []
+        vals = xi_on_ray(canonical_scene, canonical_grid_64, np.pi / 8, [])
+        assert vals.shape == (0,) and vals.dtype == complex
         assert q_assemblies[0] == 0
 
     @settings(max_examples=5, deadline=None)
