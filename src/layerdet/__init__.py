@@ -15,11 +15,12 @@ from .geometry import (BoundaryGrid, Curve, Scene, discretize,
 from .kernel import (SpectralPoint, green_free, green_free_dlambda,
                      kress_split)
 from .layer_ops import (Factorization, LayerMatrix, LayerPair, assemble_dq,
-                        assemble_q, factorize, layer_pair, solve)
+                        assemble_dt_dsep, assemble_q, factorize, layer_pair,
+                        solve)
 from .oracle import (NystromExtrapolation, PartialWaveConfig, default_l_max,
                      xi_nystrom_extrapolated, xi_two_disks)
-from .xi import (ShiftSample, XiSample, trace_rrel, xi_imag, xi_on_ray,
-                 xi_prime, xi_real, xi_rel, xi_rel_many)
+from .xi import (ShiftSample, XiSample, trace_rrel, xi_dsep, xi_imag,
+                 xi_on_ray, xi_prime, xi_real, xi_rel, xi_rel_many)
 
 __version__ = "0.1.0"
 

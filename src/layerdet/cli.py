@@ -14,16 +14,15 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Sequence
 
 import numpy as np
 
 from . import specfun
-from .energy import (QuadConfig, SmoothFunctionSpec, casimir_energy,
-                     casimir_force_result, power_trace, trace_df)
+from .energy import (QuadConfig, SmoothFunctionSpec, _ordered_map,
+                     casimir_energy, casimir_force, power_trace, trace_df)
 from .errors import LayerDetError, SceneError, SceneFileError
-from .geometry import Scene, discretize, make_circle, make_ellipse, make_kite, \
+from .geometry import discretize, make_circle, make_ellipse, make_kite, \
     make_polar_fourier, make_scene
 from .oracle import PartialWaveConfig, xi_two_disks
 from .xi import _DELTA_PRIME_FRACTION, xi_imag, xi_real, xi_rel_many
@@ -161,13 +160,6 @@ def _spectral_grid(args) -> np.ndarray:
     return np.geomspace(args.kappa_min, args.kappa_max, args.kappa_count)
 
 
-def _parallel_map(fn, values, threads: int) -> List:
-    if threads <= 1:
-        return [fn(v) for v in values]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, values))
-
-
 def _load(args):
     scene, ns = parse_scene_file(args.scene)
     if args.n is not None:
@@ -181,12 +173,8 @@ def _load(args):
 def cmd_xi(args) -> int:
     scene, grid = _load(args)
     kappas = _spectral_grid(args)
-    if args.axis == "imag":
-        samples = _parallel_map(lambda k: xi_imag(scene, grid, k), kappas,
-                                args.threads)
-    else:
-        samples = _parallel_map(lambda l: xi_real(scene, grid, l), kappas,
-                                args.threads)
+    xi = xi_imag if args.axis == "imag" else xi_real
+    samples = _ordered_map(lambda k: xi(scene, grid, k), kappas, args.threads)
     rows = [(float(k), s.xi.real, s.xi.imag, s.branch_offset, s.err_est)
             for k, s in zip(kappas, samples)]
     _write_csv(args.output, ["kappa_or_lambda", "xi_re", "xi_im",
@@ -249,38 +237,12 @@ def cmd_tracedf(args) -> int:
 
 def cmd_force(args) -> int:
     scene, grid = _load(args)
-    if scene.n_obstacles != 2:
-        raise LayerDetError("force needs a two-obstacle scene")
-    ns = grid.n_per_obstacle
-    c0 = np.array(scene.obstacles[0].center)
-    c1 = np.array(scene.obstacles[1].center)
-    sep0 = float(np.hypot(*(c1 - c0)))
-    direction = (c1 - c0) / sep0
-    first = scene.obstacles[0]
-
-    def builder(sep: float) -> Scene:
-        moved = _translated(scene.obstacles[1], c0 + direction * sep)
-        return make_scene([first, moved])
-
-    h = args.h if args.h is not None else 0.05 * scene.gap
-    if h >= sep0:
-        raise SceneFileError(f"--h must be below the separation {sep0:.17g}")
-    res = casimir_force_result(builder, sep0, h, ns, QuadConfig(tol=args.tol))
+    res = casimir_force(scene, grid, QuadConfig(tol=args.tol))
+    axis = np.subtract(scene.obstacles[1].center, scene.obstacles[0].center)
     _write_json(args.output, _energy_payload(
-        args, res, {"kind": "force", "separation": sep0, "h": h,
+        args, res, {"kind": "force", "separation": float(np.hypot(*axis)),
                     "sign_convention": "negative = attractive"}))
     return 0
-
-
-#: curve factories by Curve.kind; each takes the centre, then Curve.params
-_FACTORIES = {"circle": make_circle, "ellipse": make_ellipse, "kite": make_kite,
-              "polar-fourier": make_polar_fourier}
-
-
-def _translated(curve, new_center):
-    if curve.kind not in _FACTORIES:
-        raise LayerDetError(f"cannot translate curve kind {curve.kind!r}")
-    return _FACTORIES[curve.kind](new_center, *curve.params)
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +423,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     type=_checked(float, lambda v: 0 < v < np.pi / 4, "in (0, pi/4)"))
     sp.set_defaults(fn=cmd_tracedf)
 
-    sp = sub.add_parser("force", help="Casimir force by central difference")
+    about = ("Casimir force on obstacle 1 of two, along the line from obstacle "
+             "0's centre, exact in the separation: -(1/pi) times the integral "
+             "of Tr[Q^-1 dT/ds] over kappa; negative = attractive")
+    sp = sub.add_parser("force", help=about, description=about)
     common(sp, "tol")
-    sp.add_argument("--h", type=_POSITIVE, default=None)
     sp.set_defaults(fn=cmd_force)
 
     sp = sub.add_parser("validate", help="run an invariant suite")

@@ -1,6 +1,5 @@
-"""Semi-infinite spectral integrals: Casimir energy, fractional power
-traces, smoothed relative traces over a sector contour, and finite
-difference forces.
+"""Semi-infinite spectral integrals: Casimir energy and force, fractional
+power traces, and smoothed relative traces over a sector contour.
 
 Every integral goes through one driver, `_nested_cc`: nested
 Clenshaw-Curtis rules in the logarithm of the integration variable on one
@@ -17,18 +16,17 @@ conservative rate delta' = 0.9 * gap.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, LayerDetError
-from .geometry import BoundaryGrid, Scene, discretize
+from .geometry import BoundaryGrid, Scene
 from .kernel import KAPPA_MIN_FACTOR
-from .xi import _DELTA_PRIME_FRACTION, xi_imag, xi_on_ray, xi_rel_many
+from .xi import _DELTA_PRIME_FRACTION, xi_dsep, xi_imag, xi_on_ray, xi_rel_many
 
 
 @dataclass(frozen=True)
@@ -169,35 +167,34 @@ def _kappa_range(scene: Scene, cfg: QuadConfig) -> Tuple[float, float]:
     return kmin, kmax
 
 
-def _xi_imag_weighted(systems: Sequence[Tuple[Scene, BoundaryGrid]],
-                      weight: Callable, cfg: QuadConfig) -> List[EnergyResult]:
-    """Integral of weight(kappa) Xi(i kappa) for every (scene, grid) of
-    systems on one shared node set over the first scene's kappa range."""
-    kmin, kmax = _kappa_range(systems[0][0], cfg)
-    with ThreadPoolExecutor(cfg.threads) if cfg.threads > 1 else nullcontext() as pool:
-        mapper = pool.map if pool is not None else map
+def _ordered_map(fn, values, threads: int) -> list:
+    """[fn(v) for v in values], concurrently in a thread pool when
+    threads > 1; results keep the order of values, so they do not depend on
+    the thread count."""
+    if threads <= 1:
+        return list(map(fn, values))
+    with ThreadPoolExecutor(threads) as pool:
+        return list(pool.map(fn, values))
 
-        def evaluate(ks: np.ndarray) -> np.ndarray:
-            # the ordered map keeps results independent of the thread count
-            jobs = [(scene, grid, k) for scene, grid in systems for k in ks.tolist()]
-            xis = mapper(lambda job: xi_imag(*job).xi.real, jobs)
-            return np.fromiter(xis, dtype=float, count=len(jobs)).reshape(-1, ks.size)
 
-        values, errs, nodes, xis = _nested_cc((kmin, kmax), evaluate, weight, cfg)
-    results = []
-    for (scene, _), value, err, xi in zip(systems, values, errs, xis):
-        near_zero = kmin * max(abs(weight(kmin)), abs(weight(2.0 * kmin))) * \
-            np.max(np.abs(xi[nodes <= 2.0 * kmin]))
-        tail = _fit_tail(nodes, xi, kmax, _DELTA_PRIME_FRACTION * scene.gap)
-        # once the integrand sits below the log-determinant rounding scale,
-        # any extension integrates noise; bound that by a rectangle over the
-        # magnitudes observed on [kappa_max / 2, kappa_max]
-        noise_tail = 0.5 * kmax * np.max(np.abs(xi[nodes >= 0.5 * kmax]))
-        results.append(EnergyResult(
-            float(value), float(err + near_zero),
-            float(abs(weight(kmax)) * max(tail, noise_tail)),
-            tuple(zip(nodes.tolist(), xi.tolist()))))
-    return results
+def _xi_imag_weighted(scene: Scene, sample: Callable[[float], float],
+                      weight: Callable, cfg: QuadConfig) -> EnergyResult:
+    """Integral of weight(kappa) sample(kappa) over the scene's kappa range,
+    sample being Xi(i kappa) or a derivative of it."""
+    kmin, kmax = _kappa_range(scene, cfg)
+    value, err, nodes, vals = _nested_cc(
+        (kmin, kmax), lambda ks: np.array(_ordered_map(sample, ks.tolist(), cfg.threads)),
+        weight, cfg)
+    near_zero = kmin * max(abs(weight(kmin)), abs(weight(2.0 * kmin))) * \
+        np.max(np.abs(vals[nodes <= 2.0 * kmin]))
+    tail = _fit_tail(nodes, vals, kmax, _DELTA_PRIME_FRACTION * scene.gap)
+    # once the integrand sits below the log-determinant rounding scale,
+    # any extension integrates noise; bound that by a rectangle over the
+    # magnitudes observed on [kappa_max / 2, kappa_max]
+    noise_tail = 0.5 * kmax * np.max(np.abs(vals[nodes >= 0.5 * kmax]))
+    return EnergyResult(float(value), float(err + near_zero),
+                        float(abs(weight(kmax)) * max(tail, noise_tail)),
+                        tuple(zip(nodes.tolist(), vals.tolist())))
 
 
 def casimir_energy(scene: Scene, grid: BoundaryGrid,
@@ -206,7 +203,8 @@ def casimir_energy(scene: Scene, grid: BoundaryGrid,
     the assembled configuration relative to separated obstacles."""
     if scene.n_obstacles == 1:
         return EnergyResult(0.0, 0.0, 0.0, ())
-    return _xi_imag_weighted([(scene, grid)], lambda k: 1.0 / np.pi, cfg)[0]
+    return _xi_imag_weighted(scene, lambda k: xi_imag(scene, grid, k).xi.real,
+                             lambda k: 1.0 / np.pi, cfg)
 
 
 def power_trace(scene: Scene, grid: BoundaryGrid, s: float,
@@ -222,8 +220,8 @@ def power_trace(scene: Scene, grid: BoundaryGrid, s: float,
     if s == 1.0 or scene.n_obstacles == 1:
         return EnergyResult(0.0, 0.0, 0.0, ())
     pref = (2.0 * s / np.pi) * np.sin(np.pi * s)
-    return _xi_imag_weighted([(scene, grid)], lambda k: pref * k ** (2.0 * s - 1.0),
-                             cfg)[0]
+    return _xi_imag_weighted(scene, lambda k: xi_imag(scene, grid, k).xi.real,
+                             lambda k: pref * k ** (2.0 * s - 1.0), cfg)
 
 
 def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
@@ -283,30 +281,15 @@ def birman_krein_trace(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
     return -total
 
 
-def casimir_force_result(scene_builder: Callable[[float], Scene],
-                         separation: float, h: float, n_per_obstacle,
-                         cfg: QuadConfig = QuadConfig()) -> EnergyResult:
-    """-dE/d(separation) by central difference, with quad_err and
-    tail_bound propagated as (err+ + err-) / (2h).  Both energies share one
-    node set, frozen from the tighter configuration (its kappa_min is the
-    largest, so it is admissible for both), so quadrature bias cancels.
-    Negative force = attraction (energy increases with separation)."""
-    if h <= 0 or h >= separation:
-        raise ValueError("need 0 < h < separation")
-    kmin, kmax = _kappa_range(scene_builder(separation - h), cfg)
-    systems = []
-    for s in (separation + h, separation - h):
-        scene = scene_builder(s)
-        systems.append((scene, discretize(scene, n_per_obstacle)))
-    plus, minus = _xi_imag_weighted(
-        systems, lambda k: 1.0 / np.pi,
-        replace(cfg, kappa_min=kmin, kappa_max=kmax))
-    return EnergyResult(-(plus.value - minus.value) / (2.0 * h),
-                        (plus.quad_err + minus.quad_err) / (2.0 * h),
-                        (plus.tail_bound + minus.tail_bound) / (2.0 * h), ())
-
-
-def casimir_force(scene_builder: Callable[[float], Scene], separation: float,
-                  h: float, n_per_obstacle, cfg: QuadConfig = QuadConfig()) -> float:
-    """casimir_force_result(...).value: -dE/d(separation), < 0 attracts."""
-    return casimir_force_result(scene_builder, separation, h, n_per_obstacle, cfg).value
+def casimir_force(scene: Scene, grid: BoundaryGrid,
+                  cfg: QuadConfig = QuadConfig()) -> EnergyResult:
+    """-dE/ds = -(1/pi) * integral of dXi(i kappa)/ds (`xi_dsep`) over the
+    energy's kappa range, for obstacle 1 of a two-obstacle scene moving
+    along the unit vector from obstacle 0's centre to its own.  Exact in the
+    separation; quad_err and tail_bound bound the spectral integral as for
+    the energy.  Negative force = attraction (energy increases with
+    separation)."""
+    if scene.n_obstacles != 2:
+        raise LayerDetError("the force needs a two-obstacle scene")
+    return _xi_imag_weighted(scene, lambda k: xi_dsep(scene, grid, k),
+                             lambda k: -1.0 / np.pi, cfg)

@@ -13,7 +13,8 @@ its derivative alike, which is taken in the axis variable (kappa or lambda).
 Determinants are only ever consumed as ratios of two factorizations sharing
 the same weights, so no symmetrized weighting is needed.  `layer_pair` is the
 one place where Q, its block-diagonal part Qtilde and the coupling
-T = Q - Qtilde are formed and factored.
+T = Q - Qtilde are formed and factored; `assemble_dt_dsep` is T's derivative
+under a rigid motion of one obstacle, which leaves Qtilde unchanged.
 """
 
 from __future__ import annotations
@@ -121,6 +122,28 @@ def assemble_dq(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
     """dQ/dv in the axis variable: dQ/dkappa on the imaginary axis (real
     storage, dQ/dlambda = -i dQ/dkappa there) and dQ/dlambda on a ray."""
     return LayerMatrix(_assemble(grid, sp, "dv", False), sp)
+
+
+def assemble_dt_dsep(grid: BoundaryGrid, sp: SpectralPoint, direction) -> np.ndarray:
+    """dT/ds when obstacle 1 moves rigidly by s * direction (a unit vector).
+
+    Only the cross blocks coupling obstacle 1 change, through r = |x - y|:
+    dr/ds = +-(x - y).direction / r, + when x lies on obstacle 1.  The
+    kernel depends on v r alone (v the axis variable), so r dG/dr = v dG/dv
+    and each entry is the cross block of `assemble_dq` times v (dr/ds) / r."""
+    _check_sp(grid, sp)
+    v = sp.value if sp.is_imaginary else sp.lam
+    e = np.asarray(direction, dtype=float)
+    out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
+    nb = grid.scene.n_obstacles
+    for j in range(nb):
+        for k in range(nb):
+            if j != k and 1 in (j, k):
+                sj, sk = grid.block_slice(j), grid.block_slice(k)
+                diff = grid.points[sj][:, None, :] - grid.points[sk][None, :, :]
+                scale = (v if j == 1 else -v) * (diff @ e) / np.sum(diff ** 2, axis=-1)
+                out[sj, sk] = _offdiag_block(grid, sp, j, k, True) * scale
+    return out
 
 
 def split_blocks(entries: np.ndarray, blocks):

@@ -1,5 +1,6 @@
 """The boundary-layer determinant Xi(lambda) = log det(Q Qtilde^{-1}), its
-derivative, the relative resolvent trace, and the relative spectral shift.
+derivatives in lambda and in the obstacles' separation, the relative
+resolvent trace, and the relative spectral shift.
 
 Xi is computed as the difference of two LU log-determinants, never through
 the difference operator itself: each log-magnitude is O(1)-conditioned and
@@ -26,7 +27,8 @@ import numpy as np
 from .errors import ConvergenceError, LayerDetError, SingularOperatorError
 from .geometry import BoundaryGrid, Scene
 from .kernel import SpectralPoint
-from .layer_ops import LayerPair, assemble_dq, layer_pair, solve, split_blocks
+from .layer_ops import (LayerPair, assemble_dq, assemble_dt_dsep, assemble_q,
+                        factorize, layer_pair, solve, split_blocks)
 
 #: descent anchor i*Lambda with Lambda = _LAMBDA_FACTOR / delta'
 _LAMBDA_FACTOR = 20.0
@@ -315,3 +317,19 @@ def trace_rrel(scene: Scene, grid: BoundaryGrid, sp: SpectralPoint,
     if not both_paths:
         return primary
     return primary, _rrel_from_trace(alt, sp)
+
+
+def xi_dsep(scene: Scene, grid: BoundaryGrid, kappa: float) -> float:
+    """dXi(i kappa)/ds when obstacle 1 of a two-obstacle scene moves by s
+    along the unit vector from obstacle 0's centre to obstacle 1's.
+
+    A rigid motion leaves Qtilde unchanged, so dXi/ds = Tr[Q^{-1} dT/ds]
+    exactly: one Q assembly and one LU, and the trace involves only the
+    small coupling T's derivative."""
+    _check(scene, grid)
+    if scene.n_obstacles != 2:
+        raise LayerDetError("the separation derivative needs a two-obstacle scene")
+    sp = SpectralPoint.imaginary(kappa)
+    axis = np.subtract(scene.obstacles[1].center, scene.obstacles[0].center)
+    dT = assemble_dt_dsep(grid, sp, axis / np.hypot(*axis))
+    return float(np.trace(solve(factorize(assemble_q(grid, sp)), dT)))

@@ -4,8 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from layerdet.cli import _translated, main, parse_scene_file
-from layerdet.geometry import make_circle, make_ellipse, make_kite, make_polar_fourier
+from layerdet.cli import main, parse_scene_file
 from layerdet.errors import SceneFileError
 from layerdet.kernel import KAPPA_MIN_FACTOR
 
@@ -237,14 +236,16 @@ class TestEnergyCommands:
     def test_force_needs_two_obstacles(self, tmp_path):
         assert main(["force", "--scene", KITE, "--output", "-"]) == 3
 
-    def test_force_attractive(self, tmp_path):
+    def test_force_attractive(self, tmp_path, canonical_force_reference):
         out = tmp_path / "f.json"
         assert main(["force", "--scene", CANONICAL, "--n", "48",
                      "--output", str(out)]) == 0
         payload = json.load(open(out))
         assert payload["value"] < 0
         assert payload["config"]["sign_convention"].startswith("negative")
-        # propagated from the two energies, not a placeholder
+        # exact in the separation: no step, and the partial-wave value
+        assert "h" not in payload["config"]
+        assert abs(payload["value"] - canonical_force_reference) <= 1e-9
         assert payload["quad_err"] > 0
         assert payload["tail_bound"] >= 0
 
@@ -252,8 +253,6 @@ class TestEnergyCommands:
 #: flag values outside their command's domain, checked before any work
 BAD_FLAGS = {
     "power_s_above_one": ["power", "--s", "2"],
-    "force_h_negative": ["force", "--h", "-1"],
-    "force_h_beyond_separation": ["force", "--h", "5"],
     "tracedf_a_negative": ["tracedf", "--a", "-1", "--t", "4"],
     "tracedf_t_negative": ["tracedf", "--a", "1", "--t", "-1"],
     "tracedf_theta_wide": ["tracedf", "--a", "1", "--t", "4", "--theta", "1.0"],
@@ -275,19 +274,6 @@ class TestFlagDomains:
         assert code == 2
         assert "error: " in capsys.readouterr().err
         assert q_assemblies[0] == 0
-
-    @pytest.mark.parametrize("curve", [
-        make_circle((0.5, -1.0), 1.3),
-        make_ellipse((0.5, -1.0), 1.2, 0.6, 0.4),
-        make_kite((0.5, -1.0), 0.8),
-        make_polar_fourier((0.5, -1.0), (1.0, 0.15, -0.05), (0.1,)),
-    ], ids=lambda c: c.kind)
-    def test_translated_is_shifted(self, curve):
-        moved = _translated(curve, (3.0, 2.5))
-        t = 2 * np.pi * np.arange(64) / 64
-        assert (moved.kind, moved.params) == (curve.kind, curve.params)
-        assert np.abs(moved.point(t) - curve.point(t) - (2.5, 3.5)).max() <= 1e-13
-        assert np.abs(moved.velocity(t) - curve.velocity(t)).max() <= 1e-13
 
 
 class TestValidate:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-
-from numpy.polynomial.legendre import leggauss
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from layerdet import (LayerDetError, PartialWaveConfig, QuadConfig,
                       SmoothFunctionSpec, casimir_energy, casimir_force,
-                      default_l_max, discretize, make_circle, make_scene,
-                      power_trace, trace_df, xi_two_disks)
+                      default_l_max, discretize, make_circle, make_ellipse,
+                      make_scene, power_trace, trace_df, xi_dsep, xi_two_disks)
 from layerdet.kernel import KAPPA_MIN_FACTOR
 from layerdet.xi import _DELTA_PRIME_FRACTION
 
@@ -55,20 +55,14 @@ class TestCasimirEnergy:
         assert (kappas[0], kappas[-1]) == default_kappa_range(canonical_scene)
 
     def test_evaluation_count_and_oracle_error(self, canonical_scene,
-                                               canonical_grid_64, q_assemblies):
+                                               canonical_grid_64, q_assemblies,
+                                               partial_wave_energy):
         # nested Clenshaw-Curtis levels 16, 32, 64 and at most 128
         energy = casimir_energy(canonical_scene, canonical_grid_64)
         assert q_assemblies[0] <= 129
-        # (1/pi) * integral of the partial-wave Xi over the same kappa range,
-        # by an independent Gauss-Legendre rule in log kappa
-        gap = canonical_scene.gap
-        lo, hi = np.log(default_kappa_range(canonical_scene))
-        x, w = leggauss(96)
-        kappas = np.exp(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
-        xi = [xi_two_disks(PartialWaveConfig(default_l_max(k, 1.0, 1.0) + 16,
-                                             1.0, 1.0, 2.0 + gap, k))
-              for k in kappas]
-        oracle = 0.5 * (hi - lo) * np.dot(w, kappas * np.array(xi)) / np.pi
+        # (1/pi) * integral of the partial-wave Xi over the same kappa range
+        oracle = partial_wave_energy(2.0 + canonical_scene.gap,
+                                     default_kappa_range(canonical_scene))
         true_err = abs(energy.value - oracle)
         assert true_err <= 1e-8
         assert energy.quad_err >= true_err
@@ -167,26 +161,86 @@ class TestTraceDf:
         assert td.value == pytest.approx(pt.value, rel=1e-3)
 
 
+@pytest.fixture(scope="module")
+def force_48(canonical_scene):
+    return casimir_force(canonical_scene, discretize(canonical_scene, 48))
+
+
+def circle_ellipse(r, a, b, rot, sep, bearing, shift=(0.0, 0.0), phi=0.0,
+                   c=1.0, swap=False):
+    """A circle at the origin and an ellipse sep away along bearing, then
+    scaled by c, turned by phi and shifted; swap lists the ellipse first."""
+    turn = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
+
+    def place(p):
+        return c * (turn @ np.asarray(p)) + shift
+
+    curves = [make_circle(place((0.0, 0.0)), c * r),
+              make_ellipse(place((sep * np.cos(bearing), sep * np.sin(bearing))),
+                           c * a, c * b, rot + phi)]
+    return make_scene(curves[::-1] if swap else curves)
+
+
 class TestForce:
-    def test_attractive_and_richardson(self, canonical_scene):
-        # step-halving stability; h = 0.02 * gap keeps the O(h^2) truncation
-        # of the strongly curved E(separation) below the 1e-3 level
-        h = 0.02 * canonical_scene.gap
-        f_h = casimir_force(disk_pair, 4.0, h, 48)
-        f_h2 = casimir_force(disk_pair, 4.0, h / 2, 48)
-        assert f_h < 0  # attraction pulls the obstacles together
-        assert abs(f_h - f_h2) / abs(f_h2) <= 1e-3
+    def test_attractive_and_richardson(self, force_48, canonical_force_reference):
+        # exact in the separation: the Richardson difference in d of the
+        # partial-wave energy over the same kappa range is within quad_err
+        assert force_48.value < 0  # attraction pulls the obstacles together
+        diff = abs(force_48.value - canonical_force_reference)
+        assert diff <= 1e-9
+        assert diff <= force_48.quad_err
 
-    def test_mirror_symmetry(self):
+    def test_mirror_symmetry(self, canonical_scene, force_48):
         # swapping the two obstacles must flip nothing in the scalar force
-        def builder_swapped(sep):
-            return make_scene([make_circle((sep, 0.0), 1.0),
-                               make_circle((0.0, 0.0), 1.0)])
+        swapped = make_scene(canonical_scene.obstacles[::-1])
+        f2 = casimir_force(swapped, discretize(swapped, 48))
+        assert f2.value == pytest.approx(force_48.value, rel=1e-10)
 
-        f1 = casimir_force(disk_pair, 4.0, 0.1, 48)
-        f2 = casimir_force(builder_swapped, 4.0, 0.1, 48)
-        assert f2 == pytest.approx(f1, rel=1e-9)
+    def test_needs_two_obstacles(self, single_disk):
+        scene, grid = single_disk
+        with pytest.raises(LayerDetError):
+            casimir_force(scene, grid)
 
-    def test_validates_step(self):
-        with pytest.raises(ValueError):
-            casimir_force(disk_pair, 4.0, 5.0, 48)
+    def test_one_q_assembly_per_sample(self, canonical_scene, q_assemblies):
+        force = casimir_force(canonical_scene, discretize(canonical_scene, 32))
+        assert q_assemblies[0] == len(force.samples)
+
+    @pytest.mark.parametrize("kappa", [0.3, 2.0, 5.0, 8.0, 12.0])
+    def test_xi_dsep_vs_partial_wave(self, canonical_scene, kappa):
+        # Richardson difference in d of the partial-wave Xi; at kappa >= 8
+        # xi_imag itself is exactly 0.0, the derivative stays relative
+        def pw(d):
+            return xi_two_disks(PartialWaveConfig(default_l_max(kappa, 1.0, 1.0) + 16,
+                                                  1.0, 1.0, d, kappa))
+
+        h = 1e-4
+        c1 = (pw(4.0 + h) - pw(4.0 - h)) / (2 * h)
+        c2 = (pw(4.0 + h / 2) - pw(4.0 - h / 2)) / h
+        got = xi_dsep(canonical_scene, discretize(canonical_scene, 128), kappa)
+        assert got == pytest.approx((4 * c2 - c1) / 3, rel=1e-8, abs=0)
+
+    @settings(max_examples=5, deadline=None)
+    @given(r=st.floats(0.5, 1.5), a=st.floats(0.5, 1.5), b=st.floats(0.5, 1.5),
+           rot=st.floats(0.0, np.pi), gap=st.floats(1.0, 3.0),
+           bearing=st.floats(0.0, 2 * np.pi),
+           shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           turns=st.integers(1, 31), c=st.floats(0.5, 2.0))
+    def test_invariances(self, r, a, b, rot, gap, bearing, shift, turns, c):
+        # disjoint: the centre distance exceeds both outer radii by gap
+        sep, n = r + max(a, b) + gap, 32
+
+        def force(c=1.0, **motion):
+            scene = circle_ellipse(r, a, b, rot, sep, bearing, c=c, **motion)
+            # the tolerance is absolute and the force scales as 1 / c^2, so
+            # the quadrature stops at the same level
+            return casimir_force(scene, discretize(scene, n),
+                                 QuadConfig(tol=1e-6 / c ** 2)).value
+
+        base = force()
+        assert force(shift=shift) == pytest.approx(base, rel=1e-10)
+        # a circle's nodes start at angle 0 whatever its centre: turning by
+        # whole node spacings maps them onto themselves, any other angle
+        # moves the discretization (rel 2e-6 at n = 32, radii 1.5, gap 1)
+        assert force(phi=2 * np.pi * turns / n) == pytest.approx(base, rel=1e-10)
+        assert force(swap=True) == pytest.approx(base, rel=1e-10)
+        assert force(c=c) == pytest.approx(base / c ** 2, rel=1e-10)

@@ -3,8 +3,8 @@ import pytest
 from scipy.special import iv, ivp, kv, kvp
 
 from layerdet import (SingularOperatorError, SpectralPoint, assemble_dq,
-                      assemble_q, discretize, factorize, make_circle,
-                      make_scene, solve)
+                      assemble_dt_dsep, assemble_q, discretize, factorize,
+                      make_circle, make_kite, make_scene, solve)
 from layerdet.layer_ops import kress_log_weights, split_blocks
 
 
@@ -133,6 +133,25 @@ class TestAssembleDq:
             proj = float(v @ (dqk @ v) / (v @ v))
             exact = ivp(n, kap) * kv(n, kap) + iv(n, kap) * kvp(n, kap)
             assert proj == pytest.approx(exact, rel=1e-8)
+
+
+class TestAssembleDtDsep:
+    def test_entrywise_finite_difference(self):
+        # obstacle 1, a kite between two circles, moved by s e: its four
+        # coupling blocks change, the circles' mutual blocks do not
+        e, h = np.array([0.6, 0.8]), 1e-5
+
+        def grid(s):
+            return discretize(make_scene([
+                make_circle((0.0, 0.0), 1.0), make_kite(s * e + (4.0, 0.0), 1.0),
+                make_circle((0.0, 5.0), 1.0)]), 32)
+
+        for sp in (SpectralPoint.imaginary(1.2), SpectralPoint.ray(1.2, np.pi / 5)):
+            dt = assemble_dt_dsep(grid(0.0), sp, e)
+            fd = (assemble_q(grid(h), sp).entries
+                  - assemble_q(grid(-h), sp).entries) / (2 * h)
+            assert np.abs(fd - dt).max() <= 1e-7 * np.abs(dt).max()
+            assert not dt[:32, 64:].any() and not dt[64:, :32].any()
 
 
 class TestFactorize:

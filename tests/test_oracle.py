@@ -72,6 +72,19 @@ class TestPartialWave:
         v1 = abs(xi_two_disks(PartialWaveConfig(48, 1.0, 1.0, 4.0, k1)))
         assert v1 <= v0 * np.exp(-0.9 * gap * (k1 - k0))
 
+    @pytest.mark.parametrize("kappa", [9.0, 12.0, 30.0 / 1.8])
+    def test_relative_accuracy_in_decay(self, kappa):
+        # Xi = log det(I - X X^T) = -|X|_F^2 (1 + O(|X|^2)) once X is
+        # tiny; X rebuilt here from the log-Bessel sequences
+        l_max = default_l_max(kappa, 1.0, 1.0) + 16
+        m = np.arange(-l_max, l_max + 1)
+        half = 0.5 * (log_bessel_i_seq(l_max, kappa)
+                      - log_bessel_k_seq(l_max, kappa))[np.abs(m)]
+        ln_kd = log_bessel_k_seq(2 * l_max, 4.0 * kappa)
+        ln_x = half[:, None] + ln_kd[np.abs(m[:, None] - m[None, :])] + half[None, :]
+        xi = xi_two_disks(PartialWaveConfig(l_max, 1.0, 1.0, 4.0, kappa))
+        assert xi == pytest.approx(-np.sum(np.exp(2 * ln_x)), rel=1e-10, abs=0)
+
 
 class TestCertification:
     def test_vs_extrapolated_nystrom(self, canonical_scene):
