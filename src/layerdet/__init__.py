@@ -12,8 +12,7 @@ from .fields import FieldEvaluator, FieldPoint, field_point
 from .geometry import (BoundaryGrid, Curve, Scene, discretize,
                        distance_to_boundary, make_circle, make_ellipse,
                        make_kite, make_polar_fourier, make_scene)
-from .kernel import (SpectralPoint, green_free, green_free_dlambda,
-                     kress_split)
+from .kernel import SpectralPoint, green_free, green_free_dlambda
 from .layer_ops import (Factorization, LayerMatrix, LayerPair, assemble_dq,
                         assemble_dt_dsep, assemble_q, factorize, layer_pair,
                         solve)

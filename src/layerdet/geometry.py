@@ -9,6 +9,7 @@ decay rate downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
@@ -327,6 +328,8 @@ class BoundaryGrid:
 
     weights are the full surface weights (2pi/n_j) * |x'(t)|; blocks maps
     obstacle j to its half-open index range in the assembled matrices.
+    Arrays that depend on the grid alone, such as `distances`, are built on
+    first use and cached on the grid.
     """
 
     scene: Scene
@@ -344,6 +347,15 @@ class BoundaryGrid:
     def block_slice(self, j: int) -> slice:
         b = self.blocks[j]
         return slice(b[0], b[1])
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Read-only N x N node distances |x_i - x_j|: every assembly reads
+        its diagonal and cross blocks from here."""
+        x, y = self.points[:, 0], self.points[:, 1]
+        r = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+        r.setflags(write=False)
+        return r
 
 
 def discretize(scene: Scene, n_per_obstacle) -> BoundaryGrid:

@@ -18,11 +18,17 @@ Euler-Mascheroni and speed-log terms.  The derivative kernel, taken in the
 axis variable (kappa on the imaginary axis, so it stays real; lambda on a
 ray), has the same structure with A vanishing linearly on the diagonal, so
 one product quadrature covers both.
+
+Both factors of the split are symmetric in the node pair, so `split_block`
+evaluates the Bessel/Hankel functions on one triangle of the block and
+mirrors them; the triangle's indices and the log factor depend on the node
+count alone and are cached per count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special as _sp
@@ -129,65 +135,59 @@ def green_free_dkappa(sp: SpectralPoint, r):
 
 
 # ---------------------------------------------------------------------------
-# splitting: scalar public op and vectorized block builders
+# splitting: diagonal-block builder
 # ---------------------------------------------------------------------------
 
 def _log4sin2(dt):
     return np.log(4.0 * np.sin(0.5 * dt) ** 2)
 
 
-def kress_split(sp: SpectralPoint, curve, t: float, s: float):
-    """Split G(x(t), x(s)) |x'(s)| = A log(4 sin^2((t-s)/2)) + B on one curve.
-
-    Returns the pair (A, B); both are finite for every (t, s) including the
-    diagonal, real when sp is on the imaginary axis.
-    """
-    t = float(t)
-    s = float(s)
-    sp_t = float(curve.speed(t))
-    sp_s = float(curve.speed(s))
-    lam = sp.lam
-    if abs(np.remainder(t - s, 2 * np.pi)) < 1e-15 or \
-            abs(np.remainder(s - t, 2 * np.pi)) < 1e-15:
-        if sp.is_imaginary:
-            A = -sp_t / (4 * np.pi)
-            B = (-EULER / (2 * np.pi) - np.log(sp.value * sp_t / 2) / (2 * np.pi)) * sp_t
-            return A, B
-        A = complex(-sp_t / (4 * np.pi))
-        B = (0.25j - EULER / (2 * np.pi) - np.log(lam * sp_t / 2) / (2 * np.pi)) * sp_t
-        return A, B
-    r = float(np.hypot(*(curve.point(t) - curve.point(s))))
-    L = _log4sin2(t - s)
-    if sp.is_imaginary:
-        A = -float(specfun.bessel_i(0, sp.value * r)) / (4 * np.pi) * sp_s
-        G = float(specfun.bessel_k(0, sp.value * r)) / (2 * np.pi)
-        return A, G * sp_s - A * L
-    A = -complex(_sp.jv(0, lam * r)) / (4 * np.pi) * sp_s
-    G = 0.25j * complex(_sp.hankel1(0, lam * r))
-    return A, G * sp_s - A * L
+@lru_cache(maxsize=64)
+def _split_grid(n: int):
+    """Grid-only arrays of the split on n equispaced nodes t_k = 2 pi k / n:
+    the strict upper triangle (row-major) as an index pair, the flat indices
+    of it and of its mirror image, and the n x n log(4 sin^2((t_i - t_j)/2)).
+    The log's diagonal holds log(4 sin^2(1/2)), a placeholder that
+    split_block overwrites."""
+    t = 2 * np.pi * np.arange(n) / n
+    L = _log4sin2(t[:, None] - t[None, :] + np.eye(n))
+    upper = np.triu_indices(n, 1)
+    flat = (np.ravel_multi_index(upper, (n, n)), np.ravel_multi_index(upper[::-1], (n, n)))
+    for a in (L, *upper, *flat):
+        a.setflags(write=False)
+    return upper, flat, L
 
 
-def split_block(sp: SpectralPoint, t: np.ndarray, pts: np.ndarray,
-                speeds: np.ndarray, deriv: bool = False):
-    """Vectorized (A, B) on one curve's node set for G * speed, or with
-    deriv for dG/dv * speed in the axis variable v (kappa on the imaginary
-    axis, lambda on a ray).  The regular factor J and the kernel G are
+def _mirrored(upper_values, flat, n):
+    """Symmetric n x n matrix from its strict upper triangle, zero diagonal."""
+    out = np.zeros(n * n, dtype=upper_values.dtype)
+    out[flat[0]] = upper_values
+    out[flat[1]] = upper_values
+    return out.reshape(n, n)
+
+
+def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
+                deriv: bool = False):
+    """Vectorized (A, B) for G * speed on one curve's n equispaced nodes,
+    from their n x n distance matrix r (diagonal unused), or with deriv for
+    dG/dv * speed in the axis variable v (kappa on the imaginary axis,
+    lambda on a ray).  The regular factor J and the kernel G are
     (I0, K0/2pi) or (r I1, -r K1/2pi) on the axis and (J0, (i/4) H0) or
-    (-r J1, -(i/4) r H1) on a ray; A = -J speed / 4pi."""
-    n = t.size
-    dt = t[:, None] - t[None, :]
-    r = np.hypot(pts[:, 0][:, None] - pts[:, 0][None, :],
-                 pts[:, 1][:, None] - pts[:, 1][None, :])
-    np.fill_diagonal(r, 1.0)
-    L = _log4sin2(dt + np.eye(n))
+    (-r J1, -(i/4) r H1) on a ray; A = -J speed / 4pi.  J and G are
+    symmetric in the node pair, so they are evaluated on the strict upper
+    triangle only and mirrored."""
+    n = speeds.size
+    upper, flat, L = _split_grid(n)
+    x = r[upper]
     if sp.is_imaginary:
         v, c = sp.value, 0.0
-        J, G = ((r * _sp.i1(v * r), -(r / (2 * np.pi)) * _sp.k1(v * r)) if deriv
-                else (_sp.i0(v * r), _sp.k0(v * r) / (2 * np.pi)))
+        J, G = ((x * _sp.i1(v * x), -(x / (2 * np.pi)) * _sp.k1(v * x)) if deriv
+                else (_sp.i0(v * x), _sp.k0(v * x) / (2 * np.pi)))
     else:
         v, c = sp.lam, 0.25j
-        J, G = ((-(r * _sp.jv(1, v * r)), -0.25j * r * _sp.hankel1(1, v * r)) if deriv
-                else (_sp.jv(0, v * r), 0.25j * _sp.hankel1(0, v * r)))
+        J, G = ((-(x * _sp.jv(1, v * x)), -0.25j * x * _sp.hankel1(1, v * x)) if deriv
+                else (_sp.jv(0, v * x), 0.25j * _sp.hankel1(0, v * x)))
+    J, G = (_mirrored(a, flat, n) for a in (J, G))
     A = -(J / (4 * np.pi)) * speeds[None, :]
     # free J before B's temporaries: holding it made casimir_energy (disks,
     # n = 128) take 6% more page faults and run ~10% slower

@@ -8,6 +8,13 @@ log-singular part is integrated with the spectrally accurate product rule
 Cross-obstacle blocks are analytic, so the trapezoid rule alone converges
 spectrally there.
 
+The kernel is symmetric in the node pair and each value is evaluated once:
+diagonal blocks on one triangle (`kernel.split_block`), cross blocks once
+per unordered obstacle pair, block (k, j) being the transpose of (j, k)'s
+kernel weighted by obstacle j's weights.  Every entry is bitwise what
+evaluating each ordered pair on its own gives.  The node distances are
+cached on the grid and the product-rule weights R[|i - j|] per node count.
+
 Storage is real on the imaginary axis and complex elsewhere, for Q and for
 its derivative alike, which is taken in the axis variable (kappa or lambda).
 Determinants are only ever consumed as ratios of two factorizations sharing
@@ -76,22 +83,20 @@ def _check_sp(grid: BoundaryGrid, sp: SpectralPoint):
         raise ValueError(f"kappa = {sp.value} below kappa_min = {kmin}")
 
 
+@lru_cache(maxsize=64)
+def _kress_log_matrix(n: int) -> np.ndarray:
+    """R[|i - j|], the product-rule weight of each diagonal-block entry."""
+    k = np.arange(n)
+    R = kress_log_weights(n)[np.abs(k[:, None] - k[None, :])]
+    R.setflags(write=False)
+    return R
+
+
 def _diag_block(grid: BoundaryGrid, sp: SpectralPoint, j: int, deriv: bool) -> np.ndarray:
     sl = grid.block_slice(j)
-    t = grid.t[sl]
-    A, B = split_block(sp, t, grid.points[sl], grid.speeds[sl], deriv=deriv)
-    n = t.size
-    idx = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :])
-    R = kress_log_weights(n)
-    return R[idx] * A + (2 * np.pi / n) * B
-
-
-def _offdiag_block(grid: BoundaryGrid, sp: SpectralPoint, j: int, k: int,
-                   deriv: bool) -> np.ndarray:
-    sj, sk = grid.block_slice(j), grid.block_slice(k)
-    r = np.hypot(grid.points[sj, 0][:, None] - grid.points[sk, 0][None, :],
-                 grid.points[sj, 1][:, None] - grid.points[sk, 1][None, :])
-    return offdiag_kernel(sp, r, deriv=deriv) * grid.weights[sk][None, :]
+    A, B = split_block(sp, grid.distances[sl, sl], grid.speeds[sl], deriv=deriv)
+    n = A.shape[0]
+    return _kress_log_matrix(n) * A + (2 * np.pi / n) * B
 
 
 def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
@@ -103,13 +108,14 @@ def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
     _check_sp(grid, sp)
     deriv = deriv != "none"
     out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
-    nb = grid.scene.n_obstacles
-    for j in range(nb):
-        sl = grid.block_slice(j)
-        out[sl, sl] = _diag_block(grid, sp, j, deriv)
-        for k in range(nb):
-            if k != j:
-                out[sl, grid.block_slice(k)] = _offdiag_block(grid, sp, j, k, deriv)
+    w = grid.weights
+    slices = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
+    for j, sj in enumerate(slices):
+        out[sj, sj] = _diag_block(grid, sp, j, deriv)
+        for sk in slices[j + 1:]:
+            K = offdiag_kernel(sp, grid.distances[sj, sk], deriv=deriv)
+            out[sj, sk] = K * w[sk]
+            out[sk, sj] = K.T * w[sj]
     return out
 
 
@@ -135,14 +141,15 @@ def assemble_dt_dsep(grid: BoundaryGrid, sp: SpectralPoint, direction) -> np.nda
     v = sp.value if sp.is_imaginary else sp.lam
     e = np.asarray(direction, dtype=float)
     out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
-    nb = grid.scene.n_obstacles
-    for j in range(nb):
-        for k in range(nb):
-            if j != k and 1 in (j, k):
-                sj, sk = grid.block_slice(j), grid.block_slice(k)
-                diff = grid.points[sj][:, None, :] - grid.points[sk][None, :, :]
-                scale = (v if j == 1 else -v) * (diff @ e) / np.sum(diff ** 2, axis=-1)
-                out[sj, sk] = _offdiag_block(grid, sp, j, k, True) * scale
+    w, s1 = grid.weights, grid.block_slice(1)
+    for j in range(grid.scene.n_obstacles):
+        if j != 1:
+            sj = grid.block_slice(j)
+            diff = grid.points[s1][:, None, :] - grid.points[sj][None, :, :]
+            scale = v * (diff @ e) / np.sum(diff ** 2, axis=-1)
+            K = offdiag_kernel(sp, grid.distances[s1, sj], deriv=True)
+            out[s1, sj] = K * w[sj] * scale
+            out[sj, s1] = K.T * w[s1] * scale.T
     return out
 
 

@@ -1,9 +1,13 @@
+from types import SimpleNamespace
+
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy import special
+from scipy.special import i0, jv
 
-from layerdet import SpectralPoint, green_free, green_free_dlambda, kress_split, \
-    make_circle, make_kite
+from layerdet import SpectralPoint, green_free, green_free_dlambda, make_circle, make_kite
+from layerdet import kernel
 from layerdet.kernel import green_free_dkappa, offdiag_kernel, split_block
 
 
@@ -89,73 +93,116 @@ class TestGreenFreeDLambda:
             -1j * green_free_dkappa(sp, 1.1))
 
 
+def _nodes(curve, n):
+    """n equispaced nodes of a curve: parameters, distance matrix, speeds."""
+    t = 2 * np.pi * np.arange(n) / n
+    p = curve.point(t)
+    r = np.hypot(p[:, 0][:, None] - p[:, 0][None, :], p[:, 1][:, None] - p[:, 1][None, :])
+    return t, r, curve.speed(t)
+
+
+def _split_direct(sp, curve, t, s):
+    """(A, B) of the split at one off-diagonal parameter pair, from the
+    regular factor and green_free evaluated directly."""
+    r = float(np.hypot(*(curve.point(t) - curve.point(s))))
+    J = i0(sp.value * r) if sp.is_imaginary else jv(0, sp.lam * r)
+    A = -J / (4 * np.pi) * float(curve.speed(s))
+    B = green_free(sp, r) * float(curve.speed(s)) - A * np.log(4 * np.sin((t - s) / 2) ** 2)
+    return A, B
+
+
 class TestKressSplit:
     def test_A_matches_bessel_form(self):
+        # the 64-node pair nearest (t, s) = (0.3, 1.2)
         curve = make_circle((0, 0), 1.0)
         sp = SpectralPoint.ray(1.5, np.pi / 4)
-        t, s = 0.3, 1.2
-        r = float(np.hypot(*(curve.point(t) - curve.point(s))))
-        A, B = kress_split(sp, curve, t, s)
-        from scipy.special import jv
-        expect = -jv(0, sp.lam * r) / (4 * np.pi) * float(curve.speed(s))
-        assert A == pytest.approx(expect, rel=1e-14)
+        t, r, speeds = _nodes(curve, 64)
+        A, _ = split_block(sp, r, speeds)
+        i, j = 3, 12
+        expect = -jv(0, sp.lam * r[i, j]) / (4 * np.pi) * speeds[j]
+        assert A[i, j] == pytest.approx(expect, rel=1e-14)
 
     def test_A_diagonal_value(self):
         curve = make_kite((0, 0), 1.0)
         sp = SpectralPoint.imaginary(1.0)
-        t = 0.8
-        A, B = kress_split(sp, curve, t, t)
-        assert A == pytest.approx(-float(curve.speed(t)) / (4 * np.pi), rel=1e-14)
-        assert np.isfinite(B)
+        t, r, speeds = _nodes(curve, 64)
+        A, B = split_block(sp, r, speeds)
+        assert np.diag(A) == pytest.approx(-speeds / (4 * np.pi), rel=1e-14)
+        assert np.all(np.isfinite(np.diag(B)))
 
     def test_reconstruction_off_diagonal(self):
+        # node offsets 1, 5, 15, 32 of 64 put t - s at 0.098, 0.49, 1.47, pi
         curve = make_kite((0, 0), 1.0)
+        t, r, speeds = _nodes(curve, 64)
+        i = 10
         for sp in (SpectralPoint.imaginary(1.3), SpectralPoint.ray(2.0, np.pi / 5)):
-            for dt in (0.1, 0.5, 1.5, np.pi):
-                t, s = 1.0, 1.0 - dt
-                A, B = kress_split(sp, curve, t, s)
-                r = float(np.hypot(*(curve.point(t) - curve.point(s))))
-                direct = green_free(sp, r) * float(curve.speed(s))
-                recon = A * np.log(4 * np.sin((t - s) / 2) ** 2) + B
+            A, B = split_block(sp, r, speeds)
+            for j in ((i - m) % 64 for m in (1, 5, 15, 32)):
+                direct = green_free(sp, r[i, j]) * speeds[j]
+                recon = A[i, j] * np.log(4 * np.sin((t[i] - t[j]) / 2) ** 2) + B[i, j]
                 assert recon == pytest.approx(direct, rel=1e-12)
 
     def test_B_finite_on_diagonal(self):
         curve = make_circle((0, 0), 1.0)
         sp = SpectralPoint.imaginary(1.0)
-        for t in np.linspace(0, 2 * np.pi, 9):
-            A, B = kress_split(sp, curve, t, t)
-            assert np.isfinite(B)
+        _, r, speeds = _nodes(curve, 16)
+        A, B = split_block(sp, r, speeds)
+        assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
 
     def test_split_block_matches_scalar(self):
+        # off the diagonal, entry by entry against the direct split; on it,
+        # against the limit s -> t of the direct B, whose one-sided values
+        # at s = t +- delta average to the limit within O(delta^2)
         curve = make_kite((0, 0), 1.0)
-        n = 16
-        t = 2 * np.pi * np.arange(n) / n
-        pts = curve.point(t)
-        speeds = curve.speed(t)
+        t, r, speeds = _nodes(curve, 16)
+        delta = 1e-5
         for sp in (SpectralPoint.imaginary(0.8), SpectralPoint.ray(1.1, np.pi / 3)):
-            A, B = split_block(sp, t, pts, speeds)
-            for i, j in ((0, 0), (3, 11), (7, 7), (15, 2)):
-                a, b = kress_split(sp, curve, t[i], t[j])
+            A, B = split_block(sp, r, speeds)
+            for i, j in ((3, 11), (15, 2)):
+                a, b = _split_direct(sp, curve, t[i], t[j])
                 assert A[i, j] == pytest.approx(a, rel=1e-12)
                 assert B[i, j] == pytest.approx(b, rel=1e-12)
+            for i in (0, 7):
+                assert A[i, i] == pytest.approx(-speeds[i] / (4 * np.pi), rel=1e-12)
+                limit = 0.5 * (_split_direct(sp, curve, t[i], t[i] + delta)[1]
+                               + _split_direct(sp, curve, t[i], t[i] - delta)[1])
+                assert B[i, i] == pytest.approx(limit, rel=1e-8)
+
+    def test_bessel_on_one_triangle(self, monkeypatch):
+        # every special-function call of a diagonal block sees the
+        # n (n - 1) / 2 node pairs of one triangle, not the n^2 square
+        sizes = []
+
+        def counted(fn):
+            def wrapped(*args):
+                sizes.append(np.size(args[-1]))
+                return fn(*args)
+            return wrapped
+
+        spec = SimpleNamespace(**{name: counted(getattr(special, name))
+                                  for name in ("i0", "i1", "k0", "k1", "jv", "hankel1")})
+        monkeypatch.setattr(kernel, "_sp", spec)
+        n = 48
+        _, r, speeds = _nodes(make_kite((0, 0), 1.0), n)
+        for sp in (SpectralPoint.imaginary(0.8), SpectralPoint.ray(1.1, np.pi / 3)):
+            for deriv in (False, True):
+                sizes.clear()
+                split_block(sp, r, speeds, deriv=deriv)
+                assert sizes == [n * (n - 1) // 2] * 2
 
     def test_derivative_split_reconstruction(self):
         curve = make_kite((0, 0), 1.0)
-        n = 16
-        t = 2 * np.pi * np.arange(n) / n
-        pts = curve.point(t)
-        speeds = curve.speed(t)
+        t, r, speeds = _nodes(curve, 16)
         i, j = 2, 9
-        r = float(np.hypot(*(pts[i] - pts[j])))
         L = np.log(4 * np.sin((t[i] - t[j]) / 2) ** 2)
         # the derivative is in the axis variable: kappa (real) on the
         # imaginary axis, lambda on a ray
         for sp, dg in ((SpectralPoint.imaginary(0.8), green_free_dkappa),
                        (SpectralPoint.ray(1.1, np.pi / 3), green_free_dlambda)):
-            A, B = split_block(sp, t, pts, speeds, deriv=True)
+            A, B = split_block(sp, r, speeds, deriv=True)
             assert np.iscomplexobj(B) != sp.is_imaginary
             assert np.all(np.diag(A) == 0.0)
-            direct = dg(sp, r) * speeds[j]
+            direct = dg(sp, r[i, j]) * speeds[j]
             assert A[i, j] * L + B[i, j] == pytest.approx(direct, rel=1e-12)
 
     def test_offdiag_kernel_modes(self):

@@ -2,15 +2,62 @@ import numpy as np
 import pytest
 from scipy.special import iv, ivp, kv, kvp
 
+from scipy.special import i0, i1, jv
+
 from layerdet import (SingularOperatorError, SpectralPoint, assemble_dq,
                       assemble_dt_dsep, assemble_q, discretize, factorize,
-                      make_circle, make_kite, make_scene, solve)
+                      layer_ops, make_circle, make_ellipse, make_kite, make_scene,
+                      solve)
+from layerdet.kernel import offdiag_kernel
 from layerdet.layer_ops import kress_log_weights, split_blocks
+
+SPECTRAL_POINTS = (SpectralPoint.imaginary(1.0), SpectralPoint.ray(2.0, np.pi / 8))
 
 
 @pytest.fixture(scope="module")
 def two_disk_grid(canonical_scene):
     return discretize(canonical_scene, 64)
+
+
+@pytest.fixture(scope="module")
+def unequal_grids(mixed_scene):
+    """Kite + circle at unequal node counts, and three obstacles (three
+    pairs, rectangular cross blocks)."""
+    three = make_scene([make_circle((0.0, 0.0), 1.0), make_kite((4.0, 0.0), 1.0),
+                        make_ellipse((0.0, 5.0), 1.5, 0.7)])
+    return discretize(mixed_scene, (48, 64)), discretize(three, (48, 64, 32))
+
+
+def _direct_assembly(grid, sp, deriv):
+    """Q, or dQ/dv with deriv, with the kernel evaluated at every ordered
+    node pair on its own (the full square of each diagonal block, both
+    cross blocks of each pair), and NaN on the diagonal, whose values do
+    not come from the kernel."""
+    v = sp.value if sp.is_imaginary else sp.lam
+    out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
+    for j, (a, b) in enumerate(grid.blocks):
+        for k, (c, d) in enumerate(grid.blocks):
+            x, y = grid.points[a:b], grid.points[c:d]
+            r = np.hypot(x[:, 0][:, None] - y[:, 0][None, :],
+                         x[:, 1][:, None] - y[:, 1][None, :])
+            if j != k:
+                out[a:b, c:d] = offdiag_kernel(sp, r, deriv) * grid.weights[c:d]
+                continue
+            n = b - a
+            np.fill_diagonal(r, 1.0)
+            if sp.is_imaginary:
+                J = r * i1(v * r) if deriv else i0(v * r)
+            else:
+                J = -(r * jv(1, v * r)) if deriv else jv(0, v * r)
+            speeds = grid.speeds[a:b]
+            A = -(J / (4 * np.pi)) * speeds[None, :]
+            dt = grid.t[a:b][:, None] - grid.t[a:b][None, :] + np.eye(n)
+            B = offdiag_kernel(sp, r, deriv) * speeds[None, :] \
+                - A * np.log(4.0 * np.sin(0.5 * dt) ** 2)
+            R = kress_log_weights(n)[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
+            out[a:b, a:b] = R * A + (2 * np.pi / n) * B
+    np.fill_diagonal(out, np.nan)
+    return out
 
 
 class TestKressWeights:
@@ -50,6 +97,51 @@ class TestAssembly:
         q = assemble_q(grid, SpectralPoint.imaginary(1.0)).entries
         s = q / grid.weights[None, :]
         assert np.linalg.norm(s - s.T) <= 1e-12 * np.linalg.norm(s)
+
+    def test_weight_normalized_symmetry_exact(self, canonical_scene):
+        # every obstacle carries the same constant weight here, so the
+        # symmetric kernel evaluation makes Q diag(w)^{-1} symmetric bitwise
+        three = make_scene([make_circle((0.0, 0.0), 1.0), make_circle((4.0, 0.0), 1.0),
+                            make_circle((1.0, 5.0), 1.0)])
+        for grid in (discretize(canonical_scene, 64), discretize(three, 32)):
+            for sp in SPECTRAL_POINTS:
+                for assemble in (assemble_q, assemble_dq):
+                    s = assemble(grid, sp).entries / grid.weights[None, :]
+                    assert np.array_equal(s, s.T)
+
+    def test_kernel_values_equal_direct_evaluation(self, unequal_grids):
+        # each kernel value is evaluated once per unordered node pair and
+        # mirrored; every entry stays bitwise what evaluating each ordered
+        # pair separately gives, with unequal weights and rectangular blocks
+        for grid in unequal_grids:
+            for sp in SPECTRAL_POINTS:
+                for deriv, assemble in ((False, assemble_q), (True, assemble_dq)):
+                    q = assemble(grid, sp).entries
+                    direct = _direct_assembly(grid, sp, deriv)
+                    off = ~np.eye(grid.size, dtype=bool)
+                    assert np.array_equal(q[off], direct[off])
+                    s = q / grid.weights[None, :]
+                    assert np.abs(s - s.T).max() <= 1e-14 * np.abs(s).max()
+
+    def test_one_kernel_call_per_obstacle_pair(self, monkeypatch, unequal_grids):
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return offdiag_kernel(*args, **kwargs)
+
+        monkeypatch.setattr(layer_ops, "offdiag_kernel", counted)
+        for grid in unequal_grids:
+            nb = grid.scene.n_obstacles
+            for sp in SPECTRAL_POINTS:
+                for assemble in (assemble_q, assemble_dq):
+                    calls[0] = 0
+                    assemble(grid, sp)
+                    assert calls[0] == nb * (nb - 1) // 2
+                # dT/ds: only the pairs with obstacle 1
+                calls[0] = 0
+                assemble_dt_dsep(grid, sp, (1.0, 0.0))
+                assert calls[0] == nb - 1
 
     def test_circle_eigenvalues(self):
         scene = make_scene([make_circle((0, 0), 1.0)])
