@@ -145,25 +145,23 @@ def _log4sin2(dt):
 @lru_cache(maxsize=64)
 def _split_grid(n: int):
     """Grid-only arrays of the split on n equispaced nodes t_k = 2 pi k / n:
-    the strict upper triangle (row-major) as an index pair, the flat indices
-    of it and of its mirror image, and the n x n log(4 sin^2((t_i - t_j)/2)).
-    The log's diagonal holds log(4 sin^2(1/2)), a placeholder that
-    split_block overwrites."""
+    the strict upper triangle (row-major) as an index pair and the n x n
+    log(4 sin^2((t_i - t_j)/2)).  The log's diagonal holds log(4 sin^2(1/2)),
+    a placeholder that split_block overwrites."""
     t = 2 * np.pi * np.arange(n) / n
     L = _log4sin2(t[:, None] - t[None, :] + np.eye(n))
     upper = np.triu_indices(n, 1)
-    flat = (np.ravel_multi_index(upper, (n, n)), np.ravel_multi_index(upper[::-1], (n, n)))
-    for a in (L, *upper, *flat):
+    for a in (L, *upper):
         a.setflags(write=False)
-    return upper, flat, L
+    return upper, L
 
 
-def _mirrored(upper_values, flat, n):
+def _mirrored(upper_values, upper, n):
     """Symmetric n x n matrix from its strict upper triangle, zero diagonal."""
-    out = np.zeros(n * n, dtype=upper_values.dtype)
-    out[flat[0]] = upper_values
-    out[flat[1]] = upper_values
-    return out.reshape(n, n)
+    out = np.zeros((n, n), dtype=upper_values.dtype)
+    out[upper] = upper_values
+    out[upper[::-1]] = upper_values
+    return out
 
 
 def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
@@ -177,7 +175,7 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
     symmetric in the node pair, so they are evaluated on the strict upper
     triangle only and mirrored."""
     n = speeds.size
-    upper, flat, L = _split_grid(n)
+    upper, L = _split_grid(n)
     x = r[upper]
     if sp.is_imaginary:
         v, c = sp.value, 0.0
@@ -187,7 +185,7 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
         v, c = sp.lam, 0.25j
         J, G = ((-(x * _sp.jv(1, v * x)), -0.25j * x * _sp.hankel1(1, v * x)) if deriv
                 else (_sp.jv(0, v * x), 0.25j * _sp.hankel1(0, v * x)))
-    J, G = (_mirrored(a, flat, n) for a in (J, G))
+    J, G = (_mirrored(a, upper, n) for a in (J, G))
     A = -(J / (4 * np.pi)) * speeds[None, :]
     # free J before B's temporaries: holding it made casimir_energy (disks,
     # n = 128) take 6% more page faults and run ~10% slower

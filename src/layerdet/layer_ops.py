@@ -33,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg as sla
 
-from .errors import SingularOperatorError
+from .errors import LayerDetError, SingularOperatorError
 from .geometry import BoundaryGrid
 from .kernel import KAPPA_MIN_FACTOR, SpectralPoint, offdiag_kernel, split_block
 
@@ -137,6 +137,8 @@ def assemble_dt_dsep(grid: BoundaryGrid, sp: SpectralPoint, direction) -> np.nda
     dr/ds = +-(x - y).direction / r, + when x lies on obstacle 1.  The
     kernel depends on v r alone (v the axis variable), so r dG/dr = v dG/dv
     and each entry is the cross block of `assemble_dq` times v (dr/ds) / r."""
+    if grid.scene.n_obstacles < 2:
+        raise LayerDetError("the separation derivative needs obstacle 1")
     _check_sp(grid, sp)
     v = sp.value if sp.is_imaginary else sp.lam
     e = np.asarray(direction, dtype=float)

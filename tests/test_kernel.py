@@ -151,8 +151,9 @@ class TestKressSplit:
 
     def test_split_block_matches_scalar(self):
         # off the diagonal, entry by entry against the direct split; on it,
-        # against the limit s -> t of the direct B, whose one-sided values
-        # at s = t +- delta average to the limit within O(delta^2)
+        # against the closed form of B, and separately against the limit
+        # s -> t of the direct B, whose one-sided values at s = t +- delta
+        # average to the limit within O(delta^2)
         curve = make_kite((0, 0), 1.0)
         t, r, speeds = _nodes(curve, 16)
         delta = 1e-5
@@ -162,8 +163,12 @@ class TestKressSplit:
                 a, b = _split_direct(sp, curve, t[i], t[j])
                 assert A[i, j] == pytest.approx(a, rel=1e-12)
                 assert B[i, j] == pytest.approx(b, rel=1e-12)
+            v, c = (sp.value, 0.0) if sp.is_imaginary else (sp.lam, 0.25j)
             for i in (0, 7):
                 assert A[i, i] == pytest.approx(-speeds[i] / (4 * np.pi), rel=1e-12)
+                b = (c - np.euler_gamma / (2 * np.pi)
+                     - np.log(v * speeds[i] / 2) / (2 * np.pi)) * speeds[i]
+                assert B[i, i] == pytest.approx(b, rel=1e-12)
                 limit = 0.5 * (_split_direct(sp, curve, t[i], t[i] + delta)[1]
                                + _split_direct(sp, curve, t[i], t[i] - delta)[1])
                 assert B[i, i] == pytest.approx(limit, rel=1e-8)
