@@ -19,8 +19,8 @@ from typing import List, Sequence
 import numpy as np
 
 from . import specfun
-from .energy import (QuadConfig, SmoothFunctionSpec, _ordered_map,
-                     casimir_energy, casimir_force, power_trace, trace_df)
+from .energy import (QuadConfig, SmoothFunctionSpec, casimir_energy,
+                     casimir_force, power_trace, trace_df)
 from .errors import LayerDetError, SceneError, SceneFileError
 from .geometry import discretize, make_circle, make_ellipse, make_kite, \
     make_polar_fourier, make_scene
@@ -174,7 +174,7 @@ def cmd_xi(args) -> int:
     scene, grid = _load(args)
     kappas = _spectral_grid(args)
     xi = xi_imag if args.axis == "imag" else xi_real
-    samples = _ordered_map(lambda k: xi(scene, grid, k), kappas, args.threads)
+    samples = [xi(scene, grid, k) for k in kappas]
     rows = [(float(k), s.xi.real, s.xi.imag, s.branch_offset, s.err_est)
             for k, s in zip(kappas, samples)]
     _write_csv(args.output, ["kappa_or_lambda", "xi_re", "xi_im",
@@ -210,16 +210,14 @@ def _energy_payload(args, result, extra_cfg: dict) -> dict:
 
 def cmd_energy(args) -> int:
     scene, grid = _load(args)
-    res = casimir_energy(scene, grid, QuadConfig(tol=args.tol,
-                                                 threads=args.threads))
+    res = casimir_energy(scene, grid, QuadConfig(tol=args.tol))
     _write_json(args.output, _energy_payload(args, res, {"kind": "casimir"}))
     return 0
 
 
 def cmd_power(args) -> int:
     scene, grid = _load(args)
-    res = power_trace(scene, grid, args.s, QuadConfig(tol=args.tol,
-                                                      threads=args.threads))
+    res = power_trace(scene, grid, args.s, QuadConfig(tol=args.tol))
     _write_json(args.output, _energy_payload(args, res,
                                              {"kind": "power", "s": args.s}))
     return 0
@@ -372,12 +370,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     optional = {
         "tol": dict(type=_POSITIVE, default=1e-8),
-        "threads": dict(type=_COUNT, default=1, help=(
-            "Xi evaluations in a thread pool; on 2 cores (energy, canonical "
-            "disks, n = 128) 2 threads take 1.08 s against 0.96 s at "
-            "OpenBLAS's default 2 threads and pay only with "
-            "OPENBLAS_NUM_THREADS=1 (0.51 s against 1.04 s); the BLAS thread "
-            "count moves the energy by 1.1e-12")),
         "emit-plot": dict(action="store_true"),
         "samples": dict(action="store_true",
                         help="include the spectral samples in JSON output"),
@@ -391,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument(f"--{flag}", **optional[flag])
 
     sp = sub.add_parser("xi", help="Xi along a spectral grid")
-    common(sp, "threads", "emit-plot")
+    common(sp, "emit-plot")
     sp.add_argument("--axis", choices=("imag", "real"), default="imag")
     sp.add_argument("--kappa-min", type=float, default=0.1)
     sp.add_argument("--kappa-max", type=float, default=10.0)
@@ -406,11 +398,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_shift)
 
     sp = sub.add_parser("energy", help="Casimir energy")
-    common(sp, "tol", "threads", "samples")
+    common(sp, "tol", "samples")
     sp.set_defaults(fn=cmd_energy)
 
     sp = sub.add_parser("power", help="fractional power trace")
-    common(sp, "tol", "threads", "samples")
+    common(sp, "tol", "samples")
     sp.add_argument("--s", type=_checked(float, lambda v: 0 < v <= 1, "in (0, 1]"),
                     required=True)
     sp.set_defaults(fn=cmd_power)

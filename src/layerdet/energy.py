@@ -15,7 +15,6 @@ conservative rate delta' = 0.9 * gap.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional, Sequence, Tuple
@@ -34,17 +33,15 @@ class QuadConfig:
     """Spectral-quadrature controls: Clenshaw-Curtis rules with n + 1 nodes
     per piece, n doubling from `order` until the integral moves by <= `tol`
     (ConvergenceError past `max_order`); kappa_min/kappa_max default to
-    1e-6 / gap and 30 / (0.9 gap); `threads` evaluates Xi concurrently, which
-    on 2 cores pays only with OPENBLAS_NUM_THREADS=1 (canonical disks,
-    n = 128: 2 threads 0.51 s against 1.04 s; 1.08 s against 0.96 s at the
-    default 2 BLAS threads); the BLAS thread count moves the energy 1.1e-12."""
+    1e-6 / gap and 30 / (0.9 gap).  Nodes are evaluated one after another;
+    the only parallelism is the BLAS library's threads inside each LU and
+    solve, whose count moves the energy by about 1e-12."""
 
     tol: float = 1e-8
     order: int = 16
     max_order: int = 256
     kappa_min: Optional[float] = None
     kappa_max: Optional[float] = None
-    threads: int = 1
 
 
 @dataclass(frozen=True)
@@ -167,24 +164,13 @@ def _kappa_range(scene: Scene, cfg: QuadConfig) -> Tuple[float, float]:
     return kmin, kmax
 
 
-def _ordered_map(fn, values, threads: int) -> list:
-    """[fn(v) for v in values], concurrently in a thread pool when
-    threads > 1; results keep the order of values, so they do not depend on
-    the thread count."""
-    if threads <= 1:
-        return list(map(fn, values))
-    with ThreadPoolExecutor(threads) as pool:
-        return list(pool.map(fn, values))
-
-
 def _xi_imag_weighted(scene: Scene, sample: Callable[[float], float],
                       weight: Callable, cfg: QuadConfig) -> EnergyResult:
     """Integral of weight(kappa) sample(kappa) over the scene's kappa range,
     sample being Xi(i kappa) or a derivative of it."""
     kmin, kmax = _kappa_range(scene, cfg)
     value, err, nodes, vals = _nested_cc(
-        (kmin, kmax), lambda ks: np.array(_ordered_map(sample, ks.tolist(), cfg.threads)),
-        weight, cfg)
+        (kmin, kmax), lambda ks: np.array([sample(k) for k in ks.tolist()]), weight, cfg)
     near_zero = kmin * max(abs(weight(kmin)), abs(weight(2.0 * kmin))) * \
         np.max(np.abs(vals[nodes <= 2.0 * kmin]))
     tail = _fit_tail(nodes, vals, kmax, _DELTA_PRIME_FRACTION * scene.gap)

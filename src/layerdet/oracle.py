@@ -136,7 +136,7 @@ def _xi_pw(l_max: int, a: float, b: float, d: float, kappa: float) -> float:
     return float(np.sum(np.log1p(-mu)))
 
 
-def xi_two_disks(cfg: PartialWaveConfig, check_truncation: bool = True) -> float:
+def xi_two_disks(cfg: PartialWaveConfig) -> float:
     """Xi(i kappa) for two disks through the balanced partial-wave matrix.
 
     Refuses to certify when the truncation has not converged in l_max.
@@ -145,12 +145,11 @@ def xi_two_disks(cfg: PartialWaveConfig, check_truncation: bool = True) -> float
     """
     a, b = sorted((cfg.a, cfg.b))
     val = _xi_pw(cfg.l_max, a, b, cfg.d, cfg.kappa)
-    if check_truncation:
-        richer = _xi_pw(cfg.l_max + 4, a, b, cfg.d, cfg.kappa)
-        if abs(val - richer) > max(1e-12, 1e-10 * abs(val)):
-            raise ConvergenceError(
-                f"partial-wave truncation not converged at l_max={cfg.l_max}: "
-                f"|delta| = {abs(val - richer):.3e}")
+    richer = _xi_pw(cfg.l_max + 4, a, b, cfg.d, cfg.kappa)
+    if abs(val - richer) > max(1e-12, 1e-10 * abs(val)):
+        raise ConvergenceError(
+            f"partial-wave truncation not converged at l_max={cfg.l_max}: "
+            f"|delta| = {abs(val - richer):.3e}")
     return val
 
 

@@ -124,14 +124,6 @@ class TestCmdXi:
         assert main(args + ["--output", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_match_serial(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["xi", "--scene", CANONICAL, "--n", "64", "--kappa-count", "4",
-                "--kappa-min", "0.5", "--kappa-max", "2.0"]
-        assert main(args + ["--output", str(a)]) == 0
-        assert main(args + ["--threads", "2", "--output", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
     def test_real_axis(self, tmp_path):
         out = tmp_path / "xi_real.csv"
         rc = main(["xi", "--scene", CANONICAL, "--n", "64", "--axis", "real",
@@ -259,7 +251,6 @@ BAD_FLAGS = {
     "xi_count_negative": ["xi", "--kappa-count", "-1"],
     "shift_count_zero": ["shift", "--kappa-count", "0"],
     "xi_kappa_max_infinite": ["xi", "--kappa-max", "inf"],
-    "xi_threads_zero": ["xi", "--threads", "0"],
     "energy_tol_negative": ["energy", "--tol", "-1"],
 }
 

@@ -81,13 +81,6 @@ class TestCasimirEnergy:
         assert abs(finer.value - energy_gap2.value) <= \
             energy_gap2.quad_err + 1e-15
 
-    def test_thread_count_independence(self, canonical_scene, canonical_grid_64,
-                                       energy_gap2):
-        threaded = casimir_energy(canonical_scene, canonical_grid_64,
-                                  QuadConfig(threads=2))
-        assert threaded.value == energy_gap2.value
-        assert threaded.quad_err == energy_gap2.quad_err
-
 
 class TestPowerTrace:
     def test_half_equals_casimir(self, canonical_scene, canonical_grid_64,

@@ -5,7 +5,7 @@ from scipy.special import i0, i1, iv, ivp, jv, kv, kvp
 from layerdet import (LayerDetError, SingularOperatorError, SpectralPoint, assemble_dq,
                       assemble_dt_dsep, assemble_q, discretize, factorize,
                       layer_ops, make_circle, make_ellipse, make_kite, make_scene,
-                      solve)
+                      solve, trace_rrel)
 from layerdet.kernel import offdiag_kernel
 from layerdet.layer_ops import kress_log_weights, split_blocks
 
@@ -309,13 +309,30 @@ class TestSolve:
         assert np.linalg.norm(x - xo) <= 1e-10 * np.linalg.norm(xo)
 
     def test_residual_bound(self, canonical_scene, two_disk_grid):
-        q = assemble_q(two_disk_grid, SpectralPoint.imaginary(1.0))
-        f = factorize(q)
+        # one back-substitution, no refinement: the residual stays at the
+        # backward-stable rounding level (measured <= 0.09 eps |Q| |x|)
         rng = np.random.default_rng(0)
-        b = rng.standard_normal(q.entries.shape[0])
+        for sp in SPECTRAL_POINTS:
+            q = assemble_q(two_disk_grid, sp).entries
+            b = rng.standard_normal((q.shape[0], 3))
+            x = solve(factorize(q), b)
+            bound = np.finfo(float).eps * np.linalg.norm(q) * np.linalg.norm(x)
+            assert np.linalg.norm(q @ x - b) <= bound
+
+    def test_real_rhs_on_complex_factorization(self, two_disk_grid):
+        f = factorize(assemble_q(two_disk_grid, SPECTRAL_POINTS[1]))
+        b = np.random.default_rng(2).standard_normal((two_disk_grid.size, 2))
         x = solve(f, b)
-        norm_a = np.linalg.norm(q.entries)
-        assert np.linalg.norm(q.entries @ x - b) <= 1e-11 * norm_a * np.linalg.norm(x)
+        assert x.dtype == np.complex128
+        assert np.array_equal(x, solve(f, b.astype(complex)))
+
+    def test_near_singular_dual_paths(self, canonical_scene):
+        # lambda just above the first interior Dirichlet eigenvalue j_{0,1}
+        # of the unit disks, where Q is close to singular
+        grid = discretize(canonical_scene, 128)
+        p1, p2 = trace_rrel(canonical_scene, grid,
+                            SpectralPoint.ray(2.404825557695773, 1e-4), both_paths=True)
+        assert abs(p1 - p2) <= 1e-9 * abs(p2)
 
 
 class TestOperatorProperties:
