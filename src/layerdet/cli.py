@@ -43,6 +43,17 @@ def _node_count(value, where: str) -> int:
     return value
 
 
+def _check_numbers(value, where: str, size=None) -> None:
+    # JSON true/false are ints to Python; NaN, Infinity and overflowing
+    # literals such as 1e400 load as non-finite floats
+    items = value if isinstance(value, list) else [value]
+    shape_ok = size is None or (items is value and len(items) == size)
+    if not shape_ok or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                               and np.isfinite(v) for v in items):
+        count = f"a list of {size} " if size else ""
+        raise SceneFileError(f"{where} must be {count}finite numbers, got {value!r}")
+
+
 def parse_scene_file(path: str):
     """Parse a strict-schema scene file; returns (Scene, node counts)."""
     try:
@@ -76,6 +87,9 @@ def parse_scene_file(path: str):
         unknown = set(ob) - _OBSTACLE_KEYS[kind]
         if unknown:
             raise SceneFileError(f"obstacle {i}: unknown keys {sorted(unknown)}")
+        for key in sorted(set(ob) - {"kind", "n"}):
+            _check_numbers(ob[key], f"obstacle {i}: \"{key}\"",
+                           2 if key == "center" else None)
         try:
             center = ob["center"]
             if kind == "circle":

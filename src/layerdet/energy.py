@@ -4,7 +4,8 @@ power traces, and smoothed relative traces over a sector contour.
 Every integral goes through one driver, `_nested_cc`: nested
 Clenshaw-Curtis rules in the logarithm of the integration variable on one
 or two pieces, each level evaluating only its new nodes, until
-|I_n - I_{n/2}| <= tol, which is the reported quadrature error.  The
+|I_n - I_{n/2}| <= tol: the contour's quad_err; on the imaginary axis
+quad_err adds a bound on the omitted segment (0, kappa_min).  The
 imaginary-axis integrals use one piece over [kappa_min, kappa_max], the
 contour two split at 1 / gap (all ends proportional to inverse gap, so scene
 rescaling maps every node onto its scaled counterpart).  The integrand
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -30,18 +31,13 @@ from .xi import _DELTA_PRIME_FRACTION, xi_dsep, xi_imag, xi_on_ray, xi_rel_many
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Spectral-quadrature controls: Clenshaw-Curtis rules with n + 1 nodes
-    per piece, n doubling from `order` until the integral moves by <= `tol`
-    (ConvergenceError past `max_order`); kappa_min/kappa_max default to
-    1e-6 / gap and 30 / (0.9 gap).  Nodes are evaluated one after another;
-    the only parallelism is the BLAS library's threads inside each LU and
-    solve, whose count moves the energy by about 1e-12."""
+    """Spectral-quadrature tolerance: nested Clenshaw-Curtis levels n = 16,
+    32, ... 256 over kappa in [1e-6 / gap, 30 / (0.9 gap)] stop once the
+    integral moves by <= `tol`.  Nodes are evaluated one after another; the
+    only parallelism is the BLAS library's threads inside each LU and solve,
+    whose count moves the energy by about 1e-12."""
 
     tol: float = 1e-8
-    order: int = 16
-    max_order: int = 256
-    kappa_min: Optional[float] = None
-    kappa_max: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -55,13 +51,11 @@ class EnergyResult:
 @dataclass(frozen=True)
 class SmoothFunctionSpec:
     """The admitted trace-function family f(lambda) = g(lambda^2) with
-    g(z) = scale * z^a e^{-t z}; a > 0, decay t >= 0 (t = 0 only through
-    the dedicated power-trace path).  The scalar multiple keeps the family
-    closed under linear rescaling."""
+    g(z) = z^a e^{-t z}; a > 0, decay t >= 0 (t = 0 only through the
+    dedicated power-trace path)."""
 
     a: float
     t: float = 0.0
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.a <= 0:
@@ -71,12 +65,12 @@ class SmoothFunctionSpec:
 
     def f(self, lam):
         z = np.asarray(lam) ** 2
-        return self.scale * np.power(z, self.a) * np.exp(-self.t * z)
+        return np.power(z, self.a) * np.exp(-self.t * z)
 
     def f_prime(self, lam):
         lam = np.asarray(lam)
         z = lam ** 2
-        return 2.0 * self.scale * lam * np.power(z, self.a - 1.0) \
+        return 2.0 * lam * np.power(z, self.a - 1.0) \
             * np.exp(-self.t * z) * (self.a - self.t * z)
 
 
@@ -112,16 +106,17 @@ def _eval_unique(evaluate, x: np.ndarray) -> np.ndarray:
 
 
 def _nested_cc(edges: Sequence[float], evaluate: Callable[[np.ndarray], np.ndarray],
-               weight: Callable[[np.ndarray], np.ndarray], cfg: QuadConfig):
+               weight: Callable[[np.ndarray], np.ndarray], tol: float):
     """Integral of weight(x) * evaluate(x) from edges[0] to edges[-1], one
-    log-mapped piece between consecutive edges.
+    log-mapped piece between consecutive edges, each with n + 1 nodes, n
+    doubling from 16 (ConvergenceError past 256).
 
     evaluate maps an array of abscissae to samples along its last axis
     (leading axes integrate independently and converge together); each
     level calls it once, on that level's new nodes.  Returns (value, err,
     nodes, samples): err = |I_n - I_{n/2}|, the last level's nodes sorted.
     """
-    n, edges = cfg.order, np.asarray(edges, dtype=float)
+    n, edges = 16, np.asarray(edges, dtype=float)
     x, w = _pieces_rule(edges, n)
     vals = _eval_unique(evaluate, x)
     cur = np.sum(vals * w * weight(x), axis=(-2, -1))
@@ -133,9 +128,9 @@ def _nested_cc(edges: Sequence[float], evaluate: Callable[[np.ndarray], np.ndarr
                          _eval_unique(evaluate, x[:, 1::2]), axis=-1)
         prev, cur = cur, np.sum(vals * w * weight(x), axis=(-2, -1))
         err = np.abs(cur - prev)
-        if np.all(err <= cfg.tol):
+        if np.all(err <= tol):
             break
-        if n >= cfg.max_order:
+        if n >= 256:
             raise ConvergenceError(f"spectral quadrature did not converge: "
                                    f"|delta| = {np.max(err):.3e} at n = {n}")
     nodes, first = np.unique(x.ravel(), return_index=True)
@@ -152,25 +147,15 @@ def _fit_tail(nodes, xis, kmax: float, dprime: float) -> float:
     return np.exp(ln_c - dprime * kmax) / dprime
 
 
-def _kappa_range(scene: Scene, cfg: QuadConfig) -> Tuple[float, float]:
-    gap = scene.gap
-    if not np.isfinite(gap):
-        raise LayerDetError("the kappa range needs a multi-obstacle scene")
-    kmin = cfg.kappa_min if cfg.kappa_min is not None else KAPPA_MIN_FACTOR / gap
-    kmax = cfg.kappa_max if cfg.kappa_max is not None else \
-        30.0 / (_DELTA_PRIME_FRACTION * gap)
-    if not 0 < kmin < kmax:
-        raise ValueError("need 0 < kappa_min < kappa_max")
-    return kmin, kmax
-
-
 def _xi_imag_weighted(scene: Scene, sample: Callable[[float], float],
                       weight: Callable, cfg: QuadConfig) -> EnergyResult:
-    """Integral of weight(kappa) sample(kappa) over the scene's kappa range,
-    sample being Xi(i kappa) or a derivative of it."""
-    kmin, kmax = _kappa_range(scene, cfg)
+    """Integral of weight(kappa) sample(kappa) over [1e-6 / gap,
+    30 / (0.9 gap)] of a multi-obstacle scene, sample being Xi(i kappa) or
+    a derivative of it."""
+    kmin, kmax = KAPPA_MIN_FACTOR / scene.gap, 30.0 / (_DELTA_PRIME_FRACTION * scene.gap)
     value, err, nodes, vals = _nested_cc(
-        (kmin, kmax), lambda ks: np.array([sample(k) for k in ks.tolist()]), weight, cfg)
+        (kmin, kmax), lambda ks: np.array([sample(k) for k in ks.tolist()]), weight,
+        cfg.tol)
     near_zero = kmin * max(abs(weight(kmin)), abs(weight(2.0 * kmin))) * \
         np.max(np.abs(vals[nodes <= 2.0 * kmin]))
     tail = _fit_tail(nodes, vals, kmax, _DELTA_PRIME_FRACTION * scene.gap)
@@ -237,7 +222,7 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
     value, delta, nodes, xis = _nested_cc(
         (KAPPA_MIN_FACTOR / gap, min(1.0 / gap, 0.5 * u_max), u_max),
         lambda u: xi_on_ray(scene, grid, theta, u),
-        lambda u: phase * f.f_prime(u * phase), cfg)
+        lambda u: phase * f.f_prime(u * phase), cfg.tol)
     # tail: |f'| * C e^{-delta' u sin(theta)} beyond u_max
     fmax = abs(f.f_prime(u_max * phase))
     tail = fmax * _fit_tail(nodes, xis, u_max, dprime * np.sin(theta)) / np.pi
@@ -245,17 +230,17 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
                         tuple(zip(nodes.tolist(), xis.tolist())))
 
 
-def birman_krein_trace(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
-                       n_nodes: int = 64, lam_max: Optional[float] = None) -> float:
+def birman_krein_trace(scene: Scene, grid: BoundaryGrid,
+                       f: SmoothFunctionSpec) -> float:
     """Real-axis evaluation -integral f'(lambda) xi_rel(lambda) d lambda,
-    the classical representation used to cross-check trace_df."""
+    the classical representation used to cross-check trace_df: 64 Gauss
+    nodes on [1e-3, L / 4] and on [L / 4, L], e^{-t L^2} = e^{-45}."""
     if scene.n_obstacles == 1:
         return 0.0
     if f.t <= 0:
         raise LayerDetError("real-axis cross-check needs t > 0")
-    if lam_max is None:
-        lam_max = np.sqrt(45.0 / f.t)
-    x, w = leggauss(n_nodes)
+    lam_max = np.sqrt(45.0 / f.t)
+    x, w = leggauss(64)
     panels = [(1e-3, 0.25 * lam_max), (0.25 * lam_max, lam_max)]
     total = 0.0
     for a, b in panels:

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import SceneError
 
 _REGULARITY_SAMPLES = 2048
+#: polygon nodes per curve for the nesting test and the gap search's start
+_POLYGON_SAMPLES = 512
 
 
 @dataclass(frozen=True)
@@ -168,12 +170,7 @@ def make_polar_fourier(center, cos_coeffs, sin_coeffs=()) -> Curve:
 # pairwise distance machinery
 # ---------------------------------------------------------------------------
 
-def _dense_sample(curve: Curve, n: int):
-    t = 2 * np.pi * np.arange(n) / n
-    return t, curve.point(t)
-
-
-def _newton_refine_pair(cj: Curve, ck: Curve, t0: float, s0: float, max_iter=50):
+def _newton_refine_pair(cj: Curve, ck: Curve, t0: float, s0: float):
     """Newton on the squared distance F(t,s) = |xj(t)-xk(s)|^2 / 2 with
     golden-section fallback; returns the refined squared-distance/2."""
     t, s = t0, s0
@@ -183,7 +180,7 @@ def _newton_refine_pair(cj: Curve, ck: Curve, t0: float, s0: float, max_iter=50)
         return 0.5 * float(d @ d)
 
     fcur = F(t, s)
-    for _ in range(max_iter):
+    for _ in range(50):
         d = cj.point(t) - ck.point(s)
         vj, vk = cj.velocity(t), ck.velocity(s)
         aj, ak = cj.accel(t), ck.accel(s)
@@ -229,24 +226,21 @@ def _newton_refine_pair(cj: Curve, ck: Curve, t0: float, s0: float, max_iter=50)
     return F(t, s)
 
 
-def _pair_min_distance(cj: Curve, ck: Curve, samples: int):
-    tj, pj = _dense_sample(cj, samples)
-    tk, pk = _dense_sample(ck, samples)
-    best = np.inf
-    arg = (0.0, 0.0)
-    chunk = max(1, (1 << 22) // samples)
-    for i0 in range(0, samples, chunk):
-        dx = pj[i0:i0 + chunk, 0][:, None] - pk[None, :, 0]
-        dy = pj[i0:i0 + chunk, 1][:, None] - pk[None, :, 1]
-        d2 = dx * dx + dy * dy
-        k = np.argmin(d2)
-        v = d2.flat[k]
-        if v < best:
-            best = v
-            ii, jj = np.unravel_index(k, d2.shape)
-            arg = (tj[i0 + ii], tk[jj])
-    f = _newton_refine_pair(cj, ck, *arg)
-    return np.sqrt(2.0 * f)
+def _closest_pair(pj: np.ndarray, pk: np.ndarray):
+    dx = pj[:, 0][:, None] - pk[None, :, 0]
+    dy = pj[:, 1][:, None] - pk[None, :, 1]
+    return np.unravel_index(np.argmin(dx * dx + dy * dy), dx.shape)
+
+
+def _pair_min_distance(cj: Curve, ck: Curve, pj: np.ndarray, pk: np.ndarray) -> float:
+    """Boundary distance of two curves from their polygons' closest node
+    pair: moved to the closest pair of the 8x finer node lattice within 16
+    of its nodes (where a search of that whole lattice lands), then Newton."""
+    i, k = _closest_pair(pj, pk)
+    n = 8 * _POLYGON_SAMPLES
+    t = 2 * np.pi * ((8 * np.array([[i], [k]]) + np.arange(-16, 17)) % n) / n
+    a, b = _closest_pair(cj.point(t[0]), ck.point(t[1]))
+    return np.sqrt(2.0 * _newton_refine_pair(cj, ck, t[0, a], t[1, b]))
 
 
 def _winding_contains(poly: np.ndarray, p) -> bool:
@@ -272,17 +266,18 @@ class Scene:
         return len(self.obstacles)
 
 
-def make_scene(obstacles: Sequence[Curve], gap_samples: int = 4096) -> Scene:
+def make_scene(obstacles: Sequence[Curve]) -> Scene:
     obstacles = tuple(obstacles)
     if len(obstacles) < 1:
         raise SceneError("scene needs at least one obstacle")
     if len(obstacles) == 1:
         return Scene(obstacles, np.inf)
     gap = np.inf
-    polys = [c.point(2 * np.pi * np.arange(512) / 512) for c in obstacles]
+    t = 2 * np.pi * np.arange(_POLYGON_SAMPLES) / _POLYGON_SAMPLES
+    polys = [c.point(t) for c in obstacles]
     for j in range(len(obstacles)):
         for k in range(j + 1, len(obstacles)):
-            d = _pair_min_distance(obstacles[j], obstacles[k], gap_samples)
+            d = _pair_min_distance(obstacles[j], obstacles[k], polys[j], polys[k])
             if not d > 0.0 or _winding_contains(polys[k], polys[j][0]) \
                     or _winding_contains(polys[j], polys[k][0]):
                 raise SceneError(f"obstacles {j} and {k} overlap or nest")
@@ -292,12 +287,13 @@ def make_scene(obstacles: Sequence[Curve], gap_samples: int = 4096) -> Scene:
     return Scene(obstacles, gap)
 
 
-def distance_to_boundary(scene: Scene, xy, samples: int = 2048) -> float:
+def distance_to_boundary(scene: Scene, xy) -> float:
     """Distance from a planar point to the union of obstacle boundaries."""
     p = np.asarray(xy, dtype=float)
+    t = 2 * np.pi * np.arange(2048) / 2048
     best = np.inf
     for c in scene.obstacles:
-        t, pts = _dense_sample(c, samples)
+        pts = c.point(t)
         d2 = (pts[:, 0] - p[0]) ** 2 + (pts[:, 1] - p[1]) ** 2
         i = int(np.argmin(d2))
         tcur = t[i]

@@ -177,6 +177,9 @@ def factorize(m) -> Factorization:
             pivot_index=int(zero[0]))
     parity = int(np.count_nonzero(piv != np.arange(piv.size)) % 2)
     log_abs = float(np.sum(np.log(np.abs(d))))
+    if not np.isfinite(log_abs):    # no path deformation cures an overflow
+        raise LayerDetError(f"log|det| = {log_abs} is not finite: an entry "
+                            "overflowed (kappa too large for the obstacles?)")
     if np.iscomplexobj(lu):
         phase = float(np.sum(np.angle(d)) + np.pi * parity)
         sign = 0.0

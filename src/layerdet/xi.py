@@ -34,6 +34,8 @@ from .layer_ops import (LayerPair, assemble_dq, assemble_dt_dsep, assemble_q,
 _LAMBDA_FACTOR = 20.0
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate
 _DELTA_PRIME_FRACTION = 0.9
+#: descent-path segments from i*Lambda; the spectral shift's eta / lambda
+_DESCENT_STEPS, _ETA_REL = 24, 1e-3
 
 #: rounding-floor scale for err_est fields
 _EPS = np.finfo(float).eps
@@ -144,9 +146,9 @@ def _delta_prime(scene: Scene) -> float:
     return _DELTA_PRIME_FRACTION * scene.gap
 
 
-def _descent_points(target: complex, dprime: float, n_steps: int = 24):
+def _descent_points(target: complex, dprime: float):
     lam_big = _LAMBDA_FACTOR / dprime
-    u = np.linspace(0.0, 1.0, n_steps + 1)
+    u = np.linspace(0.0, 1.0, _DESCENT_STEPS + 1)
     mod = np.exp(np.log(lam_big) + (np.log(abs(target)) - np.log(lam_big)) * u)
     ang = 0.5 * np.pi + (np.angle(target) - 0.5 * np.pi) * u
     return mod * np.exp(1j * ang)
@@ -171,7 +173,7 @@ def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
     continuity from i*Lambda where Xi vanishes."""
     _check(scene, grid)
     _positive(lam, "lam")
-    eta = 1e-3 * lam if eta is None else float(eta)
+    eta = _ETA_REL * lam if eta is None else float(eta)
     _positive(eta, "eta")
     target = lam + 1j * eta
     sp = SpectralPoint.from_complex(target)
@@ -183,14 +185,12 @@ def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
     return XiSample(sp, val, walker.offset, floor)
 
 
-def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float,
-           eta0: float | None = None) -> ShiftSample:
+def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
     """Relative spectral shift xi_rel(lambda) = -(1/pi) Im Xi(lambda + i0),
-    Richardson-extrapolated over eta in {4, 2, 1} * eta0."""
+    Richardson-extrapolated over eta in {4, 2, 1} * eta0, eta0 = 1e-3 lambda."""
     _check(scene, grid)
     _positive(lam, "lam")
-    eta0 = 1e-3 * lam if eta0 is None else float(eta0)
-    _positive(eta0, "eta0")
+    eta0 = _ETA_REL * lam
     if scene.n_obstacles == 1:
         return ShiftSample(lam, 0.0, eta0, 0.0)
     path = [*_descent_points(lam + 4j * eta0, _delta_prime(scene)),
@@ -200,22 +200,22 @@ def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float,
     return ShiftSample(lam, rich, eta0, err)
 
 
-def xi_rel_many(scene: Scene, grid: BoundaryGrid, lams: Sequence[float],
-                eta_scale: float = 1e-3) -> List[ShiftSample]:
+def xi_rel_many(scene: Scene, grid: BoundaryGrid,
+                lams: Sequence[float]) -> List[ShiftSample]:
     """Batch xi_rel on a lambda grid: one descent from i*Lambda to the
     largest lambda at 4 eta, then one unwrapping walk down the 4 eta ray, up
-    the 2 eta ray and down the 1 eta ray (rays through the origin)."""
+    the 2 eta ray and down the 1 eta ray (rays through the origin, eta =
+    1e-3 lambda)."""
     _check(scene, grid)
     lams = np.asarray(list(lams), dtype=float)
     _positive(lams, "lambda grid")
-    _positive(eta_scale, "eta_scale")
     if scene.n_obstacles == 1 or not lams.size:
-        return [ShiftSample(l, 0.0, eta_scale * l, 0.0) for l in lams]
+        return [ShiftSample(l, 0.0, _ETA_REL * l, 0.0) for l in lams]
     order = np.argsort(lams)[::-1]
     sorted_lams = lams[order]
     dprime = _delta_prime(scene)
     rays = [sorted_lams * (1.0 + 1j * c)
-            for c in (4 * eta_scale, 2 * eta_scale, eta_scale)]
+            for c in (4 * _ETA_REL, 2 * _ETA_REL, _ETA_REL)]
     path = [*_descent_points(rays[0][0], dprime), *rays[0][1:]]
     # each level's largest point is where a descent to it ends, ulps off the ray
     rays[1][0], rays[2][0] = (_descent_points(r[0], dprime)[-1] for r in rays[1:])
@@ -227,7 +227,7 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid, lams: Sequence[float],
     out = [None] * lams.size
     for pos, idx in enumerate(order):
         out[idx] = ShiftSample(float(lams[idx]), float(rich[pos]),
-                               eta_scale * float(lams[idx]), float(err[pos]))
+                               _ETA_REL * float(lams[idx]), float(err[pos]))
     return out
 
 

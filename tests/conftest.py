@@ -61,16 +61,17 @@ def far_scene():
     return make_scene([make_circle((0.0, 0.0), 1.0), make_circle((12.0, 0.0), 1.0)])
 
 
-def _partial_wave_energy(d, kappa_range, nodes=96):
-    """(1/pi) * integral of the partial-wave Xi(i kappa) of two unit disks
-    with centres d apart over kappa_range, by one Gauss-Legendre rule in
-    log kappa (independent of the library's Clenshaw-Curtis driver)."""
+def _partial_wave_energy(d, kappa_range, nodes=96, weight=lambda k: 1.0 / np.pi):
+    """Integral of weight(kappa) times the partial-wave Xi(i kappa) of two
+    unit disks with centres d apart over kappa_range, by one Gauss-Legendre
+    rule in log kappa (independent of the library's Clenshaw-Curtis
+    driver); the default weight 1/pi gives the Casimir energy."""
     lo, hi = np.log(kappa_range)
     x, w = leggauss(nodes)
     kappas = np.exp(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
     xi = [xi_two_disks(PartialWaveConfig(default_l_max(k, 1.0, 1.0) + 16,
                                          1.0, 1.0, d, k)) for k in kappas]
-    return 0.5 * (hi - lo) * np.dot(w, kappas * np.array(xi)) / np.pi
+    return 0.5 * (hi - lo) * np.dot(w, weight(kappas) * kappas * np.array(xi))
 
 
 @pytest.fixture(scope="session")

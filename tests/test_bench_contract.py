@@ -4,12 +4,19 @@ bench/run.py counts Q assemblies by wrapping `layer_ops._assemble`, and
 bench/spans.py wraps every public function of the computing modules plus a
 few named methods.  A rename or a changed return type would otherwise show
 only in a traced benchmark run; this test runs both wrappers, read from
-bench/ and not modified, around a tiny solve on the canonical disks.
+bench/ and not modified, around a tiny solve on the canonical disks.  The
+workloads call the package as `ld.<name>`: every such name must exist, the
+call forms of the calls not made here must bind, and every workload's
+setup must build for the held-out seed as well as the default one.
 """
 
 import importlib.util
+import inspect
+import re
 import sys
 from pathlib import Path
+
+import pytest
 
 import layerdet
 from layerdet import SpectralPoint, discretize, layer_ops
@@ -69,3 +76,30 @@ def test_counter_and_tracer_on_a_small_solve(canonical_scene):
     after = _bindings(spans)
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())
+
+
+def test_bench_names_exist():
+    for script in ("workloads.py", "record_reference.py"):
+        used = set(re.findall(r"\bld\.(\w+)", (BENCH / script).read_text()))
+        assert used
+        assert sorted(n for n in used if not hasattr(layerdet, n)) == [], script
+
+
+def test_bench_call_forms_bind():
+    scene, grid, spec, cfg = object(), object(), object(), layerdet.QuadConfig(tol=1e-8)
+    assert layerdet.SmoothFunctionSpec(a=1.0, t=4.0).t == 4.0
+    for fn, args in [(layerdet.casimir_energy, (scene, grid, cfg)),
+                     (layerdet.trace_df, (scene, grid, spec, cfg)),
+                     (layerdet.birman_krein_trace, (scene, grid, spec)),
+                     (layerdet.xi_rel, (scene, grid, 1.0)),
+                     (layerdet.xi_rel_many, (scene, grid, [1.0]))]:
+        inspect.signature(fn).bind(*args)
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_workload_setup(seed):
+    workloads = _bench_module("workloads")
+    for cls in workloads.WORKLOADS.values():
+        wl = cls(seed)
+        wl.setup()
+        assert wl.grid.scene is wl.scene and wl.scene.n_obstacles == 2

@@ -29,7 +29,16 @@ MALFORMED = {
     "cos_scalar": lambda d: d["obstacles"].__setitem__(
         0, {"kind": "polar_fourier", "center": [0.0, 0.0], "cos": 1.0}),
     "overlapping": lambda d: d["obstacles"][1].update(center=[1.5, 0.0]),
+    "center_three_elements": lambda d: d["obstacles"][0].update(center=[0, 0, 5]),
+    "radius_boolean": lambda d: d["obstacles"][0].update(radius=True),
+    "radius_nan": lambda d: d["obstacles"][0].update(radius=float("nan")),
+    "kite_scale_overflow": lambda d: d["obstacles"].__setitem__(
+        0, {"kind": "kite", "center": [0.0, 0.0], "scale": float("inf")}),
 }
+
+#: the key each malformed number names in its error line
+MALFORMED_KEY = {"center_three_elements": "center", "radius_boolean": "radius",
+                 "radius_nan": "radius", "kite_scale_overflow": "scale"}
 
 
 class TestSceneFiles:
@@ -67,14 +76,18 @@ class TestSceneFiles:
         p.write_text("{ not json")
         assert main(["xi", "--scene", str(p), "--output", "-"]) == 2
 
-    @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
-    def test_malformed_exit_code(self, tmp_path, capsys, edit):
+    @pytest.mark.parametrize("name", MALFORMED)
+    def test_malformed_exit_code(self, tmp_path, capsys, name):
         doc = json.load(open(CANONICAL))
-        edit(doc)
+        MALFORMED[name](doc)
         p = tmp_path / "bad.json"
-        p.write_text(json.dumps(doc))
+        # json writes inf as Infinity; spell it as a literal that overflows
+        p.write_text(json.dumps(doc).replace("Infinity", "1e400"))
         assert main(["xi", "--scene", str(p), "--output", "-"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        if name in MALFORMED_KEY:
+            assert f'obstacle 0: "{MALFORMED_KEY[name]}"' in err
 
 
 class TestCmdXi:
