@@ -34,7 +34,7 @@ def field_point(scene: Scene, xy) -> FieldPoint:
     p = (float(xy[0]), float(xy[1]))
     d = distance_to_boundary(scene, p)
     inside = any(
-        _winding_contains(c.point(2 * np.pi * np.arange(512) / 512), p)
+        _winding_contains(c.point(2 * np.pi * np.arange(512) / 512), np.array([p]))[0]
         for c in scene.obstacles)
     if d <= 0 or inside:
         raise LayerDetError(f"field point {p} lies on or inside an obstacle")

@@ -243,15 +243,20 @@ def _pair_min_distance(cj: Curve, ck: Curve, pj: np.ndarray, pk: np.ndarray) -> 
     return np.sqrt(2.0 * _newton_refine_pair(cj, ck, t[0, a], t[1, b]))
 
 
-def _winding_contains(poly: np.ndarray, p) -> bool:
-    # even-odd crossing test on a dense sampled polygon
-    x, y = p
+def _winding_contains(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Even-odd crossing test of each point of pts (m x 2) against a dense
+    sampled polygon; a boolean array of length m.  Only the points inside
+    the polygon's bounding box are tested."""
+    box = np.all((pts >= poly.min(axis=0)) & (pts <= poly.max(axis=0)), axis=1)
+    x, y = pts[box, :1], pts[box, 1:]
     xs, ys = poly[:, 0], poly[:, 1]
     xs2, ys2 = np.roll(xs, -1), np.roll(ys, -1)
     cond = (ys > y) != (ys2 > y)
     with np.errstate(divide="ignore", invalid="ignore"):
         xin = xs + (y - ys) * (xs2 - xs) / (ys2 - ys)
-    return bool(np.count_nonzero(cond & (x < xin)) % 2)
+    inside = np.zeros(len(pts), dtype=bool)
+    inside[box] = np.count_nonzero(cond & (x < xin), axis=1) % 2 == 1
+    return inside
 
 
 @dataclass(frozen=True)
@@ -278,8 +283,10 @@ def make_scene(obstacles: Sequence[Curve]) -> Scene:
     for j in range(len(obstacles)):
         for k in range(j + 1, len(obstacles)):
             d = _pair_min_distance(obstacles[j], obstacles[k], polys[j], polys[k])
-            if not d > 0.0 or _winding_contains(polys[k], polys[j][0]) \
-                    or _winding_contains(polys[j], polys[k][0]):
+            # every node of each polygon, so that crossing curves are caught
+            # as well as nested ones
+            if not d > 0.0 or _winding_contains(polys[k], polys[j]).any() \
+                    or _winding_contains(polys[j], polys[k]).any():
                 raise SceneError(f"obstacles {j} and {k} overlap or nest")
             gap = min(gap, d)
     if not np.isfinite(gap) or gap <= 0:

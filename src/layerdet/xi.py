@@ -11,9 +11,11 @@ difference-structured operator form  (dT) Q^{-1} - (dQtilde) Qtilde^{-1} T
 Q^{-1}, whose traces involve only small (cross-coupling) factors, avoiding
 the cancellation of two large traces.
 
-On the imaginary axis everything is real; Xi elsewhere carries the branch of
-the logarithm fixed by continuity along a descent path from i*Lambda (where
-the exponential bound forces Xi ~ 0) to the evaluation point.
+On the imaginary axis everything is real and Xi(i kappa) carries the branch
+Im Xi = 0 at every kappa.  Xi elsewhere carries the branch fixed by
+continuity from there: every walk starts at i|z0|, z0 its first point, and
+reaches z0 along the arc of modulus |z0|.  Xi is analytic and zero-free in
+the open upper half plane, so every such path gives the same branch.
 """
 
 from __future__ import annotations
@@ -30,12 +32,11 @@ from .kernel import SpectralPoint
 from .layer_ops import (LayerPair, assemble_dq, assemble_dt_dsep, assemble_q,
                         factorize, layer_pair, solve, split_blocks)
 
-#: descent anchor i*Lambda with Lambda = _LAMBDA_FACTOR / delta'
-_LAMBDA_FACTOR = 20.0
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate
 _DELTA_PRIME_FRACTION = 0.9
-#: descent-path segments from i*Lambda; the spectral shift's eta / lambda
-_DESCENT_STEPS, _ETA_REL = 24, 1e-3
+#: angle steps of a walk's arc from the imaginary axis; the spectral
+#: shift's eta / lambda
+_ARC_STEPS, _ETA_REL = 4, 1e-3
 
 #: rounding-floor scale for err_est fields
 _EPS = np.finfo(float).eps
@@ -63,14 +64,23 @@ def _check(scene: Scene, grid: BoundaryGrid):
 
 
 def _logdet_pair(grid: BoundaryGrid, sp: SpectralPoint) -> LayerPair:
+    """The factored pair at sp; on the imaginary axis its determinant sign
+    product must be positive, so that Xi there is real."""
     pair = layer_pair(grid, sp)
-    if sp.is_imaginary and (pair.fq.sign < 0 or pair.ft.sign < 0):
+    if not sp.is_imaginary:
+        return pair
+    fq, ft = pair.fq, pair.ft
+    if fq.sign < 0 or ft.sign < 0:
         # positivity of the layer operator at imaginary wavenumber is an
         # empirical diagnostic, not a correctness assumption; fixed message
         # so the default warning filter deduplicates repeats
         warnings.warn("negative LU pivot sign for an imaginary-axis layer "
                       "matrix (grid underresolved for this kappa?)",
                       RuntimeWarning, stacklevel=3)
+    if fq.sign * ft.sign <= 0:
+        raise LayerDetError(
+            "negative determinant sign product on the imaginary axis "
+            f"(signs {fq.sign}, {ft.sign}); internal consistency violated")
     return pair
 
 
@@ -80,10 +90,6 @@ def xi_imag(scene: Scene, grid: BoundaryGrid, kappa: float) -> XiSample:
     sp = SpectralPoint.imaginary(kappa)
     pair = _logdet_pair(grid, sp)
     fq, ft = pair.fq, pair.ft
-    if fq.sign * ft.sign <= 0:
-        raise LayerDetError(
-            "negative determinant sign product on the imaginary axis "
-            f"(signs {fq.sign}, {ft.sign}); internal consistency violated")
     floor = (abs(fq.log_abs_det) + abs(ft.log_abs_det) + 1.0) * 8 * _EPS
     return XiSample(sp, pair.log_det_ratio(), 0, floor)
 
@@ -112,46 +118,37 @@ class _Unwrapper:
                                     f"singular spectral point {z}")
 
     def walk(self, path) -> list:
-        """Xi at every point of path.  The first point is an anchor where
-        Xi is negligible and takes the branch nearest Im Xi = 0; every later
-        point keeps Im within pi/2 of its predecessor by absorbing 2 pi
-        multiples and bisecting oversized steps."""
-        raw = self._eval(path[0])
-        m = -np.round(raw.imag / (2 * np.pi))
-        self.offset = int(m)
-        prev = (path[0], raw + 2j * np.pi * m)
+        """Xi at every point of path.  The first point is an anchor on the
+        imaginary axis, where the real assembly gives Im Xi = 0 exactly;
+        every later point keeps Im within pi/2 of its predecessor by
+        absorbing 2 pi multiples and bisecting oversized steps."""
+        prev = (path[0], self._eval(path[0]))
         vals = [prev[1]]
         for z in path[1:]:
-            prev = self._step(prev, z, 0)
+            prev = self._step(prev, z, self._eval(z), 0)
             vals.append(prev[1])
         return vals
 
-    def _step(self, prev, z: complex, depth: int):
+    def _step(self, prev, z: complex, raw: complex, depth: int):
         prev_z, prev_val = prev
-        raw = self._eval(z)
         m = np.round((prev_val.imag - raw.imag) / (2 * np.pi))
         val = raw + 2j * np.pi * m
         if abs(val.imag - prev_val.imag) > np.pi / 2:
             if depth > 48:
                 raise ConvergenceError("unwrapping step cannot be refined further")
-            prev = self._step(prev, 0.5 * (prev_z + z), depth + 1)
-            return self._step(prev, z, depth + 1)
+            mid = 0.5 * (prev_z + z)
+            prev = self._step(prev, mid, self._eval(mid), depth + 1)
+            return self._step(prev, z, raw, depth + 1)
         self.offset += int(m)
         return z, val
 
 
-def _delta_prime(scene: Scene) -> float:
-    if not np.isfinite(scene.gap):
-        raise LayerDetError("descent anchor needs a multi-obstacle scene")
-    return _DELTA_PRIME_FRACTION * scene.gap
-
-
-def _descent_points(target: complex, dprime: float):
-    lam_big = _LAMBDA_FACTOR / dprime
-    u = np.linspace(0.0, 1.0, _DESCENT_STEPS + 1)
-    mod = np.exp(np.log(lam_big) + (np.log(abs(target)) - np.log(lam_big)) * u)
-    ang = 0.5 * np.pi + (np.angle(target) - 0.5 * np.pi) * u
-    return mod * np.exp(1j * ang)
+def _from_axis(points) -> list:
+    """points led in from the imaginary axis: the anchor i|z0| and the arc
+    of modulus |z0| down to z0 = points[0] in _ARC_STEPS equal angle steps."""
+    z0 = complex(points[0])
+    ang = np.linspace(0.5 * np.pi, np.angle(z0), _ARC_STEPS + 1)[1:-1]
+    return [1j * abs(z0), *(abs(z0) * np.exp(1j * ang)), *points]
 
 
 def _positive(values, what: str) -> None:
@@ -170,7 +167,7 @@ def _richardson(f4, f2, f1):
 def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
             eta: float | None = None) -> XiSample:
     """Xi(lambda + i eta) near the positive real axis, branch fixed by
-    continuity from i*Lambda where Xi vanishes."""
+    continuity along the arc from i|lambda + i eta|, where Xi is real."""
     _check(scene, grid)
     _positive(lam, "lam")
     eta = _ETA_REL * lam if eta is None else float(eta)
@@ -180,7 +177,7 @@ def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
     if scene.n_obstacles == 1:
         return XiSample(sp, 0.0 + 0.0j, 0, 0.0)
     walker = _Unwrapper(grid)
-    val = walker.walk(_descent_points(target, _delta_prime(scene)))[-1]
+    val = walker.walk(_from_axis([target]))[-1]
     floor = (abs(val.real) + 1.0) * 16 * _EPS
     return XiSample(sp, val, walker.offset, floor)
 
@@ -193,8 +190,7 @@ def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
     eta0 = _ETA_REL * lam
     if scene.n_obstacles == 1:
         return ShiftSample(lam, 0.0, eta0, 0.0)
-    path = [*_descent_points(lam + 4j * eta0, _delta_prime(scene)),
-            lam + 2j * eta0, lam + 1j * eta0]
+    path = _from_axis([lam + 4j * eta0, lam + 2j * eta0, lam + 1j * eta0])
     f4, f2, f1 = (-v.imag / np.pi for v in _Unwrapper(grid).walk(path)[-3:])
     rich, err = _richardson(f4, f2, f1)
     return ShiftSample(lam, rich, eta0, err)
@@ -202,10 +198,10 @@ def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
 
 def xi_rel_many(scene: Scene, grid: BoundaryGrid,
                 lams: Sequence[float]) -> List[ShiftSample]:
-    """Batch xi_rel on a lambda grid: one descent from i*Lambda to the
-    largest lambda at 4 eta, then one unwrapping walk down the 4 eta ray, up
-    the 2 eta ray and down the 1 eta ray (rays through the origin, eta =
-    1e-3 lambda)."""
+    """Batch xi_rel on a lambda grid: one walk from the imaginary axis along
+    the arc to the largest lambda at 4 eta, then down the 4 eta ray, up the
+    2 eta ray and down the 1 eta ray (rays through the origin, eta = 1e-3
+    lambda)."""
     _check(scene, grid)
     lams = np.asarray(list(lams), dtype=float)
     _positive(lams, "lambda grid")
@@ -213,13 +209,9 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid,
         return [ShiftSample(l, 0.0, _ETA_REL * l, 0.0) for l in lams]
     order = np.argsort(lams)[::-1]
     sorted_lams = lams[order]
-    dprime = _delta_prime(scene)
     rays = [sorted_lams * (1.0 + 1j * c)
             for c in (4 * _ETA_REL, 2 * _ETA_REL, _ETA_REL)]
-    path = [*_descent_points(rays[0][0], dprime), *rays[0][1:]]
-    # each level's largest point is where a descent to it ends, ulps off the ray
-    rays[1][0], rays[2][0] = (_descent_points(r[0], dprime)[-1] for r in rays[1:])
-    path += [*rays[1][::-1], *rays[2]]
+    path = _from_axis([*rays[0], *rays[1][::-1], *rays[2]])
     vals = _Unwrapper(grid, budget=80 + 90 * lams.size).walk(path)[-3 * lams.size:]
     f4, f2, f1 = (-np.array([v.imag for v in level]) / np.pi
                   for level in np.split(np.array(vals), 3))
@@ -233,19 +225,16 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid,
 
 def xi_on_ray(scene: Scene, grid: BoundaryGrid, angle: float,
               u_values: Sequence[float]) -> np.ndarray:
-    """Xi(u e^{i angle}) with a continuous branch, anchored far out on the
-    ray where the exponential bound makes Xi negligible."""
+    """Xi(u e^{i angle}) with a continuous branch: one walk from the
+    imaginary axis along the arc to the largest u, then down the ray."""
     _check(scene, grid)
     u = np.asarray(list(u_values), dtype=float)
     _positive(u, "ray moduli")
     if scene.n_obstacles == 1 or not u.size:
         return np.zeros(u.size, dtype=complex)
-    u_anchor = _LAMBDA_FACTOR / (_delta_prime(scene) * np.sin(angle))
     order = np.argsort(u)[::-1]
     phase = np.exp(1j * angle)
-    # geometric approach from the anchor to the largest node
-    lead = np.geomspace(max(u_anchor, u[order[0]] * 1.5), u[order[0]], 8)
-    path = [v * phase for v in lead] + [u[idx] * phase for idx in order[1:]]
+    path = _from_axis([u[idx] * phase for idx in order])
     out = np.empty(u.size, dtype=complex)
     out[order] = _Unwrapper(grid, budget=120 + 30 * u.size).walk(path)[-u.size:]
     return out

@@ -29,6 +29,8 @@ MALFORMED = {
     "cos_scalar": lambda d: d["obstacles"].__setitem__(
         0, {"kind": "polar_fourier", "center": [0.0, 0.0], "cos": 1.0}),
     "overlapping": lambda d: d["obstacles"][1].update(center=[1.5, 0.0]),
+    "crossing": lambda d: d["obstacles"].__setitem__(
+        1, {"kind": "ellipse", "center": [0.0, 1.2], "a": 1.5, "b": 0.3}),
     "center_three_elements": lambda d: d["obstacles"][0].update(center=[0, 0, 5]),
     "radius_boolean": lambda d: d["obstacles"][0].update(radius=True),
     "radius_nan": lambda d: d["obstacles"][0].update(radius=float("nan")),

@@ -72,6 +72,12 @@ class TestMinGap:
         with pytest.raises(SceneError):
             make_scene([make_circle((0, 0), 3.0), make_circle((0, 0), 1.0)])
 
+    def test_crossing_rejected(self):
+        # neither curve's first node lies inside the other, but the
+        # ellipse's top and bottom nodes lie on either side of the circle
+        with pytest.raises(SceneError, match="overlap or nest"):
+            make_scene([make_circle((0, 0), 1.0), make_ellipse((0, 1.2), 1.5, 0.3)])
+
     def test_single_obstacle_sentinel(self):
         scene = make_scene([make_circle((0, 0), 1.0)])
         assert scene.gap == np.inf

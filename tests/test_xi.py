@@ -1,13 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerdet import (LayerDetError, PartialWaveConfig, SingularOperatorError,
-                      SpectralPoint, discretize, make_circle, make_ellipse,
-                      make_kite, make_polar_fourier, make_scene, trace_rrel,
-                      xi_imag, xi_on_ray, xi_prime, xi_real, xi_rel,
-                      xi_rel_many, xi_two_disks)
+from layerdet import (Curve, LayerDetError, PartialWaveConfig,
+                      SingularOperatorError, SpectralPoint, discretize,
+                      make_circle, make_ellipse, make_kite, make_polar_fourier,
+                      make_scene, trace_rrel, xi, xi_imag, xi_on_ray, xi_prime,
+                      xi_real, xi_rel, xi_rel_many, xi_two_disks)
 
 
 def richardson_fd(f, x, h):
@@ -140,6 +142,20 @@ def disjoint_scenes(draw):
     return makers, centres
 
 
+def _similar(curve, scale, turn):
+    """curve scaled by `scale` and turned by `turn` about the origin, its
+    parameter shifted by `turn` as well: for a whole number of node
+    spacings the nodes land on the turned curve's own nodes, as a circle's
+    do, whose nodes start at angle 0 wherever its centre is."""
+    c, s = np.cos(turn), np.sin(turn)
+    rot = scale * np.array([[c, s], [-s, c]])      # row vectors: p @ rot
+
+    def maps(t, order):
+        return (curve.point, curve.velocity, curve.accel)[order](t - turn) @ rot
+
+    return Curve(curve.kind, tuple(np.array(curve.center) @ rot), curve.params, maps)
+
+
 class TestRandomScenes:
     # n = 32 is coarse for a kite, but every property below holds for the
     # discretized operator itself
@@ -151,21 +167,65 @@ class TestRandomScenes:
 
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(scene=disjoint_scenes(), kappa=st.floats(0.1, 2.0),
-           shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)))
-    def test_invariances_and_nullity(self, scene, kappa, shift):
+           shift=st.tuples(st.floats(-5.0, 5.0), st.floats(-5.0, 5.0)),
+           scale=st.floats(0.5, 2.0), turns=st.integers(1, n - 1))
+    def test_invariances_and_nullity(self, scene, kappa, shift, scale, turns):
         makers, centres = scene
-        base = self.xi([m(c) for m, c in zip(makers, centres)], kappa)
+        curves = [m(c) for m, c in zip(makers, centres)]
+        base = self.xi(curves, kappa)
 
         def agrees(other):
             return abs(other.xi.real - base.xi.real) <= \
                 max(1e-10 * abs(base.xi.real), other.err_est + base.err_est)
 
-        assert agrees(self.xi([m(c) for m, c in zip(makers[::-1], centres[::-1])],
-                              kappa))
+        assert agrees(self.xi(curves[::-1], kappa))
         moved = [(x + shift[0], y + shift[1]) for x, y in centres]
         assert agrees(self.xi([m(c) for m, c in zip(makers, moved)], kappa))
-        for m, c in zip(makers, centres):
-            assert abs(self.xi([m(c)], kappa).xi) <= 1e-12
+        turn = 2 * np.pi * turns / self.n
+        assert agrees(self.xi([_similar(c, 1.0, turn) for c in curves], kappa))
+        # Xi of the scene scaled by s at i kappa / s is Xi at i kappa
+        assert agrees(self.xi([_similar(c, scale, 0.0) for c in curves],
+                              kappa / scale))
+        for c in curves:
+            assert abs(self.xi([c], kappa).xi) <= 1e-12
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(scene=disjoint_scenes(), lam=st.floats(0.1, 2.0))
+    def test_walks_start_on_the_imaginary_axis(self, scene, lam):
+        # the branch reached along the arc from i|z0| is the one the far
+        # descent from i*Lambda, Lambda = 20 / (0.9 gap), reached before
+        makers, centres = scene
+        sc = make_scene([m(c) for m, c in zip(makers, centres)])
+        grid = discretize(sc, self.n)
+        phase = np.exp(1j * np.pi / 8)
+        walks, walk = [], xi._Unwrapper.walk
+
+        def recorded(walker, path):
+            vals = walk(walker, path)
+            walks.append((list(path), vals))
+            return vals
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(xi._Unwrapper, "walk", recorded)
+            ray = xi_on_ray(sc, grid, np.pi / 8, [lam, 0.5 * lam])
+            real = xi_real(sc, grid, lam).xi
+        assert len(walks) == 2
+        for path, vals in walks:
+            assert path[0].real == 0 and path[0].imag > 0
+            arc = np.imag(vals[:xi._ARC_STEPS + 1])
+            assert np.all(np.abs(np.diff(arc)) <= np.pi / 8)
+
+        far = 20.0 / (0.9 * sc.gap)
+
+        def descent(target):
+            u = np.linspace(0.0, 1.0, 25)
+            ang = 0.5 * np.pi + (np.angle(target) - 0.5 * np.pi) * u
+            return [*(far * (abs(target) / far) ** u * np.exp(1j * ang))[:-1], target]
+
+        ref = xi._Unwrapper(grid).walk([*descent(lam * phase), 0.5 * lam * phase])
+        assert np.allclose(np.imag(ref[-2:]), ray.imag, rtol=0, atol=1e-10)
+        ref = xi._Unwrapper(grid).walk(descent(lam + 1e-3j * lam))
+        assert abs(ref[-1].imag - real.imag) <= 1e-10
 
 
 class TestXiPrime:
@@ -340,20 +400,54 @@ def canonical_grid_32(canonical_scene):
 
 
 class TestWalkerPaths:
-    # every walker visits a fixed path: the 25-point descent from i*Lambda
-    # (or the 8-point lead-in on a ray), then its own evaluation points,
-    # plus any bisections of oversized phase steps; xi_rel_many descends
-    # once and then walks its three eta rays back and forth
+    # every walker visits a fixed path: the anchor i|z0| on the imaginary
+    # axis and 4 arc steps at modulus |z0| to its first point z0, then its
+    # own evaluation points, plus any bisections of oversized phase steps;
+    # xi_rel_many walks its three eta rays back and forth from one arc
     @pytest.mark.parametrize("call, expected", [
-        (lambda s, g: xi_real(s, g, 0.7), 25),
-        (lambda s, g: xi_rel(s, g, 0.7), 27),
-        (lambda s, g: xi_rel_many(s, g, [0.5, 0.9, 1.3, 3.0]), 36),
-        (lambda s, g: xi_on_ray(s, g, np.pi / 8, [0.5, 1.1, 2.0]), 10),
+        (lambda s, g: xi_real(s, g, 0.7), 5),
+        (lambda s, g: xi_rel(s, g, 0.7), 7),
+        (lambda s, g: xi_rel_many(s, g, [0.5, 0.9, 1.3, 3.0]), 16),
+        (lambda s, g: xi_on_ray(s, g, np.pi / 8, [0.5, 1.1, 2.0]), 7),
     ], ids=["xi_real", "xi_rel", "xi_rel_many", "xi_on_ray"])
     def test_q_assemblies(self, canonical_scene, canonical_grid_32,
                           q_assemblies, call, expected):
         call(canonical_scene, canonical_grid_32)
         assert q_assemblies[0] == expected
+
+    def test_bisected_points_evaluated_once(self, monkeypatch):
+        # Im Xi = 4 Re z: the step from 1j to 1 + 1j bisects down to
+        # quarter steps, five distinct points in all
+        calls = []
+
+        def stub(walker, z):
+            calls.append(z)
+            return 4j * z.real
+
+        monkeypatch.setattr(xi._Unwrapper, "_eval", stub)
+        vals = xi._Unwrapper(None).walk([1j, 1 + 1j])
+        assert vals == [0, 4j]
+        assert len(calls) == len(set(calls)) == 5
+
+    def test_negative_anchor_sign_product_raises(self, canonical_scene,
+                                                 canonical_grid_32, monkeypatch):
+        # Q's determinant sign flipped on the imaginary axis only: the
+        # anchor must raise rather than start the walk at Im Xi = pi
+        pair = xi.layer_pair
+
+        def flipped(grid, sp):
+            p = pair(grid, sp)
+            if not sp.is_imaginary:
+                return p
+            return p._replace(fq=dataclasses.replace(p.fq, sign=-p.fq.sign,
+                                                     phase=np.pi - p.fq.phase))
+
+        monkeypatch.setattr(xi, "layer_pair", flipped)
+        for call in (lambda: xi_real(canonical_scene, canonical_grid_32, 0.7),
+                     lambda: xi_on_ray(canonical_scene, canonical_grid_32,
+                                       np.pi / 8, [1.0])):
+            with pytest.raises(LayerDetError, match="sign product"):
+                call()
 
     @pytest.mark.parametrize("eta", [0.0, -1e-3], ids=["xi_real_zero",
                                                       "xi_real_negative"])
