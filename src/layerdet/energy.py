@@ -26,7 +26,8 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConvergenceError, LayerDetError
 from .geometry import BoundaryGrid, Scene
 from .kernel import KAPPA_MIN_FACTOR
-from .xi import _DELTA_PRIME_FRACTION, xi_dsep, xi_imag, xi_on_ray, xi_rel_many
+from .xi import (_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR, xi_dsep, xi_imag, xi_on_ray,
+                 xi_rel_many)
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,8 @@ def _xi_imag_weighted(scene: Scene, sample: Callable[[float], float],
     """Integral of weight(kappa) sample(kappa) over [1e-6 / gap,
     30 / (0.9 gap)] of a multi-obstacle scene, sample being Xi(i kappa) or
     a derivative of it."""
-    kmin, kmax = KAPPA_MIN_FACTOR / scene.gap, 30.0 / (_DELTA_PRIME_FRACTION * scene.gap)
+    kmin = KAPPA_MIN_FACTOR / scene.gap
+    kmax = _KAPPA_MAX_FACTOR / (_DELTA_PRIME_FRACTION * scene.gap)
     value, err, nodes, vals = _nested_cc(
         (kmin, kmax), lambda ks: np.array([sample(k) for k in ks.tolist()]), weight,
         cfg.tol)

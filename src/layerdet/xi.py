@@ -14,8 +14,11 @@ the cancellation of two large traces.
 On the imaginary axis everything is real and Xi(i kappa) carries the branch
 Im Xi = 0 at every kappa.  Xi elsewhere carries the branch fixed by
 continuity from there: every walk starts at i|z0|, z0 its first point, and
-reaches z0 along the arc of modulus |z0|.  Xi is analytic and zero-free in
-the open upper half plane, so every such path gives the same branch.
+reaches z0 along the arc of modulus |z0| (beyond the energy's kappa_max it
+meets the axis at kappa_max and goes out along z0's ray).  The start is not
+evaluated, since Im Xi = 0 there is known; the first arc step is held to
+the walker's pi/2 rule against it.  Xi is analytic and zero-free in the
+open upper half plane, so every such path gives the same branch.
 """
 
 from __future__ import annotations
@@ -32,8 +35,10 @@ from .kernel import SpectralPoint
 from .layer_ops import (LayerPair, assemble_dq, assemble_dt_dsep, assemble_q,
                         factorize, layer_pair, solve, split_blocks)
 
-#: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate
-_DELTA_PRIME_FRACTION = 0.9
+#: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate; the
+#: energy's kappa range ends at kappa_max = _KAPPA_MAX_FACTOR / delta', and
+#: no walk meets the imaginary axis further out
+_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR = 0.9, 30.0
 #: angle steps of a walk's arc from the imaginary axis; the spectral
 #: shift's eta / lambda
 _ARC_STEPS, _ETA_REL = 4, 1e-3
@@ -64,23 +69,14 @@ def _check(scene: Scene, grid: BoundaryGrid):
 
 
 def _logdet_pair(grid: BoundaryGrid, sp: SpectralPoint) -> LayerPair:
-    """The factored pair at sp; on the imaginary axis its determinant sign
-    product must be positive, so that Xi there is real."""
     pair = layer_pair(grid, sp)
-    if not sp.is_imaginary:
-        return pair
-    fq, ft = pair.fq, pair.ft
-    if fq.sign < 0 or ft.sign < 0:
+    if sp.is_imaginary and (pair.fq.sign < 0 or pair.ft.sign < 0):
         # positivity of the layer operator at imaginary wavenumber is an
         # empirical diagnostic, not a correctness assumption; fixed message
         # so the default warning filter deduplicates repeats
         warnings.warn("negative LU pivot sign for an imaginary-axis layer "
                       "matrix (grid underresolved for this kappa?)",
                       RuntimeWarning, stacklevel=3)
-    if fq.sign * ft.sign <= 0:
-        raise LayerDetError(
-            "negative determinant sign product on the imaginary axis "
-            f"(signs {fq.sign}, {ft.sign}); internal consistency violated")
     return pair
 
 
@@ -90,6 +86,10 @@ def xi_imag(scene: Scene, grid: BoundaryGrid, kappa: float) -> XiSample:
     sp = SpectralPoint.imaginary(kappa)
     pair = _logdet_pair(grid, sp)
     fq, ft = pair.fq, pair.ft
+    if fq.sign * ft.sign <= 0:
+        raise LayerDetError(
+            "negative determinant sign product on the imaginary axis "
+            f"(signs {fq.sign}, {ft.sign}); internal consistency violated")
     floor = (abs(fq.log_abs_det) + abs(ft.log_abs_det) + 1.0) * 8 * _EPS
     return XiSample(sp, pair.log_det_ratio(), 0, floor)
 
@@ -118,12 +118,11 @@ class _Unwrapper:
                                     f"singular spectral point {z}")
 
     def walk(self, path) -> list:
-        """Xi at every point of path.  The first point is an anchor on the
-        imaginary axis, where the real assembly gives Im Xi = 0 exactly;
-        every later point keeps Im within pi/2 of its predecessor by
-        absorbing 2 pi multiples and bisecting oversized steps."""
-        prev = (path[0], self._eval(path[0]))
-        vals = [prev[1]]
+        """Xi at path[1:].  path[0] is an anchor on the imaginary axis,
+        where Im Xi = 0 is known, so it is not evaluated; every later point
+        keeps Im within pi/2 of its predecessor by absorbing 2 pi multiples
+        and bisecting oversized steps, the first one against the anchor."""
+        prev, vals = (path[0], 0j), []
         for z in path[1:]:
             prev = self._step(prev, z, self._eval(z), 0)
             vals.append(prev[1])
@@ -143,12 +142,16 @@ class _Unwrapper:
         return z, val
 
 
-def _from_axis(points) -> list:
-    """points led in from the imaginary axis: the anchor i|z0| and the arc
-    of modulus |z0| down to z0 = points[0] in _ARC_STEPS equal angle steps."""
+def _from_axis(scene: Scene, points) -> list:
+    """points led in from the imaginary axis: the anchor i r, the arc of
+    modulus r = min(|z0|, kappa_max) down to z0 = points[0] in _ARC_STEPS
+    equal angle steps and, when r < |z0|, out along z0's ray in steps of at
+    most a factor 2."""
     z0 = complex(points[0])
-    ang = np.linspace(0.5 * np.pi, np.angle(z0), _ARC_STEPS + 1)[1:-1]
-    return [1j * abs(z0), *(abs(z0) * np.exp(1j * ang)), *points]
+    r = min(abs(z0), _KAPPA_MAX_FACTOR / (_DELTA_PRIME_FRACTION * scene.gap))
+    arc = r * np.exp(1j * np.linspace(0.5 * np.pi, np.angle(z0), _ARC_STEPS + 1)[1:-1])
+    out = np.geomspace(r, abs(z0), int(np.ceil(np.log2(abs(z0) / r))) + 1)[:-1]
+    return [1j * r, *arc, *(out * np.exp(1j * np.angle(z0))), *points]
 
 
 def _positive(values, what: str) -> None:
@@ -167,7 +170,7 @@ def _richardson(f4, f2, f1):
 def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
             eta: float | None = None) -> XiSample:
     """Xi(lambda + i eta) near the positive real axis, branch fixed by
-    continuity along the arc from i|lambda + i eta|, where Xi is real."""
+    continuity along the arc from i|lambda + i eta|, where Im Xi = 0."""
     _check(scene, grid)
     _positive(lam, "lam")
     eta = _ETA_REL * lam if eta is None else float(eta)
@@ -177,7 +180,7 @@ def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
     if scene.n_obstacles == 1:
         return XiSample(sp, 0.0 + 0.0j, 0, 0.0)
     walker = _Unwrapper(grid)
-    val = walker.walk(_from_axis([target]))[-1]
+    val = walker.walk(_from_axis(scene, [target]))[-1]
     floor = (abs(val.real) + 1.0) * 16 * _EPS
     return XiSample(sp, val, walker.offset, floor)
 
@@ -190,7 +193,7 @@ def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
     eta0 = _ETA_REL * lam
     if scene.n_obstacles == 1:
         return ShiftSample(lam, 0.0, eta0, 0.0)
-    path = _from_axis([lam + 4j * eta0, lam + 2j * eta0, lam + 1j * eta0])
+    path = _from_axis(scene, [lam + 4j * eta0, lam + 2j * eta0, lam + 1j * eta0])
     f4, f2, f1 = (-v.imag / np.pi for v in _Unwrapper(grid).walk(path)[-3:])
     rich, err = _richardson(f4, f2, f1)
     return ShiftSample(lam, rich, eta0, err)
@@ -211,7 +214,7 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid,
     sorted_lams = lams[order]
     rays = [sorted_lams * (1.0 + 1j * c)
             for c in (4 * _ETA_REL, 2 * _ETA_REL, _ETA_REL)]
-    path = _from_axis([*rays[0], *rays[1][::-1], *rays[2]])
+    path = _from_axis(scene, [*rays[0], *rays[1][::-1], *rays[2]])
     vals = _Unwrapper(grid, budget=80 + 90 * lams.size).walk(path)[-3 * lams.size:]
     f4, f2, f1 = (-np.array([v.imag for v in level]) / np.pi
                   for level in np.split(np.array(vals), 3))
@@ -234,7 +237,7 @@ def xi_on_ray(scene: Scene, grid: BoundaryGrid, angle: float,
         return np.zeros(u.size, dtype=complex)
     order = np.argsort(u)[::-1]
     phase = np.exp(1j * angle)
-    path = _from_axis([u[idx] * phase for idx in order])
+    path = _from_axis(scene, [u[idx] * phase for idx in order])
     out = np.empty(u.size, dtype=complex)
     out[order] = _Unwrapper(grid, budget=120 + 30 * u.size).walk(path)[-u.size:]
     return out

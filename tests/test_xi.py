@@ -1,15 +1,14 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from layerdet import (Curve, LayerDetError, PartialWaveConfig,
-                      SingularOperatorError, SpectralPoint, discretize,
-                      make_circle, make_ellipse, make_kite, make_polar_fourier,
-                      make_scene, trace_rrel, xi, xi_imag, xi_on_ray, xi_prime,
-                      xi_real, xi_rel, xi_rel_many, xi_two_disks)
+from layerdet import (ConvergenceError, Curve, LayerDetError,
+                      PartialWaveConfig, SingularOperatorError, SpectralPoint,
+                      discretize, make_circle, make_ellipse, make_kite,
+                      make_polar_fourier, make_scene, trace_rrel, xi, xi_imag,
+                      xi_on_ray, xi_prime, xi_real, xi_rel, xi_rel_many,
+                      xi_two_disks)
 
 
 def richardson_fd(f, x, h):
@@ -198,34 +197,49 @@ class TestRandomScenes:
         sc = make_scene([m(c) for m, c in zip(makers, centres)])
         grid = discretize(sc, self.n)
         phase = np.exp(1j * np.pi / 8)
-        walks, walk = [], xi._Unwrapper.walk
+        walks = _recorded_walks()
+        with walks:
+            ray = xi_on_ray(sc, grid, np.pi / 8, [lam, 0.5 * lam])
+            real = xi_real(sc, grid, lam).xi
+        assert len(walks.seen) == 2
+        for path, vals in walks.seen:
+            assert path[0].real == 0 and path[0].imag > 0
+            # Im Xi = 0 at the anchor, which is not evaluated
+            arc = np.imag([0, *vals[:xi._ARC_STEPS]])
+            assert np.all(np.abs(np.diff(arc)) <= np.pi / 8)
+
+        ref = xi._Unwrapper(grid).walk([*_descent(lam * phase, sc.gap),
+                                        0.5 * lam * phase])
+        assert np.allclose(np.imag(ref[-2:]), ray.imag, rtol=0, atol=1e-10)
+        ref = xi._Unwrapper(grid).walk(_descent(lam + 1e-3j * lam, sc.gap))
+        assert abs(ref[-1].imag - real.imag) <= 1e-10
+
+
+def _descent(target, gap):
+    """The 25-point descent from i*Lambda, Lambda = 20 / (0.9 gap), along a
+    log-spiral to target: a reference path for the branch."""
+    far = 20.0 / (0.9 * gap)
+    u = np.linspace(0.0, 1.0, 25)
+    ang = 0.5 * np.pi + (np.angle(target) - 0.5 * np.pi) * u
+    return [*(far * (abs(target) / far) ** u * np.exp(1j * ang))[:-1], target]
+
+
+class _recorded_walks(pytest.MonkeyPatch):
+    """Context in which every walk's path and values are kept in .seen."""
+
+    def __enter__(self):
+        self.seen, walk = [], xi._Unwrapper.walk
 
         def recorded(walker, path):
             vals = walk(walker, path)
-            walks.append((list(path), vals))
+            self.seen.append((list(path), vals))
             return vals
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(xi._Unwrapper, "walk", recorded)
-            ray = xi_on_ray(sc, grid, np.pi / 8, [lam, 0.5 * lam])
-            real = xi_real(sc, grid, lam).xi
-        assert len(walks) == 2
-        for path, vals in walks:
-            assert path[0].real == 0 and path[0].imag > 0
-            arc = np.imag(vals[:xi._ARC_STEPS + 1])
-            assert np.all(np.abs(np.diff(arc)) <= np.pi / 8)
+        self.setattr(xi._Unwrapper, "walk", recorded)
+        return self
 
-        far = 20.0 / (0.9 * sc.gap)
-
-        def descent(target):
-            u = np.linspace(0.0, 1.0, 25)
-            ang = 0.5 * np.pi + (np.angle(target) - 0.5 * np.pi) * u
-            return [*(far * (abs(target) / far) ** u * np.exp(1j * ang))[:-1], target]
-
-        ref = xi._Unwrapper(grid).walk([*descent(lam * phase), 0.5 * lam * phase])
-        assert np.allclose(np.imag(ref[-2:]), ray.imag, rtol=0, atol=1e-10)
-        ref = xi._Unwrapper(grid).walk(descent(lam + 1e-3j * lam))
-        assert abs(ref[-1].imag - real.imag) <= 1e-10
+    def __exit__(self, *exc):
+        self.undo()
 
 
 class TestXiPrime:
@@ -400,15 +414,16 @@ def canonical_grid_32(canonical_scene):
 
 
 class TestWalkerPaths:
-    # every walker visits a fixed path: the anchor i|z0| on the imaginary
-    # axis and 4 arc steps at modulus |z0| to its first point z0, then its
-    # own evaluation points, plus any bisections of oversized phase steps;
-    # xi_rel_many walks its three eta rays back and forth from one arc
+    # every walker visits a fixed path: from the anchor i|z0| on the
+    # imaginary axis, which is not evaluated, 4 arc steps at modulus |z0| to
+    # its first point z0, then its own evaluation points, plus any
+    # bisections of oversized phase steps; xi_rel_many walks its three eta
+    # rays back and forth from one arc
     @pytest.mark.parametrize("call, expected", [
-        (lambda s, g: xi_real(s, g, 0.7), 5),
-        (lambda s, g: xi_rel(s, g, 0.7), 7),
-        (lambda s, g: xi_rel_many(s, g, [0.5, 0.9, 1.3, 3.0]), 16),
-        (lambda s, g: xi_on_ray(s, g, np.pi / 8, [0.5, 1.1, 2.0]), 7),
+        (lambda s, g: xi_real(s, g, 0.7), 4),
+        (lambda s, g: xi_rel(s, g, 0.7), 6),
+        (lambda s, g: xi_rel_many(s, g, [0.5, 0.9, 1.3, 3.0]), 15),
+        (lambda s, g: xi_on_ray(s, g, np.pi / 8, [0.5, 1.1, 2.0]), 6),
     ], ids=["xi_real", "xi_rel", "xi_rel_many", "xi_on_ray"])
     def test_q_assemblies(self, canonical_scene, canonical_grid_32,
                           q_assemblies, call, expected):
@@ -416,8 +431,8 @@ class TestWalkerPaths:
         assert q_assemblies[0] == expected
 
     def test_bisected_points_evaluated_once(self, monkeypatch):
-        # Im Xi = 4 Re z: the step from 1j to 1 + 1j bisects down to
-        # quarter steps, five distinct points in all
+        # Im Xi = 4 Re z: the step from the anchor 1j to 1 + 1j bisects
+        # down to quarter steps, four distinct points in all
         calls = []
 
         def stub(walker, z):
@@ -426,28 +441,42 @@ class TestWalkerPaths:
 
         monkeypatch.setattr(xi._Unwrapper, "_eval", stub)
         vals = xi._Unwrapper(None).walk([1j, 1 + 1j])
-        assert vals == [0, 4j]
-        assert len(calls) == len(set(calls)) == 5
+        assert vals == [4j]
+        assert len(calls) == len(set(calls)) == 4
 
-    def test_negative_anchor_sign_product_raises(self, canonical_scene,
-                                                 canonical_grid_32, monkeypatch):
-        # Q's determinant sign flipped on the imaginary axis only: the
-        # anchor must raise rather than start the walk at Im Xi = pi
-        pair = xi.layer_pair
+    def test_first_step_held_to_the_axis_branch(self, monkeypatch):
+        # Im Xi = pi next to the axis contradicts Im Xi = 0 on it (as a
+        # negative determinant sign product there would): the walker
+        # bisects toward the anchor and raises rather than start on the
+        # Im Xi = pi branch
+        monkeypatch.setattr(xi._Unwrapper, "_eval", lambda walker, z: np.pi * 1j)
+        with pytest.raises(ConvergenceError, match="refined"):
+            xi._Unwrapper(None).walk([1j, 1 + 1j])
 
-        def flipped(grid, sp):
-            p = pair(grid, sp)
-            if not sp.is_imaginary:
-                return p
-            return p._replace(fq=dataclasses.replace(p.fq, sign=-p.fq.sign,
-                                                     phase=np.pi - p.fq.phase))
+    def test_below_kappa_min(self, canonical_scene, canonical_grid_32):
+        # lambda below kappa_min = 1e-6 / gap: the walk stays off the axis,
+        # where the real assembly would refuse kappa < kappa_min
+        lam = 1e-8
+        val = xi_real(canonical_scene, canonical_grid_32, lam).xi
+        ref = xi._Unwrapper(canonical_grid_32).walk(
+            _descent(lam + 1e-3j * lam, canonical_scene.gap))[-1]
+        assert abs(val.imag - ref.imag) <= 1e-10
 
-        monkeypatch.setattr(xi, "layer_pair", flipped)
-        for call in (lambda: xi_real(canonical_scene, canonical_grid_32, 0.7),
-                     lambda: xi_on_ray(canonical_scene, canonical_grid_32,
-                                       np.pi / 8, [1.0])):
-            with pytest.raises(LayerDetError, match="sign product"):
-                call()
+    def test_far_target_meets_the_axis_at_kappa_max(self):
+        # u = 45 / (0.9 gap sin(pi/8)), trace_df's u_max for a small t on a
+        # close pair: the walk reaches the axis at kappa_max = 30 / (0.9
+        # gap), where i0(kappa r) is finite, and goes out along the ray
+        sc = make_scene([make_circle((0, 0), 1.0), make_circle((2.2, 0), 1.0)])
+        grid = discretize(sc, 32)
+        u = 45.0 / (0.9 * sc.gap * np.sin(np.pi / 8))
+        walks = _recorded_walks()
+        with walks:
+            vals = xi_on_ray(sc, grid, np.pi / 8, [u, 0.5 * u])
+        assert np.all(np.isfinite(vals))
+        (path, _), = walks.seen
+        kappa_max = 30.0 / (0.9 * sc.gap)
+        assert path[0] == pytest.approx(1j * kappa_max, rel=1e-15)
+        assert max(abs(np.array(path))) == pytest.approx(u, rel=1e-15)
 
     @pytest.mark.parametrize("eta", [0.0, -1e-3], ids=["xi_real_zero",
                                                       "xi_real_negative"])
