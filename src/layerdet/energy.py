@@ -153,14 +153,14 @@ def _xi_imag_weighted(scene: Scene, sample: Callable[[float], float],
     """Integral of weight(kappa) sample(kappa) over [1e-6 / gap,
     30 / (0.9 gap)] of a multi-obstacle scene, sample being Xi(i kappa) or
     a derivative of it."""
-    kmin = KAPPA_MIN_FACTOR / scene.gap
-    kmax = _KAPPA_MAX_FACTOR / (_DELTA_PRIME_FRACTION * scene.gap)
+    dprime = _DELTA_PRIME_FRACTION * scene.gap
+    kmin, kmax = KAPPA_MIN_FACTOR / scene.gap, _KAPPA_MAX_FACTOR / dprime
     value, err, nodes, vals = _nested_cc(
         (kmin, kmax), lambda ks: np.array([sample(k) for k in ks.tolist()]), weight,
         cfg.tol)
     near_zero = kmin * max(abs(weight(kmin)), abs(weight(2.0 * kmin))) * \
         np.max(np.abs(vals[nodes <= 2.0 * kmin]))
-    tail = _fit_tail(nodes, vals, kmax, _DELTA_PRIME_FRACTION * scene.gap)
+    tail = _fit_tail(nodes, vals, kmax, dprime)
     # once the integrand sits below the log-determinant rounding scale,
     # any extension integrates noise; bound that by a rectangle over the
     # magnitudes observed on [kappa_max / 2, kappa_max]

@@ -11,14 +11,12 @@ difference-structured operator form  (dT) Q^{-1} - (dQtilde) Qtilde^{-1} T
 Q^{-1}, whose traces involve only small (cross-coupling) factors, avoiding
 the cancellation of two large traces.
 
-On the imaginary axis everything is real and Xi(i kappa) carries the branch
-Im Xi = 0 at every kappa.  Xi elsewhere carries the branch fixed by
-continuity from there: every walk starts at i|z0|, z0 its first point, and
-reaches z0 along the arc of modulus |z0| (beyond the energy's kappa_max it
-meets the axis at kappa_max and goes out along z0's ray).  The start is not
-evaluated, since Im Xi = 0 there is known; the first arc step is held to
-the walker's pi/2 rule against it.  Xi is analytic and zero-free in the
-open upper half plane, so every such path gives the same branch.
+On the imaginary axis everything is real and Im Xi(i kappa) = 0 at every
+kappa.  Xi elsewhere carries the branch fixed by continuity from there: a
+walk starts, unevaluated, at i r, r = min(|z0|, kappa_max) for its first
+point z0, and reaches z0 along the arc of modulus r and then z0's ray.  Xi
+is analytic and zero-free in the open upper half plane, so every such path
+gives the same branch.
 """
 
 from __future__ import annotations
@@ -36,8 +34,7 @@ from .layer_ops import (LayerPair, assemble_dq, assemble_dt_dsep, assemble_q,
                         factorize, layer_pair, solve, split_blocks)
 
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate; the
-#: energy's kappa range ends at kappa_max = _KAPPA_MAX_FACTOR / delta', and
-#: no walk meets the imaginary axis further out
+#: energy's kappa range and every walk's anchor end at _KAPPA_MAX_FACTOR / delta'
 _DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR = 0.9, 30.0
 #: angle steps of a walk's arc from the imaginary axis; the spectral
 #: shift's eta / lambda
