@@ -3,7 +3,8 @@ log-singularity splitting for diagonal-block quadrature.
 
 Spectral points live in the closed upper half plane: lambda = i*kappa on the
 imaginary axis (where every kernel is real and exponentially decaying) or
-lambda = |lambda| e^{i theta} on a ray with 0 < theta < pi/2.  The kernel
+lambda = |lambda| e^{i theta} on a ray with 0 < theta < pi/2, or on the
+positive real axis (theta = 0, the boundary value lambda + i0).  The kernel
 is (i/4) H1_0(lambda r), which at lambda = i kappa collapses to
 (1/2pi) K_0(kappa r); the code uses the modified-Bessel form there so the
 imaginary part is exactly zero.
@@ -46,9 +47,9 @@ class SpectralPoint:
     """Point lambda in the closed upper half plane sector.
 
     axis "imaginary": lambda = i * value; axis "ray": lambda =
-    value * e^{i*angle} with angle in (0, pi/2); axis "real" tags a target
-    on the positive real axis (never directly assembled; evaluation happens
-    at a small ray offset above it).
+    value * e^{i*angle} with angle in (0, pi/2); axis "real": lambda = value
+    on the positive real axis, where the outgoing kernel is the boundary
+    value lambda + i0 and Q is assembled as on a ray.
     """
 
     axis: str

@@ -17,6 +17,7 @@ cached on the grid and the product-rule weights R[|i - j|] per node count.
 
 Storage is real on the imaginary axis and complex elsewhere, for Q and for
 its derivative alike, which is taken in the axis variable (kappa or lambda).
+At real lambda the outgoing kernel is assembled as is, which is Q(lambda + i0).
 Determinants are only ever consumed as ratios of two factorizations sharing
 the same weights, so no symmetrized weighting is needed.  `layer_pair` is the
 one place where Q, its block-diagonal part Qtilde and the coupling
@@ -73,8 +74,6 @@ def kress_log_weights(n: int) -> np.ndarray:
 
 
 def _check_sp(grid: BoundaryGrid, sp: SpectralPoint):
-    if sp.axis == "real":
-        raise ValueError("assembly requires Im(lambda) > 0; use a ray offset")
     gap = grid.scene.gap
     kmin = KAPPA_MIN_FACTOR / gap if np.isfinite(gap) else 0.0
     if sp.is_imaginary and sp.value < kmin:

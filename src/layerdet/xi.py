@@ -17,6 +17,13 @@ walk starts, unevaluated, at i r, r = min(|z0|, kappa_max) for its first
 point z0, and reaches z0 along the arc of modulus r and then z0's ray.  Xi
 is analytic and zero-free in the open upper half plane, so every such path
 gives the same branch.
+
+The spectral shift -(1/pi) Im Xi(lambda + i0) is read at real lambda, from Q
+and Qtilde assembled there: the outgoing kernel is continuous up to the real
+axis, and the two are singular only where lambda^2 is an interior Dirichlet
+eigenvalue of an obstacle.  Such a point shows as a pivot ratio
+pivot_min / pivot_max below sqrt(eps); it alone is extrapolated from rays
+just above the axis instead.
 """
 
 from __future__ import annotations
@@ -36,12 +43,14 @@ from .layer_ops import (LayerPair, assemble_dq, assemble_dt_dsep, assemble_q,
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate; the
 #: energy's kappa range and every walk's anchor end at _KAPPA_MAX_FACTOR / delta'
 _DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR = 0.9, 30.0
-#: angle steps of a walk's arc from the imaginary axis; the spectral
-#: shift's eta / lambda
+#: angle steps of a walk's arc from the imaginary axis; eta / lambda of
+#: the spectral shift's ray fallback
 _ARC_STEPS, _ETA_REL = 4, 1e-3
 
-#: rounding-floor scale for err_est fields
+#: rounding-floor scale for err_est fields; a real-axis Q or Qtilde whose
+#: pivot ratio falls below _PIVOT_RATIO_MIN is taken as singular
 _EPS = np.finfo(float).eps
+_PIVOT_RATIO_MIN = np.sqrt(_EPS)
 
 
 @dataclass(frozen=True)
@@ -54,6 +63,9 @@ class XiSample:
 
 @dataclass(frozen=True)
 class ShiftSample:
+    """xi_rel at lam.  eta_used is 0 for a value read directly at real lam,
+    and the lowest ray offset 1e-3 lam where an interior Dirichlet
+    eigenvalue forced the ray extrapolation."""
     lam: float
     xi_rel: float
     eta_used: float
@@ -99,20 +111,28 @@ class _Unwrapper:
         self.budget = budget
         self.evals = 0
         self.offset = 0
+        #: min(pivot_min / pivot_max) of Q and Qtilde at each evaluated
+        #: point; 0.0 where the point was singular and the path deformed
+        self.pivot_ratio = {}
 
     def _eval(self, z: complex) -> complex:
         if self.evals >= self.budget:
             raise ConvergenceError("phase-unwrapping budget exceeded")
         self.evals += 1
+        w = z
         for attempt in range(4):
             try:
-                return _logdet_pair(self.grid, SpectralPoint.from_complex(z)).log_det_ratio()
+                pair = _logdet_pair(self.grid, SpectralPoint.from_complex(w))
             except SingularOperatorError:
                 # lambda^2 grazing an interior Dirichlet eigenvalue: deform
                 # the path locally upward
-                z = z + 1j * max(1e-6, 1e-3 * abs(z)) * 4.0 ** attempt
+                w = w + 1j * max(1e-6, 1e-3 * abs(w)) * 4.0 ** attempt
+                continue
+            self.pivot_ratio[z] = 0.0 if w != z else min(
+                f.pivot_min / f.pivot_max for f in (pair.fq, pair.ft))
+            return pair.log_det_ratio()
         raise SingularOperatorError("path deformation failed near a "
-                                    f"singular spectral point {z}")
+                                    f"singular spectral point {w}")
 
     def walk(self, path) -> list:
         """Xi at path[1:].  path[0] is an anchor on the imaginary axis,
@@ -156,14 +176,6 @@ def _positive(values, what: str) -> None:
         raise ValueError(f"{what} must be positive")
 
 
-def _richardson(f4, f2, f1):
-    """Extrapolate samples at eta in {4, 2, 1} * eta0 to eta -> 0; returns
-    the extrapolated value and its error estimate."""
-    g2, g1 = 2 * f2 - f4, 2 * f1 - f2
-    rich = (4 * g1 - g2) / 3.0
-    return rich, np.abs(rich - g1) + 64 * _EPS
-
-
 def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
             eta: float | None = None) -> XiSample:
     """Xi(lambda + i eta) near the positive real axis, branch fixed by
@@ -182,44 +194,48 @@ def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
     return XiSample(sp, val, walker.offset, floor)
 
 
-def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
-    """Relative spectral shift xi_rel(lambda) = -(1/pi) Im Xi(lambda + i0),
-    Richardson-extrapolated over eta in {4, 2, 1} * eta0, eta0 = 1e-3 lambda."""
-    _check(scene, grid)
-    _positive(lam, "lam")
+def _shift_on_rays(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
+    """xi_rel(lambda) where Q(lambda) is singular to working precision:
+    Richardson-extrapolated to eta -> 0 from the rays at eta in {4, 2, 1} *
+    eta0, eta0 = 1e-3 lambda, walked from the imaginary axis."""
     eta0 = _ETA_REL * lam
-    if scene.n_obstacles == 1:
-        return ShiftSample(lam, 0.0, eta0, 0.0)
     path = _from_axis(scene, [lam + 4j * eta0, lam + 2j * eta0, lam + 1j * eta0])
     f4, f2, f1 = (-v.imag / np.pi for v in _Unwrapper(grid).walk(path)[-3:])
-    rich, err = _richardson(f4, f2, f1)
-    return ShiftSample(lam, rich, eta0, err)
+    g2, g1 = 2 * f2 - f4, 2 * f1 - f2
+    rich = (4 * g1 - g2) / 3.0
+    return ShiftSample(lam, float(rich), eta0, float(abs(rich - g1) + 64 * _EPS))
+
+
+def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
+    """Relative spectral shift xi_rel(lambda) = -(1/pi) Im Xi(lambda + i0):
+    `xi_rel_many` at one point."""
+    return xi_rel_many(scene, grid, [lam])[0]
 
 
 def xi_rel_many(scene: Scene, grid: BoundaryGrid,
                 lams: Sequence[float]) -> List[ShiftSample]:
-    """Batch xi_rel on a lambda grid: one walk from the imaginary axis along
-    the arc to the largest lambda at 4 eta, then down the 4 eta ray, up the
-    2 eta ray and down the 1 eta ray (rays through the origin, eta = 1e-3
-    lambda)."""
+    """xi_rel(lambda) = -(1/pi) Im Xi(lambda + i0) on a lambda grid, from Q
+    assembled at real lambda: one walk from the imaginary axis along the arc
+    to the largest lambda, then down the real axis.  A point whose pivot
+    ratio is below sqrt(eps), or which is exactly singular, sits at an
+    interior Dirichlet eigenvalue; it alone falls back to `_shift_on_rays`."""
     _check(scene, grid)
     lams = np.asarray(list(lams), dtype=float)
     _positive(lams, "lambda grid")
     if scene.n_obstacles == 1 or not lams.size:
-        return [ShiftSample(l, 0.0, _ETA_REL * l, 0.0) for l in lams]
-    order = np.argsort(lams)[::-1]
-    sorted_lams = lams[order]
-    rays = [sorted_lams * (1.0 + 1j * c)
-            for c in (4 * _ETA_REL, 2 * _ETA_REL, _ETA_REL)]
-    path = _from_axis(scene, [*rays[0], *rays[1][::-1], *rays[2]])
-    vals = _Unwrapper(grid, budget=80 + 90 * lams.size).walk(path)[-3 * lams.size:]
-    f4, f2, f1 = (-np.array([v.imag for v in level]) / np.pi
-                  for level in np.split(np.array(vals), 3))
-    rich, err = _richardson(f4, f2[::-1], f1)
-    out = [None] * lams.size
-    for pos, idx in enumerate(order):
-        out[idx] = ShiftSample(float(lams[idx]), float(rich[pos]),
-                               _ETA_REL * float(lams[idx]), float(err[pos]))
+        return [ShiftSample(float(l), 0.0, 0.0, 0.0) for l in lams]
+    desc = np.sort(lams)[::-1]
+    walker = _Unwrapper(grid, budget=80 + 30 * lams.size)
+    vals = dict(zip(desc, walker.walk(_from_axis(scene, desc))[-lams.size:]))
+    out = []
+    for lam in lams:
+        ratio = walker.pivot_ratio[lam]
+        if ratio < _PIVOT_RATIO_MIN:
+            out.append(_shift_on_rays(scene, grid, float(lam)))
+        else:
+            val = vals[lam]
+            out.append(ShiftSample(float(lam), float(-val.imag / np.pi), 0.0,
+                                   float((abs(val) + 1.0) * 16 * _EPS / ratio)))
     return out
 
 

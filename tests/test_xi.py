@@ -385,12 +385,58 @@ class TestXiRel:
         assert abs(s.xi_rel - near.xi_rel) < 0.2
 
     def test_batch_matches_single(self, canonical_scene, canonical_grid_64):
+        # both assemble Q at the same real lambda: bitwise equal
         lams = [0.7, 1.6, 2.4]
         batch = xi_rel_many(canonical_scene, canonical_grid_64, lams)
         for lam, b in zip(lams, batch):
             single = xi_rel(canonical_scene, canonical_grid_64, lam)
-            assert b.xi_rel == pytest.approx(single.xi_rel, rel=1e-6, abs=1e-9)
-            assert b.lam == lam and b.eta_used > 0
+            assert b == single
+            assert b.lam == lam and b.eta_used == 0
+
+    @pytest.mark.parametrize("order", [0, 1], ids=["j01", "j11"])
+    def test_interior_eigenvalue_falls_back_to_rays(
+            self, canonical_scene, canonical_grid_64, order):
+        # at a unit disk's Dirichlet eigenvalue Q(lambda) is singular to
+        # working precision and the direct value is off by ~1e-2; the guard
+        # takes the ray extrapolation, which matches the direct values a
+        # little way off the eigenvalue on either side
+        from scipy.special import jn_zeros
+
+        lam = float(jn_zeros(order, 1)[0])
+        s = xi_rel(canonical_scene, canonical_grid_64, lam)
+        assert s.eta_used > 0
+        sides = xi_rel_many(canonical_scene, canonical_grid_64,
+                            [lam - 1e-5, lam + 1e-5])
+        assert all(side.eta_used == 0 for side in sides)
+        assert abs(s.xi_rel - 0.5 * (sides[0].xi_rel + sides[1].xi_rel)) <= 1e-7
+
+    def test_singular_real_target_falls_back_to_rays(
+            self, canonical_scene, canonical_grid_32, monkeypatch):
+        # an exactly singular Q at a real target is reported through the
+        # ray extrapolation, not as a value from a point moved off the axis
+        lam, logdet_pair = 0.9, xi._logdet_pair
+
+        def singular_at_lam(grid, sp):
+            if sp.axis == "real" and sp.value == lam:
+                raise SingularOperatorError("exactly singular pivot")
+            return logdet_pair(grid, sp)
+
+        ref = xi._shift_on_rays(canonical_scene, canonical_grid_32, lam)
+        monkeypatch.setattr(xi, "_logdet_pair", singular_at_lam)
+        batch = xi_rel_many(canonical_scene, canonical_grid_32, [1.3, lam, 0.5])
+        assert batch[1] == ref and ref.eta_used == pytest.approx(1e-3 * lam)
+        assert batch[0].eta_used == batch[2].eta_used == 0
+
+    def test_direct_value_converged_to_its_err_est(self, canonical_scene,
+                                                   canonical_grid_64):
+        # the direct value is the same at n = 64 and n = 128 to 1e-12, where
+        # the ray extrapolation is ~1e-8 off, and err_est covers the change
+        lam = 2.0
+        a = xi_rel(canonical_scene, canonical_grid_64, lam)
+        b = xi_rel(canonical_scene, discretize(canonical_scene, 128), lam)
+        diff = abs(a.xi_rel - b.xi_rel)
+        assert diff <= 1e-12
+        assert a.err_est >= diff and b.err_est >= diff
 
 
 class TestXiOnRay:
@@ -417,12 +463,12 @@ class TestWalkerPaths:
     # every walker visits a fixed path: from the anchor i|z0| on the
     # imaginary axis, which is not evaluated, 4 arc steps at modulus |z0| to
     # its first point z0, then its own evaluation points, plus any
-    # bisections of oversized phase steps; xi_rel_many walks its three eta
-    # rays back and forth from one arc
+    # bisections of oversized phase steps; xi_rel and xi_rel_many walk down
+    # the real axis from one arc
     @pytest.mark.parametrize("call, expected", [
         (lambda s, g: xi_real(s, g, 0.7), 4),
-        (lambda s, g: xi_rel(s, g, 0.7), 6),
-        (lambda s, g: xi_rel_many(s, g, [0.5, 0.9, 1.3, 3.0]), 15),
+        (lambda s, g: xi_rel(s, g, 0.7), 4),
+        (lambda s, g: xi_rel_many(s, g, [0.5, 0.9, 1.3, 3.0]), 7),
         (lambda s, g: xi_on_ray(s, g, np.pi / 8, [0.5, 1.1, 2.0]), 6),
     ], ids=["xi_real", "xi_rel", "xi_rel_many", "xi_on_ray"])
     def test_q_assemblies(self, canonical_scene, canonical_grid_32,
@@ -494,9 +540,15 @@ class TestWalkerPaths:
 
     @settings(max_examples=5, deadline=None)
     @given(lams=st.lists(st.floats(0.3, 3.0), min_size=1, max_size=3))
-    def test_batch_matches_single_within_err_est(self, canonical_scene,
-                                                 canonical_grid_32, lams):
+    def test_batch_matches_ray_richardson_within_err_est(
+            self, canonical_scene, canonical_grid_32, lams):
+        # an independent value: -(1/pi) Im xi_real on the rays at eta in
+        # {4, 2, 1} * 1e-3 lambda, Richardson-extrapolated to eta -> 0
         batch = xi_rel_many(canonical_scene, canonical_grid_32, lams)
         for lam, b in zip(lams, batch):
-            single = xi_rel(canonical_scene, canonical_grid_32, lam)
-            assert abs(b.xi_rel - single.xi_rel) <= b.err_est + single.err_est
+            f4, f2, f1 = (-xi_real(canonical_scene, canonical_grid_32, lam,
+                                   eta=k * 1e-3 * lam).xi.imag / np.pi
+                          for k in (4, 2, 1))
+            g2, g1 = 2 * f2 - f4, 2 * f1 - f2
+            rich = (4 * g1 - g2) / 3
+            assert abs(b.xi_rel - rich) <= abs(rich - g1) + b.err_est
