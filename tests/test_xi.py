@@ -436,7 +436,7 @@ class TestXiRel:
         b = xi_rel(canonical_scene, discretize(canonical_scene, 128), lam)
         diff = abs(a.xi_rel - b.xi_rel)
         assert diff <= 1e-12
-        assert a.err_est >= diff and b.err_est >= diff
+        assert diff <= a.err_est <= 1e-12 and diff <= b.err_est <= 1e-12
 
 
 class TestXiOnRay:
