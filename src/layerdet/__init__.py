@@ -16,8 +16,7 @@ from .kernel import SpectralPoint, green_free, green_free_dlambda
 from .layer_ops import (Factorization, LayerMatrix, LayerPair, assemble_dq,
                         assemble_dt_dsep, assemble_q, factorize, layer_pair,
                         solve)
-from .oracle import (NystromExtrapolation, PartialWaveConfig, default_l_max,
-                     xi_nystrom_extrapolated, xi_two_disks)
+from .oracle import PartialWaveConfig, default_l_max, xi_two_disks
 from .xi import (ShiftSample, XiSample, trace_rrel, xi_dsep, xi_imag,
                  xi_on_ray, xi_prime, xi_real, xi_rel, xi_rel_many)
 

@@ -214,6 +214,7 @@ def _energy_payload(args, result, extra_cfg: dict) -> dict:
         "value": result.value,
         "quad_err": result.quad_err,
         "tail_bound": result.tail_bound,
+        "disc_err": result.disc_err,
         "config": {"scene": args.scene, "n": args.n, "tol": args.tol,
                    **extra_cfg},
     }

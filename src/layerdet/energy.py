@@ -12,6 +12,11 @@ rescaling maps every node onto its scaled counterpart).  The integrand
 decays like C e^{-delta' kappa} beyond the gap scale and the truncated tail
 is bounded by fitting C on the last decade of samples with the
 conservative rate delta' = 0.9 * gap.
+
+On the imaginary axis the caller's grid is the finest level: each node is
+evaluated on the coarsest embedded sub-grid (every 2nd, 4th, ... node) whose
+own estimate |v_m - v_{m/2}| resolves it, and disc_err integrates those
+estimates.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConvergenceError, LayerDetError
 from .geometry import BoundaryGrid, Scene
 from .kernel import KAPPA_MIN_FACTOR
-from .xi import (_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR, xi_dsep, xi_imag, xi_on_ray,
-                 xi_rel_many)
+from .xi import (_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR, _xi_dsep_levels,
+                 _xi_imag_levels, xi_on_ray, xi_rel_many)
 
 
 @dataclass(frozen=True)
@@ -43,10 +48,14 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class EnergyResult:
+    """An integral with its error terms: quad_err of the spectral rule,
+    tail_bound of the truncated range and disc_err of the boundary grids,
+    None where no embedded sub-grid could estimate it."""
     value: float
     quad_err: float
     tail_bound: float
     samples: Tuple[Tuple[float, float], ...]
+    disc_err: float | None = None
 
 
 @dataclass(frozen=True)
@@ -148,16 +157,70 @@ def _fit_tail(nodes, xis, kmax: float, dprime: float) -> float:
     return np.exp(ln_c - dprime * kmax) / dprime
 
 
-def _xi_imag_weighted(scene: Scene, sample: Callable[[float], float],
+def _strides(grid: BoundaryGrid) -> list:
+    """Strides s = 1, 2, 4, ... whose embedded grid has a sub-grid at 2 s,
+    i.e. the levels whose own estimate |v_s - v_2s| exists."""
+    out, s = [], 1
+    while grid.embedded(2 * s) is not None:
+        out.append(s)
+        s *= 2
+    return out
+
+
+def _xi_imag_weighted(scene: Scene, grid: BoundaryGrid, sample: Callable,
                       weight: Callable, cfg: QuadConfig) -> EnergyResult:
-    """Integral of weight(kappa) sample(kappa) over [1e-6 / gap,
-    30 / (0.9 gap)] of a multi-obstacle scene, sample being Xi(i kappa) or
-    a derivative of it."""
+    """Integral of weight(kappa) v(kappa) over [1e-6 / gap, 30 / (0.9 gap)]
+    of a multi-obstacle scene, v being Xi(i kappa) or a derivative of it.
+    sample(scene, g, kappa, subgrids) returns v on grid g and on each embedded
+    sub-grid of g in subgrids, from one assembly on g.
+
+    grid is the finest level.  A node is resolved on the grid of every
+    s-th node when d_s = |v_s - v_2s| kappa |weight| log(kappa_max /
+    kappa_min) <= tol / 4: the log-mapped rule then keeps the integrated
+    discretization error below tol / 4.  The first level's nodes are
+    assembled on grid, and each records the coarsest stride resolving it;
+    every later node is assembled on the finer of its two neighbours'
+    grids and moves one stride finer, at one more assembly, only while its
+    own estimate fails.  disc_err sums weight |weight| d_s over the nodes."""
     dprime = _DELTA_PRIME_FRACTION * scene.gap
     kmin, kmax = KAPPA_MIN_FACTOR / scene.gap, _KAPPA_MAX_FACTOR / dprime
-    value, err, nodes, vals = _nested_cc(
-        (kmin, kmax), lambda ks: np.array([sample(k) for k in ks.tolist()]), weight,
-        cfg.tol)
+    strides, span = _strides(grid), np.log(kmax / kmin)
+    level, disc = {}, {}
+
+    def resolved(k, d):
+        return d * k * abs(weight(k)) * span <= 0.25 * cfg.tol
+
+    def spread(vals):
+        # |v_s - v_2s| per level; a level without a value is not resolved
+        return np.nan_to_num(np.abs(np.diff(vals)), nan=np.inf)
+
+    def node(k, known):
+        if not known.size:
+            vals = sample(scene, grid, k, [grid.embedded(2 * s) for s in strides])
+            v, ds = vals[0], spread(vals)
+            n_ok = next((i for i, d in enumerate(ds) if not resolved(k, d)), len(ds))
+            s = strides[max(n_ok, 1) - 1] if strides else 1
+        else:
+            i = np.searchsorted(known, k)
+            s = min(level[x] for x in known[max(i - 1, 0):i + 1].tolist())
+            while True:
+                vals = sample(scene, grid.embedded(s), k,
+                              [grid.embedded(2 * s)] if strides else [])
+                v, ds = vals[0], spread(vals)
+                if s == 1 or resolved(k, ds[0]):
+                    break
+                s //= 2
+        if np.isnan(v):
+            raise LayerDetError("negative determinant sign product on the "
+                                f"imaginary axis at kappa = {k}")
+        level[k], disc[k] = s, ds[0] if strides else None
+        return v
+
+    def evaluate(ks):
+        known = np.array(sorted(level))
+        return np.array([node(k, known) for k in ks.tolist()])
+
+    value, err, nodes, vals = _nested_cc((kmin, kmax), evaluate, weight, cfg.tol)
     near_zero = kmin * max(abs(weight(kmin)), abs(weight(2.0 * kmin))) * \
         np.max(np.abs(vals[nodes <= 2.0 * kmin]))
     tail = _fit_tail(nodes, vals, kmax, dprime)
@@ -165,9 +228,15 @@ def _xi_imag_weighted(scene: Scene, sample: Callable[[float], float],
     # any extension integrates noise; bound that by a rectangle over the
     # magnitudes observed on [kappa_max / 2, kappa_max]
     noise_tail = 0.5 * kmax * np.max(np.abs(vals[nodes >= 0.5 * kmax]))
+    disc_err = None
+    if strides:
+        # the final rule's weights, its nodes in descending order
+        w = _pieces_rule(np.array([kmin, kmax]), nodes.size - 1)[1][0, ::-1]
+        d = np.array([disc[k] for k in nodes.tolist()])
+        disc_err = float(np.sum(w * np.abs(weight(nodes)) * d))
     return EnergyResult(float(value), float(err + near_zero),
                         float(abs(weight(kmax)) * max(tail, noise_tail)),
-                        tuple(zip(nodes.tolist(), vals.tolist())))
+                        tuple(zip(nodes.tolist(), vals.tolist())), disc_err)
 
 
 def casimir_energy(scene: Scene, grid: BoundaryGrid,
@@ -175,9 +244,8 @@ def casimir_energy(scene: Scene, grid: BoundaryGrid,
     """(1/pi) * integral of Xi(i kappa) over (0, inf): the vacuum energy of
     the assembled configuration relative to separated obstacles."""
     if scene.n_obstacles == 1:
-        return EnergyResult(0.0, 0.0, 0.0, ())
-    return _xi_imag_weighted(scene, lambda k: xi_imag(scene, grid, k).xi.real,
-                             lambda k: 1.0 / np.pi, cfg)
+        return EnergyResult(0.0, 0.0, 0.0, (), 0.0)
+    return _xi_imag_weighted(scene, grid, _xi_imag_levels, lambda k: 1.0 / np.pi, cfg)
 
 
 def power_trace(scene: Scene, grid: BoundaryGrid, s: float,
@@ -191,9 +259,9 @@ def power_trace(scene: Scene, grid: BoundaryGrid, s: float,
     if not 0.0 < s <= 1.0:
         raise ValueError("power trace supports s in (0, 1]")
     if s == 1.0 or scene.n_obstacles == 1:
-        return EnergyResult(0.0, 0.0, 0.0, ())
+        return EnergyResult(0.0, 0.0, 0.0, (), 0.0)
     pref = (2.0 * s / np.pi) * np.sin(np.pi * s)
-    return _xi_imag_weighted(scene, lambda k: xi_imag(scene, grid, k).xi.real,
+    return _xi_imag_weighted(scene, grid, _xi_imag_levels,
                              lambda k: pref * k ** (2.0 * s - 1.0), cfg)
 
 
@@ -264,5 +332,4 @@ def casimir_force(scene: Scene, grid: BoundaryGrid,
     separation)."""
     if scene.n_obstacles != 2:
         raise LayerDetError("the force needs a two-obstacle scene")
-    return _xi_imag_weighted(scene, lambda k: xi_dsep(scene, grid, k),
-                             lambda k: -1.0 / np.pi, cfg)
+    return _xi_imag_weighted(scene, grid, _xi_dsep_levels, lambda k: -1.0 / np.pi, cfg)

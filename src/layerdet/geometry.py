@@ -360,6 +360,25 @@ class BoundaryGrid:
         r.setflags(write=False)
         return r
 
+    @cached_property
+    def _embedded(self) -> dict:
+        return {}
+
+    def embedded(self, stride: int) -> "BoundaryGrid | None":
+        """The grid of every stride-th node of each obstacle (stride a power
+        of 2, 1 giving this grid), built once per stride, or None where a
+        count would turn odd or fall below 16.  Its nodes, speeds and
+        weights are bitwise this grid's every stride-th ones: halving a
+        count halves the denominator of 2 pi k / n exactly."""
+        if stride == 1:
+            return self
+        if stride not in self._embedded:
+            ns = self.n_per_obstacle
+            ok = all(n % (2 * stride) == 0 and n // stride >= 16 for n in ns)
+            self._embedded[stride] = discretize(
+                self.scene, [n // stride for n in ns]) if ok else None
+        return self._embedded[stride]
+
 
 def discretize(scene: Scene, n_per_obstacle) -> BoundaryGrid:
     """Build the boundary grid; every node count must be even and >= 16."""

@@ -23,6 +23,13 @@ the same weights, so no symmetrized weighting is needed.  `layer_pair` is the
 one place where Q, its block-diagonal part Qtilde and the coupling
 T = Q - Qtilde are formed and factored; `assemble_dt_dsep` is T's derivative
 under a rigid motion of one obstacle, which leaves Qtilde unchanged.
+
+The grid of every 2nd, 4th, ... node of each obstacle is embedded in the
+full one (`BoundaryGrid.embedded`), and every kernel value is pointwise.  So
+Q on the imaginary axis keeps its split parts, and `embedded_q` forms Q on an
+embedded grid from their strided entries with that grid's own weights:
+bitwise its assembly there, with no kernel call.  `dt_dsep_levels` does the
+same for dT/ds.
 """
 
 from __future__ import annotations
@@ -39,10 +46,20 @@ from .geometry import BoundaryGrid
 from .kernel import KAPPA_MIN_FACTOR, SpectralPoint, offdiag_kernel, split_block
 
 
+class _Split(NamedTuple):
+    """The pointwise values a matrix is weighted from: `split_block`'s
+    (A, B) per obstacle and the cross kernel per obstacle pair j < k."""
+    diag: list
+    cross: dict
+
+
 @dataclass(frozen=True)
 class LayerMatrix:
     entries: np.ndarray
     sp: SpectralPoint
+    #: Q on the imaginary axis keeps its split parts, from which
+    #: `embedded_q` forms Q on every embedded sub-grid
+    parts: _Split | None = None
 
 
 @dataclass(frozen=True)
@@ -89,67 +106,108 @@ def _kress_log_matrix(n: int) -> np.ndarray:
     return R
 
 
-def _diag_block(grid: BoundaryGrid, sp: SpectralPoint, j: int, deriv: bool) -> np.ndarray:
-    sl = grid.block_slice(j)
-    A, B = split_block(sp, grid.distances[sl, sl], grid.speeds[sl], deriv=deriv)
-    n = A.shape[0]
-    return _kress_log_matrix(n) * A + (2 * np.pi / n) * B
+def _split(grid: BoundaryGrid, sp: SpectralPoint, deriv: bool) -> _Split:
+    sl = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
+    return _Split(
+        [split_block(sp, grid.distances[s, s], grid.speeds[s], deriv=deriv) for s in sl],
+        {(j, k): offdiag_kernel(sp, grid.distances[sl[j], sl[k]], deriv=deriv)
+         for j in range(len(sl)) for k in range(j + 1, len(sl))})
+
+
+def _weighted(grid: BoundaryGrid, sp: SpectralPoint, parts: _Split) -> np.ndarray:
+    """The matrix on grid from its split parts: product-rule weights on the
+    diagonal blocks, trapezoid weights across."""
+    out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
+    w = grid.weights
+    sl = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
+    for s, (A, B) in zip(sl, parts.diag):
+        n = A.shape[0]
+        out[s, s] = _kress_log_matrix(n) * A + (2 * np.pi / n) * B
+    for (j, k), K in parts.cross.items():
+        out[sl[j], sl[k]] = K * w[sl[k]]
+        out[sl[k], sl[j]] = K.T * w[sl[j]]
+    return out
 
 
 def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
-              diagonal_only: bool) -> np.ndarray:
+              diagonal_only: bool) -> LayerMatrix:
     """Full matrix: Q for deriv "none", dQ/dv for any other value.  The
     string and the unused diagonal_only (always False) are kept because the
     benchmark's QCounter wraps this function positionally and counts
     deriv == "none" as one Q assembly."""
     _check_sp(grid, sp)
-    deriv = deriv != "none"
-    out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
-    w = grid.weights
-    slices = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
-    for j, sj in enumerate(slices):
-        out[sj, sj] = _diag_block(grid, sp, j, deriv)
-        for sk in slices[j + 1:]:
-            K = offdiag_kernel(sp, grid.distances[sj, sk], deriv=deriv)
-            out[sj, sk] = K * w[sk]
-            out[sk, sj] = K.T * w[sj]
-    return out
+    parts = _split(grid, sp, deriv != "none")
+    keep = sp.is_imaginary and deriv == "none"
+    return LayerMatrix(_weighted(grid, sp, parts), sp, parts if keep else None)
 
 
 def assemble_q(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
     """Full single-layer matrix Q at the spectral point."""
-    return LayerMatrix(_assemble(grid, sp, "none", False), sp)
+    return _assemble(grid, sp, "none", False)
 
 
 def assemble_dq(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
     """dQ/dv in the axis variable: dQ/dkappa on the imaginary axis (real
     storage, dQ/dlambda = -i dQ/dkappa there) and dQ/dlambda on a ray."""
-    return LayerMatrix(_assemble(grid, sp, "dv", False), sp)
+    return _assemble(grid, sp, "dv", False)
 
 
-def assemble_dt_dsep(grid: BoundaryGrid, sp: SpectralPoint, direction) -> np.ndarray:
-    """dT/ds when obstacle 1 moves rigidly by s * direction (a unit vector).
+def _stride(big: int, small: int) -> int:
+    if big % small:
+        raise ValueError("not an embedded sub-grid")
+    return big // small
+
+
+def embedded_q(q: LayerMatrix, grid: BoundaryGrid) -> np.ndarray:
+    """Q at q.sp on grid, an embedded sub-grid (`BoundaryGrid.embedded`) of
+    the imaginary-axis grid q was assembled on, from q's split parts at
+    every stride-th node: no kernel call, and bitwise
+    `assemble_q(grid, q.sp).entries`."""
+    s = _stride(q.entries.shape[0], grid.size)
+    return _weighted(grid, q.sp, _Split(
+        [(A[::s, ::s], B[::s, ::s]) for A, B in q.parts.diag],
+        {jk: K[::s, ::s] for jk, K in q.parts.cross.items()}))
+
+
+def dt_dsep_levels(grids, sp: SpectralPoint, direction) -> list:
+    """dT/ds when obstacle 1 moves rigidly by s * direction (a unit vector),
+    on grids[0] and on each later grid, an embedded sub-grid of grids[0],
+    from one kernel evaluation on grids[0].
 
     Only the cross blocks coupling obstacle 1 change, through r = |x - y|:
     dr/ds = +-(x - y).direction / r, + when x lies on obstacle 1.  The
     kernel depends on v r alone (v the axis variable), so r dG/dr = v dG/dv
     and each entry is the cross block of `assemble_dq` times v (dr/ds) / r."""
+    grid = grids[0]
     if grid.scene.n_obstacles < 2:
         raise LayerDetError("the separation derivative needs obstacle 1")
     _check_sp(grid, sp)
+    s1 = grid.block_slice(1)
+    kernels = {j: offdiag_kernel(sp, grid.distances[s1, grid.block_slice(j)], deriv=True)
+               for j in range(grid.scene.n_obstacles) if j != 1}
+    return [_dt_dsep(g, sp, direction, kernels, _stride(grid.size, g.size))
+            for g in grids]
+
+
+def _dt_dsep(grid, sp, direction, kernels, s) -> np.ndarray:
     v = sp.value if sp.is_imaginary else sp.lam
     e = np.asarray(direction, dtype=float)
     out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
     w, s1 = grid.weights, grid.block_slice(1)
-    for j in range(grid.scene.n_obstacles):
-        if j != 1:
-            sj = grid.block_slice(j)
-            diff = grid.points[s1][:, None, :] - grid.points[sj][None, :, :]
-            scale = v * (diff @ e) / np.sum(diff ** 2, axis=-1)
-            K = offdiag_kernel(sp, grid.distances[s1, sj], deriv=True)
-            out[s1, sj] = K * w[sj] * scale
-            out[sj, s1] = K.T * w[s1] * scale.T
+    for j, K in kernels.items():
+        sj = grid.block_slice(j)
+        diff = grid.points[s1][:, None, :] - grid.points[sj][None, :, :]
+        scale = v * (diff @ e) / np.sum(diff ** 2, axis=-1)
+        K = K[::s, ::s]
+        out[s1, sj] = K * w[sj] * scale
+        out[sj, s1] = K.T * w[s1] * scale.T
     return out
+
+
+def assemble_dt_dsep(grid: BoundaryGrid, sp: SpectralPoint, direction) -> np.ndarray:
+    """dT/ds when obstacle 1 moves rigidly by s * direction: `dt_dsep_levels`
+    on grid alone."""
+    return dt_dsep_levels([grid], sp, direction)[0]
 
 
 def split_blocks(entries: np.ndarray, blocks):
@@ -212,8 +270,12 @@ class LayerPair(NamedTuple):
 
 def layer_pair(grid: BoundaryGrid, sp: SpectralPoint) -> LayerPair:
     """Assemble Q once, split off Qtilde and T, and factor Q and Qtilde."""
-    q = assemble_q(grid, sp).entries
-    qt, T = split_blocks(q, grid.blocks)
+    return factor_pair(assemble_q(grid, sp).entries, grid.blocks)
+
+
+def factor_pair(q: np.ndarray, blocks) -> LayerPair:
+    """Split Qtilde and T off the entries q of Q, and factor Q and Qtilde."""
+    qt, T = split_blocks(q, blocks)
     return LayerPair(factorize(q), factorize(qt), T)
 
 

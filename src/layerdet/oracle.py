@@ -1,5 +1,4 @@
-"""Independent partial-wave evaluation of Xi(i kappa) for two disks, plus a
-Richardson-extrapolated fine-grid Nystrom oracle for arbitrary scenes.
+"""Independent partial-wave evaluation of Xi(i kappa) for two disks.
 
 Derivation of the two-disk matrix
 ---------------------------------
@@ -40,14 +39,11 @@ acceptance test relies on it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
 
 import numpy as np
 from scipy.special import ive, kve
 
 from .errors import ConvergenceError, LayerDetError
-from .geometry import Scene, discretize
-from .xi import xi_imag
 
 
 def log_bessel_k_seq(nmax: int, x: float) -> np.ndarray:
@@ -151,50 +147,3 @@ def xi_two_disks(cfg: PartialWaveConfig) -> float:
             f"partial-wave truncation not converged at l_max={cfg.l_max}: "
             f"|delta| = {abs(val - richer):.3e}")
     return val
-
-
-@dataclass(frozen=True)
-class NystromExtrapolation:
-    value: float
-    err: float
-    sequence: Tuple[Tuple[int, float], ...]
-    extrapolated: bool
-
-
-def xi_nystrom_extrapolated(scene: Scene, kappa: float,
-                            n_sequence: Sequence[int]) -> NystromExtrapolation:
-    """Richardson (Aitken) extrapolation of xi_imag over a geometric node
-    sequence, assuming geometric error decay.  Falls back to the raw finest
-    value when convergence is not monotone."""
-    ns = [int(n) for n in n_sequence]
-    if len(ns) < 3:
-        raise ValueError("need at least 3 grid sizes")
-    for lo, hi in zip(ns[:-1], ns[1:]):
-        if hi <= lo:
-            raise ValueError("n_sequence must increase")
-    vals, floors = [], []
-    for n in ns:
-        grid = discretize(scene, n)
-        sample = xi_imag(scene, grid, kappa)
-        vals.append(sample.xi.real)
-        floors.append(sample.err_est)
-    seq = tuple(zip(ns, vals))
-    diffs = np.diff(vals)
-    # inter-grid differences at the log-determinant rounding scale mean the
-    # spectral convergence has saturated
-    floor = 4.0 * max(floors)
-    if abs(diffs[-1]) <= floor:
-        # already saturated at the rounding floor: the limit is reached
-        return NystromExtrapolation(vals[-1], float(abs(diffs[-1])), seq, True)
-    ratios = diffs[1:] / diffs[:-1]
-    if np.any(np.abs(ratios) >= 1.0):
-        return NystromExtrapolation(vals[-1], float(np.max(np.abs(diffs))), seq, False)
-    extraps = []
-    for i in range(len(vals) - 2):
-        d1, d2 = vals[i + 1] - vals[i], vals[i + 2] - vals[i + 1]
-        extraps.append(vals[i + 2] + d2 * d2 / (d1 - d2))
-    if len(extraps) >= 2:
-        err = abs(extraps[-1] - extraps[-2])
-    else:
-        err = abs(extraps[-1] - vals[-1])
-    return NystromExtrapolation(float(extraps[-1]), float(err), seq, True)

@@ -37,8 +37,9 @@ import numpy as np
 from .errors import ConvergenceError, LayerDetError, SingularOperatorError
 from .geometry import BoundaryGrid, Scene
 from .kernel import SpectralPoint
-from .layer_ops import (LayerPair, assemble_dq, assemble_dt_dsep, assemble_q,
-                        factorize, layer_pair, solve, split_blocks)
+from .layer_ops import (LayerPair, assemble_dq, assemble_q, dt_dsep_levels,
+                        embedded_q, factor_pair, factorize, layer_pair, solve,
+                        split_blocks)
 
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate; the
 #: energy's kappa range and every walk's anchor end at _KAPPA_MAX_FACTOR / delta'
@@ -77,16 +78,19 @@ def _check(scene: Scene, grid: BoundaryGrid):
         raise LayerDetError("grid was built for a different scene")
 
 
-def _logdet_pair(grid: BoundaryGrid, sp: SpectralPoint) -> LayerPair:
-    pair = layer_pair(grid, sp)
+def _warned(pair: LayerPair, sp: SpectralPoint) -> LayerPair:
     if sp.is_imaginary and (pair.fq.sign < 0 or pair.ft.sign < 0):
         # positivity of the layer operator at imaginary wavenumber is an
         # empirical diagnostic, not a correctness assumption; fixed message
         # so the default warning filter deduplicates repeats
         warnings.warn("negative LU pivot sign for an imaginary-axis layer "
                       "matrix (grid underresolved for this kappa?)",
-                      RuntimeWarning, stacklevel=3)
+                      RuntimeWarning, stacklevel=4)
     return pair
+
+
+def _logdet_pair(grid: BoundaryGrid, sp: SpectralPoint) -> LayerPair:
+    return _warned(layer_pair(grid, sp), sp)
 
 
 def xi_imag(scene: Scene, grid: BoundaryGrid, kappa: float) -> XiSample:
@@ -101,6 +105,20 @@ def xi_imag(scene: Scene, grid: BoundaryGrid, kappa: float) -> XiSample:
             f"(signs {fq.sign}, {ft.sign}); internal consistency violated")
     floor = (abs(fq.log_abs_det) + abs(ft.log_abs_det) + 1.0) * 8 * _EPS
     return XiSample(sp, pair.log_det_ratio(), 0, floor)
+
+
+def _xi_imag_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) -> list:
+    """Xi(i kappa) on grid, bitwise `xi_imag`'s, then on each embedded
+    sub-grid of it (`BoundaryGrid.embedded`) from the same assembly
+    (`embedded_q`), so a sub-grid costs its two LUs only.  A grid on which
+    the two determinants' signs disagree does not resolve kappa: nan."""
+    _check(scene, grid)
+    sp = SpectralPoint.imaginary(kappa)
+    q = assemble_q(grid, sp)
+    pairs = [_warned(factor_pair(q.entries, grid.blocks), sp),
+             *(factor_pair(embedded_q(q, g), g.blocks) for g in subgrids)]
+    return [p.log_det_ratio().real if p.fq.sign * p.ft.sign > 0 else np.nan
+            for p in pairs]
 
 
 class _Unwrapper:
@@ -194,16 +212,24 @@ def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
     return XiSample(sp, val, walker.offset, floor)
 
 
+def _richardson(f4, f2, f1):
+    # f at eta = 4, 2, 1 (any unit) extrapolated to eta -> 0, error O(eta^3)
+    g2, g1 = 2 * f2 - f4, 2 * f1 - f2
+    return (4 * g1 - g2) / 3.0
+
+
 def _shift_on_rays(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
     """xi_rel(lambda) where Q(lambda) is singular to working precision:
     Richardson-extrapolated to eta -> 0 from the rays at eta in {4, 2, 1} *
-    eta0, eta0 = 1e-3 lambda, walked from the imaginary axis."""
+    eta0, eta0 = 1e-3 lambda, walked from the imaginary axis.  The ray at
+    8 eta0 gives the same extrapolation one octave up, whose error is 8
+    times this one's: err_est is their difference over 7."""
     eta0 = _ETA_REL * lam
-    path = _from_axis(scene, [lam + 4j * eta0, lam + 2j * eta0, lam + 1j * eta0])
-    f4, f2, f1 = (-v.imag / np.pi for v in _Unwrapper(grid).walk(path)[-3:])
-    g2, g1 = 2 * f2 - f4, 2 * f1 - f2
-    rich = (4 * g1 - g2) / 3.0
-    return ShiftSample(lam, float(rich), eta0, float(abs(rich - g1) + 64 * _EPS))
+    path = _from_axis(scene, [lam + k * 1j * eta0 for k in (8, 4, 2, 1)])
+    f8, f4, f2, f1 = (-v.imag / np.pi for v in _Unwrapper(grid).walk(path)[-4:])
+    rich = _richardson(f4, f2, f1)
+    err = abs(_richardson(f8, f4, f2) - rich) / 7.0
+    return ShiftSample(lam, float(rich), eta0, float(err + 64 * _EPS))
 
 
 def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
@@ -334,7 +360,16 @@ def xi_dsep(scene: Scene, grid: BoundaryGrid, kappa: float) -> float:
     _check(scene, grid)
     if scene.n_obstacles != 2:
         raise LayerDetError("the separation derivative needs a two-obstacle scene")
+    return _xi_dsep_levels(scene, grid, kappa, ())[0]
+
+
+def _xi_dsep_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) -> list:
+    """dXi(i kappa)/ds on grid, bitwise `xi_dsep`'s, then on each embedded
+    sub-grid of it from the same kernel values, as `_xi_imag_levels`."""
+    _check(scene, grid)
     sp = SpectralPoint.imaginary(kappa)
     axis = np.subtract(scene.obstacles[1].center, scene.obstacles[0].center)
-    dT = assemble_dt_dsep(grid, sp, axis / np.hypot(*axis))
-    return float(np.trace(solve(factorize(assemble_q(grid, sp)), dT)))
+    dts = dt_dsep_levels([grid, *subgrids], sp, axis / np.hypot(*axis))
+    q = assemble_q(grid, sp)
+    qs = [q.entries, *(embedded_q(q, g) for g in subgrids)]
+    return [float(np.trace(solve(factorize(m), dT))) for m, dT in zip(qs, dts)]

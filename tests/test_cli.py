@@ -233,6 +233,17 @@ class TestEnergyCommands:
         assert (kappas[0], kappas[-1]) == (KAPPA_MIN_FACTOR / 2.0,
                                            30.0 / (0.9 * 2.0))
 
+    def test_disc_err_follows_tail_bound(self, tmp_path):
+        out = tmp_path / "out.json"
+        for argv in (["energy"], ["power", "--s", "0.25"], ["force"]):
+            assert main([*argv, "--scene", CANONICAL, "--n", "64",
+                         "--output", str(out)]) == 0
+            # the writer sorts the keys
+            payload = json.load(open(out))
+            assert list(payload) == ["config", "disc_err", "quad_err",
+                                     "tail_bound", "value"]
+            assert payload["disc_err"] > 0
+
     def test_tracedf_vs_committed_cross_value(self, tmp_path):
         out = tmp_path / "t.json"
         assert main(["tracedf", "--scene", CANONICAL, "--a", "1.0",

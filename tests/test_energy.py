@@ -100,6 +100,54 @@ class TestCasimirEnergy:
         assert abs(gauss - energy_gap2.value) <= energy_gap2.quad_err
 
 
+class TestDiscretizationError:
+    # each node is evaluated on the coarsest embedded grid whose estimate
+    # |v_m - v_{m/2}| resolves it; disc_err integrates those estimates
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_error_terms_cover_the_oracle(self, canonical_scene, n,
+                                          partial_wave_energy):
+        energy = casimir_energy(canonical_scene, discretize(canonical_scene, n))
+        oracle = partial_wave_energy(2.0 + canonical_scene.gap,
+                                     default_kappa_range(canonical_scene))
+        assert energy.disc_err > 0
+        assert abs(energy.value - oracle) <= \
+            energy.quad_err + energy.disc_err + energy.tail_bound
+
+    def test_force_error_terms_cover_the_reference(self, canonical_scene,
+                                                   canonical_force_reference):
+        force = casimir_force(canonical_scene, discretize(canonical_scene, 128))
+        assert abs(force.value - canonical_force_reference) <= \
+            force.quad_err + force.disc_err + force.tail_bound
+
+    def test_bounds_the_grid_error(self, mixed_scene, partial_wave_energy):
+        # kite + circle against n = 256; unit disks at gap 1 against the
+        # partial-wave energy (n = 256 raises ConvergenceError there)
+        e64 = casimir_energy(mixed_scene, discretize(mixed_scene, 64))
+        e256 = casimir_energy(mixed_scene, discretize(mixed_scene, 256))
+        assert e64.disc_err >= abs(e64.value - e256.value)
+        disks = disk_pair(3.0)
+        e64 = casimir_energy(disks, discretize(disks, 64))
+        oracle = partial_wave_energy(3.0, default_kappa_range(disks))
+        assert e64.disc_err >= abs(e64.value - oracle)
+
+    def test_no_sub_grid_no_estimate(self, canonical_scene, q_assemblies):
+        # halving 18 gives an odd count and 20 one below 16: every node
+        # stays on the caller's grid, and disc_err says it was not estimated
+        for ns in ((40, 18), (32, 20)):
+            grid = discretize(canonical_scene, ns)
+            q_assemblies[0] = 0
+            energy = casimir_energy(canonical_scene, grid)
+            assert energy.disc_err is None
+            assert q_assemblies[0] == len(energy.samples)
+            assert all(v == xi_imag(canonical_scene, grid, k).xi.real
+                       for k, v in energy.samples)
+        assert casimir_force(canonical_scene, grid).disc_err is None
+
+    def test_exact_zero_has_no_error(self, single_disk):
+        scene, grid = single_disk
+        assert casimir_energy(scene, grid).disc_err == 0.0
+
+
 class TestPowerTrace:
     def test_half_equals_casimir(self, canonical_scene, canonical_grid_64,
                                  energy_gap2):

@@ -13,8 +13,7 @@ from scipy.special import iv, kv
 
 from layerdet import (ConvergenceError, LayerDetError, PartialWaveConfig,
                       default_l_max, discretize, make_circle,
-                      make_scene, xi_imag, xi_nystrom_extrapolated,
-                      xi_two_disks)
+                      make_scene, xi_imag, xi_two_disks)
 from layerdet.oracle import log_bessel_i_seq, log_bessel_k_seq
 
 
@@ -88,11 +87,14 @@ class TestPartialWave:
 
 class TestCertification:
     def test_vs_extrapolated_nystrom(self, canonical_scene):
-        for kap in (0.3, 1.0):
-            ny = xi_nystrom_extrapolated(canonical_scene, kap, (128, 256, 512))
-            pw = xi_two_disks(PartialWaveConfig(40, 1.0, 1.0, 4.0, kap))
-            assert ny.extrapolated
-            assert pw == pytest.approx(ny.value, abs=1e-10)
+        # the Nystrom limit without extrapolation: two grids, each within
+        # 1e-10 of the oracle
+        for n in (128, 256):
+            grid = discretize(canonical_scene, n)
+            for kap in (0.3, 1.0):
+                pw = xi_two_disks(PartialWaveConfig(40, 1.0, 1.0, 4.0, kap))
+                assert pw == pytest.approx(
+                    xi_imag(canonical_scene, grid, kap).xi.real, abs=1e-10)
 
     def test_asymmetric_disks(self):
         scene = make_scene([make_circle((0, 0), 1.0), make_circle((3, 0.5), 0.5)])
@@ -105,11 +107,11 @@ class TestCertification:
 
     @pytest.mark.slow
     def test_fine_grid_certification(self, canonical_scene):
-        # the full protocol: n = 2048 per disk, Richardson-extrapolated
-        ny = xi_nystrom_extrapolated(canonical_scene, 1.0, (512, 1024, 2048))
+        # the full protocol: n = 1024 and 2048 per disk
         pw = xi_two_disks(PartialWaveConfig(40, 1.0, 1.0, 4.0, 1.0))
-        assert ny.extrapolated
-        assert pw == pytest.approx(ny.value, abs=1e-10)
+        for n in (1024, 2048):
+            bem = xi_imag(canonical_scene, discretize(canonical_scene, n), 1.0)
+            assert pw == pytest.approx(bem.xi.real, abs=1e-10)
 
     def test_agreement_across_kappa_grid(self, canonical_scene, canonical_grid_256):
         gap = canonical_scene.gap
@@ -119,25 +121,3 @@ class TestCertification:
                 max(40, default_l_max(kap, 1.0, 1.0)), 1.0, 1.0, 4.0, kap))
             assert abs(bem - pw) <= 1e-8 * (1 + abs(pw))
 
-
-class TestNystromExtrapolation:
-    def test_stable_across_sequences(self, canonical_scene):
-        a = xi_nystrom_extrapolated(canonical_scene, 1.0, (64, 128, 256))
-        b = xi_nystrom_extrapolated(canonical_scene, 1.0, (128, 256, 512))
-        assert a.value == pytest.approx(b.value, abs=1e-10)
-
-    def test_single_obstacle_zero(self):
-        scene = make_scene([make_circle((0, 0), 1.0)])
-        out = xi_nystrom_extrapolated(scene, 1.0, (32, 64, 128))
-        assert out.value == pytest.approx(0.0, abs=1e-13)
-
-    def test_error_decreases_with_longer_sequence(self, mixed_scene):
-        short = xi_nystrom_extrapolated(mixed_scene, 1.0, (32, 64, 128))
-        long = xi_nystrom_extrapolated(mixed_scene, 1.0, (32, 64, 128, 256))
-        assert long.err <= short.err
-
-    def test_validates_input(self, canonical_scene):
-        with pytest.raises(ValueError):
-            xi_nystrom_extrapolated(canonical_scene, 1.0, (64, 128))
-        with pytest.raises(ValueError):
-            xi_nystrom_extrapolated(canonical_scene, 1.0, (128, 64, 256))

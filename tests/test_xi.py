@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from layerdet import (ConvergenceError, Curve, LayerDetError,
@@ -9,6 +9,8 @@ from layerdet import (ConvergenceError, Curve, LayerDetError,
                       make_polar_fourier, make_scene, trace_rrel, xi, xi_imag,
                       xi_on_ray, xi_prime, xi_real, xi_rel, xi_rel_many,
                       xi_two_disks)
+from layerdet.layer_ops import (assemble_dt_dsep, assemble_q, dt_dsep_levels,
+                                embedded_q)
 
 
 def richardson_fd(f, x, h):
@@ -215,6 +217,45 @@ class TestRandomScenes:
         assert abs(ref[-1].imag - real.imag) <= 1e-10
 
 
+#: node counts per obstacle: halving 18, 20 or 30 turns odd or falls below
+#: 16, the others have one or more embedded sub-grids
+COUNTS = [16, 18, 20, 24, 30, 32, 48, 64, 96, 128]
+
+
+KITE_AND_CIRCLE = ([_curve_maker("kite", 1.0, 1.0, 0.0, [0.0] * 4),
+                    _curve_maker("circle", 1.0, 1.0, 0.0, [0.0] * 4)],
+                   [(0.0, 0.0), (4.0, 0.0)])
+
+
+class TestEmbeddedLevels:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(scene=disjoint_scenes(), kappa=st.floats(0.01, 6.0),
+           counts=st.lists(st.sampled_from(COUNTS), min_size=3, max_size=3))
+    # mixed counts: one level (64, 24), none at (32, 12); and none at all
+    @example(scene=KITE_AND_CIRCLE, kappa=2.0, counts=[128, 48, 16])
+    @example(scene=KITE_AND_CIRCLE, kappa=0.5, counts=[64, 30, 16])
+    def test_bitwise_the_coarse_assembly(self, scene, kappa, counts):
+        # every embedded level of an imaginary-axis Q and dT/ds is the
+        # assembly on the grid of every 2^k-th node, bitwise; a stride at
+        # which a count would turn odd or fall below 16 has no level
+        makers, centres = scene
+        sc = make_scene([m(c) for m, c in zip(makers, centres)])
+        ns = counts[:sc.n_obstacles]
+        grid, sp, e = discretize(sc, ns), SpectralPoint.imaginary(kappa), (0.6, 0.8)
+        q = assemble_q(grid, sp)
+        stride = 2
+        while all(n % stride == 0 and (n // stride) % 2 == 0 and n // stride >= 16
+                  for n in ns):
+            sub, ref = grid.embedded(stride), discretize(sc, [n // stride for n in ns])
+            assert np.array_equal(embedded_q(q, sub), assemble_q(ref, sp).entries)
+            assert np.array_equal(dt_dsep_levels([grid, sub], sp, e)[1],
+                                  assemble_dt_dsep(ref, sp, e))
+            stride *= 2
+        assert grid.embedded(stride) is None
+        assert np.array_equal(dt_dsep_levels([grid], sp, e)[0],
+                              assemble_dt_dsep(grid, sp, e))
+
+
 def _descent(target, gap):
     """The 25-point descent from i*Lambda, Lambda = 20 / (0.9 gap), along a
     log-spiral to target: a reference path for the branch."""
@@ -409,6 +450,22 @@ class TestXiRel:
                             [lam - 1e-5, lam + 1e-5])
         assert all(side.eta_used == 0 for side in sides)
         assert abs(s.xi_rel - 0.5 * (sides[0].xi_rel + sides[1].xi_rel)) <= 1e-7
+
+    @pytest.mark.parametrize("order", [0, 1], ids=["j01", "j11"])
+    def test_ray_fallback_err_est_tracks_its_error(
+            self, canonical_scene, canonical_grid_64, order):
+        # err_est is the Richardson value's own error, not the first-order
+        # value's: within 1-100x of its distance to the direct values just
+        # off the eigenvalue (it was 100-200x with the first-order error)
+        from scipy.special import jn_zeros
+
+        lam = float(jn_zeros(order, 1)[0])
+        s = xi_rel(canonical_scene, canonical_grid_64, lam)
+        sides = xi_rel_many(canonical_scene, canonical_grid_64,
+                            [lam - 1e-5, lam + 1e-5])
+        err = abs(s.xi_rel - 0.5 * (sides[0].xi_rel + sides[1].xi_rel))
+        assert s.eta_used > 0
+        assert err <= s.err_est <= 100 * err
 
     def test_singular_real_target_falls_back_to_rays(
             self, canonical_scene, canonical_grid_32, monkeypatch):
