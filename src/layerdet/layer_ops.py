@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -48,9 +48,10 @@ from .kernel import KAPPA_MIN_FACTOR, SpectralPoint, offdiag_kernel, split_block
 
 class _Split(NamedTuple):
     """The pointwise values a matrix is weighted from: `split_block`'s
-    (A, B) per obstacle and the cross kernel per obstacle pair j < k."""
-    diag: list
-    cross: dict
+    (A, B) per obstacle and ((j, k), cross kernel) per obstacle pair j < k,
+    as lists or as generators evaluated while the matrix is filled."""
+    diag: Iterable
+    cross: Iterable
 
 
 @dataclass(frozen=True)
@@ -109,9 +110,9 @@ def _kress_log_matrix(n: int) -> np.ndarray:
 def _split(grid: BoundaryGrid, sp: SpectralPoint, deriv: bool) -> _Split:
     sl = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
     return _Split(
-        [split_block(sp, grid.distances[s, s], grid.speeds[s], deriv=deriv) for s in sl],
-        {(j, k): offdiag_kernel(sp, grid.distances[sl[j], sl[k]], deriv=deriv)
-         for j in range(len(sl)) for k in range(j + 1, len(sl))})
+        (split_block(sp, grid.distances[s, s], grid.speeds[s], deriv=deriv) for s in sl),
+        (((j, k), offdiag_kernel(sp, grid.distances[sl[j], sl[k]], deriv=deriv))
+         for j in range(len(sl)) for k in range(j + 1, len(sl))))
 
 
 def _weighted(grid: BoundaryGrid, sp: SpectralPoint, parts: _Split) -> np.ndarray:
@@ -123,9 +124,13 @@ def _weighted(grid: BoundaryGrid, sp: SpectralPoint, parts: _Split) -> np.ndarra
     for s, (A, B) in zip(sl, parts.diag):
         n = A.shape[0]
         out[s, s] = _kress_log_matrix(n) * A + (2 * np.pi / n) * B
-    for (j, k), K in parts.cross.items():
+        # from generators, each block's parts are freed before the next's
+        # are evaluated, which keeps the ray assemblies' memory as small
+        del A, B
+    for (j, k), K in parts.cross:
         out[sl[j], sl[k]] = K * w[sl[k]]
         out[sl[k], sl[j]] = K.T * w[sl[j]]
+        del K
     return out
 
 
@@ -137,8 +142,10 @@ def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
     deriv == "none" as one Q assembly."""
     _check_sp(grid, sp)
     parts = _split(grid, sp, deriv != "none")
-    keep = sp.is_imaginary and deriv == "none"
-    return LayerMatrix(_weighted(grid, sp, parts), sp, parts if keep else None)
+    if not (sp.is_imaginary and deriv == "none"):
+        return LayerMatrix(_weighted(grid, sp, parts), sp)
+    parts = _Split(list(parts.diag), list(parts.cross))
+    return LayerMatrix(_weighted(grid, sp, parts), sp, parts)
 
 
 def assemble_q(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
@@ -166,7 +173,7 @@ def embedded_q(q: LayerMatrix, grid: BoundaryGrid) -> np.ndarray:
     s = _stride(q.entries.shape[0], grid.size)
     return _weighted(grid, q.sp, _Split(
         [(A[::s, ::s], B[::s, ::s]) for A, B in q.parts.diag],
-        {jk: K[::s, ::s] for jk, K in q.parts.cross.items()}))
+        [(jk, K[::s, ::s]) for jk, K in q.parts.cross]))
 
 
 def dt_dsep_levels(grids, sp: SpectralPoint, direction) -> list:
