@@ -39,7 +39,9 @@ from .xi import (_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR, _xi_dsep_levels,
 class QuadConfig:
     """Spectral-quadrature tolerance: nested Clenshaw-Curtis levels n = 16,
     32, ... 256 over kappa in [1e-6 / gap, 30 / (0.9 gap)] stop once the
-    integral moves by <= `tol`.  Nodes are evaluated one after another; the
+    integral moves by <= `tol`, each node on the coarsest embedded grid whose
+    estimate keeps its share of the discretization error below `tol` / 4
+    (`_xi_imag_weighted`).  Nodes are evaluated one after another; the
     only parallelism is the BLAS library's threads inside each LU and solve,
     whose count moves the energy by about 1e-12."""
 

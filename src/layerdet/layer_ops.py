@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg as sla
@@ -47,19 +47,19 @@ from .kernel import KAPPA_MIN_FACTOR, SpectralPoint, offdiag_kernel, split_block
 
 
 class _Split(NamedTuple):
-    """The pointwise values a matrix is weighted from: `split_block`'s
-    (A, B) per obstacle and ((j, k), cross kernel) per obstacle pair j < k,
-    as lists or as generators evaluated while the matrix is filled."""
-    diag: Iterable
-    cross: Iterable
+    """The pointwise values a matrix is weighted from, on every other node:
+    `split_block`'s (A, B) per obstacle and the cross kernel per obstacle
+    pair j < k."""
+    diag: list
+    cross: dict
 
 
 @dataclass(frozen=True)
 class LayerMatrix:
     entries: np.ndarray
     sp: SpectralPoint
-    #: Q on the imaginary axis keeps its split parts, from which
-    #: `embedded_q` forms Q on every embedded sub-grid
+    #: Q on the imaginary axis keeps its split parts on the first embedded
+    #: sub-grid, from which `embedded_q` forms Q on every embedded sub-grid
     parts: _Split | None = None
 
 
@@ -107,31 +107,20 @@ def _kress_log_matrix(n: int) -> np.ndarray:
     return R
 
 
-def _split(grid: BoundaryGrid, sp: SpectralPoint, deriv: bool) -> _Split:
-    sl = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
-    return _Split(
-        (split_block(sp, grid.distances[s, s], grid.speeds[s], deriv=deriv) for s in sl),
-        (((j, k), offdiag_kernel(sp, grid.distances[sl[j], sl[k]], deriv=deriv))
-         for j in range(len(sl)) for k in range(j + 1, len(sl))))
+def _empty(grid: BoundaryGrid, sp: SpectralPoint) -> np.ndarray:
+    return np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
 
 
-def _weighted(grid: BoundaryGrid, sp: SpectralPoint, parts: _Split) -> np.ndarray:
-    """The matrix on grid from its split parts: product-rule weights on the
-    diagonal blocks, trapezoid weights across."""
-    out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
-    w = grid.weights
-    sl = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
-    for s, (A, B) in zip(sl, parts.diag):
-        n = A.shape[0]
-        out[s, s] = _kress_log_matrix(n) * A + (2 * np.pi / n) * B
-        # from generators, each block's parts are freed before the next's
-        # are evaluated, which keeps the ray assemblies' memory as small
-        del A, B
-    for (j, k), K in parts.cross:
-        out[sl[j], sl[k]] = K * w[sl[k]]
-        out[sl[k], sl[j]] = K.T * w[sl[j]]
-        del K
-    return out
+def _fill_diag(out: np.ndarray, sj: slice, A: np.ndarray, B: np.ndarray):
+    # product-rule weights for the log factor, trapezoid for the remainder
+    n = A.shape[0]
+    out[sj, sj] = _kress_log_matrix(n) * A + (2 * np.pi / n) * B
+
+
+def _fill_cross(out: np.ndarray, grid: BoundaryGrid, j: int, k: int, K: np.ndarray):
+    sj, sk, w = grid.block_slice(j), grid.block_slice(k), grid.weights
+    out[sj, sk] = K * w[sk]
+    out[sk, sj] = K.T * w[sj]
 
 
 def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
@@ -141,11 +130,26 @@ def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
     benchmark's QCounter wraps this function positionally and counts
     deriv == "none" as one Q assembly."""
     _check_sp(grid, sp)
-    parts = _split(grid, sp, deriv != "none")
-    if not (sp.is_imaginary and deriv == "none"):
-        return LayerMatrix(_weighted(grid, sp, parts), sp)
-    parts = _Split(list(parts.diag), list(parts.cross))
-    return LayerMatrix(_weighted(grid, sp, parts), sp, parts)
+    d = deriv != "none"
+    keep = sp.is_imaginary and not d and grid.embedded(2) is not None
+    out, parts = _empty(grid, sp), _Split([], {})
+    sl = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
+    # each block's values are freed before the next block's are evaluated,
+    # and only their every-other-node copies are kept: holding them all
+    # tripled the page faults of 16 trace_rrel and 6 field-kernel
+    # evaluations (kite + circle, n = 128) and cost about 5% of their time
+    for j, sj in enumerate(sl):
+        A, B = split_block(sp, grid.distances[sj, sj], grid.speeds[sj], deriv=d)
+        _fill_diag(out, sj, A, B)
+        if keep:
+            parts.diag.append((A[::2, ::2].copy(), B[::2, ::2].copy()))
+        del A, B
+        for k in range(j + 1, len(sl)):
+            K = offdiag_kernel(sp, grid.distances[sj, sl[k]], deriv=d)
+            _fill_cross(out, grid, j, k, K)
+            if keep:
+                parts.cross[j, k] = K[::2, ::2].copy()
+    return LayerMatrix(out, sp, parts if keep else None)
 
 
 def assemble_q(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
@@ -170,10 +174,13 @@ def embedded_q(q: LayerMatrix, grid: BoundaryGrid) -> np.ndarray:
     the imaginary-axis grid q was assembled on, from q's split parts at
     every stride-th node: no kernel call, and bitwise
     `assemble_q(grid, q.sp).entries`."""
-    s = _stride(q.entries.shape[0], grid.size)
-    return _weighted(grid, q.sp, _Split(
-        [(A[::s, ::s], B[::s, ::s]) for A, B in q.parts.diag],
-        [(jk, K[::s, ::s]) for jk, K in q.parts.cross]))
+    s = _stride(q.entries.shape[0], 2 * grid.size)
+    out = _empty(grid, q.sp)
+    for j, (A, B) in enumerate(q.parts.diag):
+        _fill_diag(out, grid.block_slice(j), A[::s, ::s], B[::s, ::s])
+    for (j, k), K in q.parts.cross.items():
+        _fill_cross(out, grid, j, k, K[::s, ::s])
+    return out
 
 
 def dt_dsep_levels(grids, sp: SpectralPoint, direction) -> list:
