@@ -26,10 +26,10 @@ under a rigid motion of one obstacle, which leaves Qtilde unchanged.
 
 The grid of every 2nd, 4th, ... node of each obstacle is embedded in the
 full one (`BoundaryGrid.embedded`), and every kernel value is pointwise.  So
-Q on the imaginary axis keeps its split parts, and `embedded_q` forms Q on an
-embedded grid from their strided entries with that grid's own weights:
-bitwise its assembly there, with no kernel call.  `dt_dsep_levels` does the
-same for dT/ds.
+Q on the imaginary axis keeps every-other-node copies of its split parts, and
+`embedded_q` forms Q on an embedded grid from their strided entries with that
+grid's own weights: bitwise its assembly there, with no kernel call.
+`dt_dsep_levels` does the same for dT/ds.
 """
 
 from __future__ import annotations
