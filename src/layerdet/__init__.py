@@ -12,10 +12,9 @@ from .fields import FieldEvaluator, FieldPoint, field_point
 from .geometry import (BoundaryGrid, Curve, Scene, discretize,
                        distance_to_boundary, make_circle, make_ellipse,
                        make_kite, make_polar_fourier, make_scene)
-from .kernel import SpectralPoint, green_free, green_free_dlambda
+from .kernel import SpectralPoint, green_free
 from .layer_ops import (Factorization, LayerMatrix, LayerPair, assemble_dq,
-                        assemble_dt_dsep, assemble_q, factorize, layer_pair,
-                        solve)
+                        assemble_q, factorize, solve)
 from .oracle import PartialWaveConfig, default_l_max, xi_two_disks
 from .xi import (ShiftSample, XiSample, trace_rrel, xi_dsep, xi_imag,
                  xi_on_ray, xi_prime, xi_real, xi_rel, xi_rel_many)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -118,25 +118,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _write_text(path, text: str) -> None:
+    """text to stdout for path None or "-", else to the file, LF endings."""
+    if path in (None, "-"):
+        sys.stdout.write(text)
+    else:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+
+
 def _write_csv(path, header: Sequence[str], rows) -> None:
-    out = sys.stdout if path in (None, "-") else open(path, "w", newline="\n")
-    try:
-        out.write(",".join(header) + "\n")
-        for row in rows:
-            out.write(",".join(_fmt(v) if isinstance(v, float) else str(v)
-                               for v in row) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    lines = [",".join(header)] + [",".join(_fmt(v) if isinstance(v, float) else str(v)
+                                           for v in row) for row in rows]
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    if path in (None, "-"):
-        sys.stdout.write(text + "\n")
-    else:
-        with open(path, "w", newline="\n") as fh:
-            fh.write(text + "\n")
+    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 _PLOT_TEMPLATE = """\
@@ -160,12 +158,9 @@ print("wrote", {png!r})
 
 
 def _emit_plot(csv_path: str, xcol: str, ycol: str) -> None:
-    if csv_path in (None, "-"):
-        return
-    script = csv_path + ".plot.py"
-    with open(script, "w", newline="\n") as fh:
-        fh.write(_PLOT_TEMPLATE.format(csv=csv_path, xcol=xcol, ycol=ycol,
-                                       png=csv_path + ".png"))
+    if csv_path not in (None, "-"):
+        _write_text(csv_path + ".plot.py", _PLOT_TEMPLATE.format(
+            csv=csv_path, xcol=xcol, ycol=ycol, png=csv_path + ".png"))
 
 
 def _spectral_grid(args) -> np.ndarray:
@@ -262,8 +257,14 @@ def cmd_force(args) -> int:
 # validation suites
 # ---------------------------------------------------------------------------
 
-def _suite_specfun(report):
-    ok = True
+def _canonical():
+    scene = make_scene([make_circle((0.0, 0.0), 1.0), make_circle((4.0, 0.0), 1.0)])
+    return scene, discretize(scene, 96)
+
+
+def _wronskian():
+    # J/Y and I/K Wronskians, each relative to its exact value
+    worst = 0.0
     for n in range(0, 51, 5):
         for x in (0.1, 1.0, 10.0, 100.0):
             wjy = specfun.bessel_j(n + 1, x) * specfun.bessel_y(n, x) \
@@ -271,94 +272,61 @@ def _suite_specfun(report):
                 - 2.0 / (np.pi * x)
             wik = specfun.bessel_i(n, x) * specfun.bessel_k(n + 1, x) \
                 + specfun.bessel_i(n + 1, x) * specfun.bessel_k(n, x) - 1.0 / x
-            scale = abs(2.0 / (np.pi * x))
-            if abs(wjy) > 1e-13 * scale or abs(wik) > 1e-13 * abs(1.0 / x):
-                ok = False
-                report.append(f"FAIL specfun wronskian n={n} x={x}")
-    report.append(f"{'PASS' if ok else 'FAIL'} specfun: Wronskian residuals")
-    return ok
+            worst = max(worst, abs(wjy) / (2.0 / (np.pi * x)), abs(wik) / (1.0 / x))
+    return worst
 
 
-def _canonical():
-    scene = make_scene([make_circle((0.0, 0.0), 1.0), make_circle((4.0, 0.0), 1.0)])
-    return scene, discretize(scene, 96)
+def _nullity():
+    grids = [discretize(make_scene([make((0, 0), 1.0)]), 96)
+             for make in (make_circle, make_kite)]
+    return max(abs(xi_imag(g.scene, g, k).xi) for g in grids for k in (0.3, 1.0, 2.0))
 
 
-def _suite_nullity(report):
-    ok = True
-    for maker in (lambda: make_circle((0, 0), 1.0),
-                  lambda: make_kite((0, 0), 1.0)):
-        scene = make_scene([maker()])
-        grid = discretize(scene, 96)
-        for k in (0.3, 1.0, 2.0):
-            v = abs(xi_imag(scene, grid, k).xi)
-            if v > 1e-12:
-                ok = False
-                report.append(f"FAIL nullity |Xi| = {v:.2e}")
-    report.append(f"{'PASS' if ok else 'FAIL'} nullity: single-obstacle Xi == 0")
-    return ok
-
-
-def _suite_scaling(report):
+def _scaling():
     scene, grid = _canonical()
     big = make_scene([make_circle((0.0, 0.0), 2.0), make_circle((8.0, 0.0), 2.0)])
     big_grid = discretize(big, 96)
-    ok = True
-    for k in (0.5, 1.0, 2.0):
-        a = xi_imag(big, big_grid, k).xi.real
-        b = xi_imag(scene, grid, 2.0 * k).xi.real
-        if abs(a - b) > 1e-10 * (1 + abs(b)):
-            ok = False
-            report.append(f"FAIL scaling k={k}: {a} vs {b}")
-    report.append(f"{'PASS' if ok else 'FAIL'} scaling: Xi_(2 scene)(i k) == Xi(2 i k)")
-    return ok
+    a = [xi_imag(big, big_grid, k).xi.real for k in (0.5, 1.0, 2.0)]
+    b = [xi_imag(scene, grid, 2.0 * k).xi.real for k in (0.5, 1.0, 2.0)]
+    return max(abs(x - y) / (1 + abs(y)) for x, y in zip(a, b))
 
 
-def _suite_decay(report):
+def _decay():
     scene, grid = _canonical()
     dprime = _DELTA_PRIME_FRACTION * scene.gap
     ks = np.linspace(8 / scene.gap, 16 / scene.gap, 5)
     vals = [abs(xi_imag(scene, grid, k).xi.real) for k in ks]
-    ok = all(vals[i + 1] <= vals[i] * np.exp(-dprime * (ks[i + 1] - ks[i])) + 1e-14
-             for i in range(len(ks) - 1))
-    report.append(f"{'PASS' if ok else 'FAIL'} decay: exponential envelope")
-    return ok
+    return max(vals[i + 1] - vals[i] * np.exp(-dprime * (ks[i + 1] - ks[i]))
+               for i in range(len(ks) - 1))
 
 
-def _suite_oracle(report):
+def _oracle():
     scene, grid = _canonical()
-    ok = True
-    for k in (0.1, 1.0, 3.0):
-        bem = xi_imag(scene, grid, k).xi.real
-        pw = xi_two_disks(PartialWaveConfig(40, 1.0, 1.0, 4.0, k))
-        if abs(bem - pw) > 1e-8 * (1 + abs(pw)):
-            ok = False
-            report.append(f"FAIL oracle k={k}: {bem} vs {pw}")
-    report.append(f"{'PASS' if ok else 'FAIL'} oracle: partial-wave agreement")
-    return ok
+    bem = [xi_imag(scene, grid, k).xi.real for k in (0.1, 1.0, 3.0)]
+    pw = [xi_two_disks(PartialWaveConfig(40, 1.0, 1.0, 4.0, k)) for k in (0.1, 1.0, 3.0)]
+    return max(abs(x - y) / (1 + abs(y)) for x, y in zip(bem, pw))
 
 
+#: suite: (worst residual, its bound, what the residual measures)
 _SUITES = {
-    "specfun": _suite_specfun,
-    "nullity": _suite_nullity,
-    "scaling": _suite_scaling,
-    "decay": _suite_decay,
-    "oracle": _suite_oracle,
+    "specfun": (_wronskian, 1e-13, "relative Wronskian residual"),
+    "nullity": (_nullity, 1e-12, "single-obstacle |Xi|"),
+    "scaling": (_scaling, 1e-10, "Xi_(2 scene)(i k) - Xi(2 i k), relative"),
+    "decay": (_decay, 1e-14, "excess over the exponential envelope"),
+    "oracle": (_oracle, 1e-8, "partial-wave difference, relative"),
 }
 
 
 def cmd_validate(args) -> int:
-    names = list(_SUITES) if args.suite == "all" else [args.suite]
-    report: List[str] = []
-    ok = True
-    for name in names:
-        ok = _SUITES[name](report) and ok
-    text = "\n".join(report) + "\n"
-    if args.output in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", newline="\n") as fh:
-            fh.write(text)
+    lines, ok = [], True
+    for name in (list(_SUITES) if args.suite == "all" else [args.suite]):
+        residual, bound, label = _SUITES[name]
+        worst = residual()
+        passed = worst <= bound
+        ok = ok and passed
+        lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {label} {worst:.2e} "
+                     f"{'<=' if passed else '>'} {bound:.0e}")
+    _write_text(args.output, "\n".join(lines) + "\n")
     return 0 if ok else 4
 
 
@@ -375,7 +343,7 @@ def _checked(kind, ok, domain: str):
     return parse
 
 
-_POSITIVE = _checked(float, lambda v: v > 0, "positive")
+_POSITIVE = _checked(float, lambda v: 0 < v < np.inf, "positive and finite")
 _COUNT = _checked(int, lambda v: v >= 1, "at least 1")
 
 

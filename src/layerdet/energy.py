@@ -47,6 +47,10 @@ class QuadConfig:
 
     tol: float = 1e-8
 
+    def __post_init__(self):
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
+
 
 @dataclass(frozen=True)
 class EnergyResult:
@@ -70,10 +74,10 @@ class SmoothFunctionSpec:
     t: float = 0.0
 
     def __post_init__(self):
-        if self.a <= 0:
-            raise ValueError("exponent a must be positive")
-        if self.t < 0:
-            raise ValueError("decay t must be non-negative")
+        if not (np.isfinite(self.a) and self.a > 0):
+            raise ValueError("exponent a must be positive and finite")
+        if not (np.isfinite(self.t) and self.t >= 0):
+            raise ValueError("decay t must be non-negative and finite")
 
     def f(self, lam):
         z = np.asarray(lam) ** 2

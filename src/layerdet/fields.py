@@ -19,7 +19,7 @@ import numpy as np
 from .errors import LayerDetError
 from .geometry import BoundaryGrid, Scene, _winding_contains, distance_to_boundary
 from .kernel import SpectralPoint, green_free
-from .layer_ops import layer_pair, solve
+from .layer_ops import factored_pairs, solve
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class FieldEvaluator:
         self.scene = scene
         self.grid = grid
         self.sp = sp
-        self._fq, self._ft, self._T = layer_pair(grid, sp)
+        self._fq, self._ft, self._T = factored_pairs(grid, sp)[0]
         gap = scene.gap
         if np.isfinite(gap):
             self._standoff = 0.1 * gap

@@ -8,6 +8,7 @@ decay rate downstream.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence, Tuple
@@ -382,16 +383,15 @@ class BoundaryGrid:
 
 def discretize(scene: Scene, n_per_obstacle) -> BoundaryGrid:
     """Build the boundary grid; every node count must be even and >= 16."""
-    if np.isscalar(n_per_obstacle):
-        ns = tuple(int(n_per_obstacle) for _ in scene.obstacles)
-    else:
-        ns = tuple(int(n) for n in n_per_obstacle)
+    ns = [n_per_obstacle] * scene.n_obstacles if np.isscalar(n_per_obstacle) \
+        else list(n_per_obstacle)
     if len(ns) != scene.n_obstacles:
         raise SceneError("one node count per obstacle required")
     for n in ns:
-        if n < 16 or n % 2:
-            raise SceneError(f"node count {n} must be even and >= 16 "
+        if not (isinstance(n, numbers.Real) and float(n).is_integer()) or n < 16 or n % 2:
+            raise SceneError(f"node count {n} must be an even integer >= 16 "
                              "(log-quadrature needs even counts)")
+    ns = tuple(int(n) for n in ns)
     ts, pts, sps, wts, blocks = [], [], [], [], []
     start = 0
     for curve, n in zip(scene.obstacles, ns):

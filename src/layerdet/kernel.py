@@ -117,24 +117,6 @@ def green_free(sp: SpectralPoint, r):
     return 0.25j * _sp.hankel1(0, sp.lam * r)
 
 
-def green_free_dlambda(sp: SpectralPoint, r):
-    """d/dlambda of green_free at fixed points: -(i r/4) H1_1(lambda r); on
-    the imaginary axis this equals i (r/2pi) K_1(kappa r), purely imaginary.
-    """
-    r = _check_r(r)
-    if sp.is_imaginary:
-        return 1j * (r / (2 * np.pi)) * specfun.bessel_k(1, sp.value * r)
-    return -0.25j * r * _sp.hankel1(1, sp.lam * r)
-
-
-def green_free_dkappa(sp: SpectralPoint, r):
-    """d/dkappa of the (real) imaginary-axis kernel: -(r/2pi) K_1(kappa r)."""
-    if not sp.is_imaginary:
-        raise ValueError("green_free_dkappa is an imaginary-axis helper")
-    r = _check_r(r)
-    return -(r / (2 * np.pi)) * specfun.bessel_k(1, sp.value * r)
-
-
 # ---------------------------------------------------------------------------
 # splitting: diagonal-block builder
 # ---------------------------------------------------------------------------
@@ -200,7 +182,11 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
 
 def offdiag_kernel(sp: SpectralPoint, r: np.ndarray, deriv: bool = False):
     """Smooth cross-obstacle kernel values (no speed/weight factors): G, or
-    with deriv dG/dv in the axis variable of split_block."""
+    with deriv dG/dv in the axis variable of split_block: -(r/2pi) K1(kappa r)
+    on the imaginary axis, -(i r/4) H1_1(lambda r) elsewhere."""
     if not deriv:
         return green_free(sp, r)
-    return (green_free_dkappa if sp.is_imaginary else green_free_dlambda)(sp, r)
+    r = _check_r(r)
+    if sp.is_imaginary:
+        return -(r / (2 * np.pi)) * specfun.bessel_k(1, sp.value * r)
+    return -0.25j * r * _sp.hankel1(1, sp.lam * r)

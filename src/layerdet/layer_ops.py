@@ -19,9 +19,9 @@ Storage is real on the imaginary axis and complex elsewhere, for Q and for
 its derivative alike, which is taken in the axis variable (kappa or lambda).
 At real lambda the outgoing kernel is assembled as is, which is Q(lambda + i0).
 Determinants are only ever consumed as ratios of two factorizations sharing
-the same weights, so no symmetrized weighting is needed.  `layer_pair` is the
-one place where Q, its block-diagonal part Qtilde and the coupling
-T = Q - Qtilde are formed and factored; `assemble_dt_dsep` is T's derivative
+the same weights, so no symmetrized weighting is needed.  `factored_pairs` is
+the one place where Q, its block-diagonal part Qtilde and the coupling
+T = Q - Qtilde are formed and factored; `dt_dsep_levels` gives T's derivative
 under a rigid motion of one obstacle, which leaves Qtilde unchanged.
 
 The grid of every 2nd, 4th, ... node of each obstacle is embedded in the
@@ -29,7 +29,8 @@ full one (`BoundaryGrid.embedded`), and every kernel value is pointwise.  So
 Q on the imaginary axis keeps every-other-node copies of its split parts, and
 `embedded_q` forms Q on an embedded grid from their strided entries with that
 grid's own weights: bitwise its assembly there, with no kernel call.
-`dt_dsep_levels` does the same for dT/ds.
+`factored_pairs` factors the pair on such grids too, and `dt_dsep_levels`
+forms dT/ds on them.
 """
 
 from __future__ import annotations
@@ -218,12 +219,6 @@ def _dt_dsep(grid, sp, direction, kernels, s) -> np.ndarray:
     return out
 
 
-def assemble_dt_dsep(grid: BoundaryGrid, sp: SpectralPoint, direction) -> np.ndarray:
-    """dT/ds when obstacle 1 moves rigidly by s * direction: `dt_dsep_levels`
-    on grid alone."""
-    return dt_dsep_levels([grid], sp, direction)[0]
-
-
 def split_blocks(entries: np.ndarray, blocks):
     """(Qtilde, T) of Q, or (dQtilde, dT) of dQ: the obstacles' own blocks
     bitwise with exactly zero cross blocks, and the rest (zero diagonal)."""
@@ -282,15 +277,17 @@ class LayerPair(NamedTuple):
                 + 1j * (self.fq.phase - self.ft.phase))
 
 
-def layer_pair(grid: BoundaryGrid, sp: SpectralPoint) -> LayerPair:
-    """Assemble Q once, split off Qtilde and T, and factor Q and Qtilde."""
-    return factor_pair(assemble_q(grid, sp).entries, grid.blocks)
-
-
-def factor_pair(q: np.ndarray, blocks) -> LayerPair:
-    """Split Qtilde and T off the entries q of Q, and factor Q and Qtilde."""
-    qt, T = split_blocks(q, blocks)
-    return LayerPair(factorize(q), factorize(qt), T)
+def factored_pairs(grid: BoundaryGrid, sp: SpectralPoint, subgrids=()) -> list:
+    """The LayerPair at sp on grid, then on each embedded sub-grid of it in
+    subgrids (`embedded_q`), all from one assembly of Q on grid."""
+    q = assemble_q(grid, sp)
+    mats = [q.entries, *(embedded_q(q, g) for g in subgrids)]
+    del q   # free the split parts before the LUs
+    pairs = []
+    for m, g in zip(mats, (grid, *subgrids)):
+        qt, T = split_blocks(m, g.blocks)
+        pairs.append(LayerPair(factorize(m), factorize(qt), T))
+    return pairs
 
 
 def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:

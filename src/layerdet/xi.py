@@ -37,9 +37,8 @@ import numpy as np
 from .errors import ConvergenceError, LayerDetError, SingularOperatorError
 from .geometry import BoundaryGrid, Scene
 from .kernel import SpectralPoint
-from .layer_ops import (LayerPair, assemble_dq, assemble_q, dt_dsep_levels,
-                        embedded_q, factor_pair, factorize, layer_pair, solve,
-                        split_blocks)
+from .layer_ops import (assemble_dq, assemble_q, dt_dsep_levels, embedded_q,
+                        factored_pairs, factorize, solve, split_blocks)
 
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate; the
 #: energy's kappa range and every walk's anchor end at _KAPPA_MAX_FACTOR / delta'
@@ -78,26 +77,25 @@ def _check(scene: Scene, grid: BoundaryGrid):
         raise LayerDetError("grid was built for a different scene")
 
 
-def _warned(pair: LayerPair, sp: SpectralPoint) -> LayerPair:
-    if sp.is_imaginary and (pair.fq.sign < 0 or pair.ft.sign < 0):
+def _pairs(grid: BoundaryGrid, sp: SpectralPoint, subgrids=()) -> list:
+    """`factored_pairs`, warning when the pair on grid itself has a negative
+    determinant on the imaginary axis."""
+    pairs = factored_pairs(grid, sp, subgrids)
+    if sp.is_imaginary and (pairs[0].fq.sign < 0 or pairs[0].ft.sign < 0):
         # positivity of the layer operator at imaginary wavenumber is an
         # empirical diagnostic, not a correctness assumption; fixed message
         # so the default warning filter deduplicates repeats
         warnings.warn("negative LU pivot sign for an imaginary-axis layer "
                       "matrix (grid underresolved for this kappa?)",
-                      RuntimeWarning, stacklevel=4)
-    return pair
-
-
-def _logdet_pair(grid: BoundaryGrid, sp: SpectralPoint) -> LayerPair:
-    return _warned(layer_pair(grid, sp), sp)
+                      RuntimeWarning, stacklevel=3)
+    return pairs
 
 
 def xi_imag(scene: Scene, grid: BoundaryGrid, kappa: float) -> XiSample:
     """Xi(i kappa): real, from two real LU log-determinants."""
     _check(scene, grid)
     sp = SpectralPoint.imaginary(kappa)
-    pair = _logdet_pair(grid, sp)
+    pair = _pairs(grid, sp)[0]
     fq, ft = pair.fq, pair.ft
     if fq.sign * ft.sign <= 0:
         raise LayerDetError(
@@ -113,12 +111,8 @@ def _xi_imag_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) ->
     (`embedded_q`), so a sub-grid costs its two LUs only.  A grid on which
     the two determinants' signs disagree does not resolve kappa: nan."""
     _check(scene, grid)
-    sp = SpectralPoint.imaginary(kappa)
-    q = assemble_q(grid, sp)
-    pairs = [_warned(factor_pair(q.entries, grid.blocks), sp),
-             *(factor_pair(embedded_q(q, g), g.blocks) for g in subgrids)]
     return [p.log_det_ratio().real if p.fq.sign * p.ft.sign > 0 else np.nan
-            for p in pairs]
+            for p in _pairs(grid, SpectralPoint.imaginary(kappa), subgrids)]
 
 
 class _Unwrapper:
@@ -140,7 +134,7 @@ class _Unwrapper:
         w = z
         for attempt in range(4):
             try:
-                pair = _logdet_pair(self.grid, SpectralPoint.from_complex(w))
+                pair = _pairs(self.grid, SpectralPoint.from_complex(w))[0]
             except SingularOperatorError:
                 # lambda^2 grazing an interior Dirichlet eigenvalue: deform
                 # the path locally upward
@@ -302,7 +296,7 @@ def _trace_terms(grid: BoundaryGrid, sp: SpectralPoint, both_paths: bool):
     imaginary axis all matrices are real and d is a kappa derivative, so
     callers apply the chain factor dlambda = i dkappa.
     """
-    fq, ft, T = layer_pair(grid, sp)
+    fq, ft, T = factored_pairs(grid, sp)[0]
     dq = assemble_dq(grid, sp).entries
     dqt, dT = split_blocks(dq, grid.blocks)
     d = np.trace(solve(fq, dT)) - _trace_product(solve(fq, dqt), solve(ft, T))

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from layerdet import cli
 from layerdet.cli import main, parse_scene_file
 from layerdet.errors import SceneFileError
 from layerdet.kernel import KAPPA_MIN_FACTOR
@@ -278,6 +279,8 @@ BAD_FLAGS = {
     "shift_count_zero": ["shift", "--kappa-count", "0"],
     "xi_kappa_max_infinite": ["xi", "--kappa-max", "inf"],
     "energy_tol_negative": ["energy", "--tol", "-1"],
+    "energy_tol_infinite": ["energy", "--tol", "inf"],
+    "tracedf_t_infinite": ["tracedf", "--a", "1", "--t", "inf"],
 }
 
 
@@ -305,3 +308,15 @@ class TestValidate:
         out = tmp_path / "report.txt"
         assert main(["validate", "all", "--output", str(out)]) == 0
         assert out.read_text().count("PASS") == 5
+
+    def test_suite_above_its_bound_fails(self, tmp_path, monkeypatch):
+        # one suite over its bound: exit 4, its line shows the figure, and
+        # the other suites still run and pass
+        _, bound, label = cli._SUITES["scaling"]
+        monkeypatch.setitem(cli._SUITES, "scaling", (lambda: 3 * bound, bound, label))
+        out = tmp_path / "report.txt"
+        assert main(["validate", "all", "--output", str(out)]) == 4
+        lines = out.read_text().splitlines()
+        assert lines[2] == f"FAIL scaling: {label} 3.00e-10 > 1e-10"
+        assert len(lines) == 5
+        assert all(line.startswith("PASS ") for i, line in enumerate(lines) if i != 2)

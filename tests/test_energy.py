@@ -185,6 +185,24 @@ class TestPowerTrace:
             power_trace(canonical_scene, canonical_grid_64, 1.5)
 
 
+class TestMalformedInputs:
+    # rejected when constructed, before any assembly
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, np.nan, np.inf])
+    def test_quadrature_tolerance(self, canonical_scene, canonical_grid_64,
+                                  q_assemblies, tol):
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            casimir_energy(canonical_scene, canonical_grid_64, QuadConfig(tol=tol))
+        assert q_assemblies[0] == 0
+
+    @pytest.mark.parametrize("a, t", [(np.nan, 1.0), (np.inf, 1.0),
+                                      (1.0, np.nan), (1.0, np.inf)])
+    def test_trace_function(self, canonical_scene, canonical_grid_64,
+                            q_assemblies, a, t):
+        with pytest.raises(ValueError, match="finite"):
+            trace_df(canonical_scene, canonical_grid_64, SmoothFunctionSpec(a=a, t=t))
+        assert q_assemblies[0] == 0
+
+
 class TestTraceDf:
     def test_single_obstacle_zero(self, single_disk):
         scene, grid = single_disk

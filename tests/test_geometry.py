@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from layerdet import (SceneError, discretize, make_circle, make_ellipse,
-                      make_kite, make_polar_fourier, make_scene)
+from layerdet import (SceneError, casimir_energy, discretize, make_circle,
+                      make_ellipse, make_kite, make_polar_fourier, make_scene)
 from layerdet.geometry import distance_to_boundary
 
 
@@ -133,6 +133,15 @@ class TestDiscretize:
             discretize(scene, 33)
         with pytest.raises(SceneError):
             discretize(scene, 8)
+
+    @pytest.mark.parametrize("n", [32.9, np.nan, "32", (32, 40.5)],
+                             ids=["fraction", "nan", "string", "one_of_two"])
+    def test_rejects_non_integer_counts(self, q_assemblies, n):
+        # no silent truncation: 32.9 would build 32 nodes
+        scene = make_scene([make_circle((0, 0), 1.0), make_circle((4, 0), 1.0)])
+        with pytest.raises(SceneError, match="even integer"):
+            casimir_energy(scene, discretize(scene, n))
+        assert q_assemblies[0] == 0
 
     def test_deterministic(self):
         scene = make_scene([make_kite((0, 0), 1.0), make_circle((4, 0), 1.0)])

@@ -6,10 +6,9 @@ import pytest
 from scipy import special
 from scipy.special import i0, jv
 
-from layerdet import SpectralPoint, green_free, green_free_dlambda, make_circle, make_kite
-from layerdet import kernel
-from layerdet.kernel import green_free_dkappa, offdiag_kernel, split_block
-
+from layerdet import SpectralPoint, green_free, make_circle, make_kite
+from layerdet import kernel, specfun
+from layerdet.kernel import offdiag_kernel, split_block
 
 class TestSpectralPoint:
     def test_imaginary(self):
@@ -78,19 +77,17 @@ class TestGreenFreeDLambda:
         h = 1e-6 * mod
         fd = (green_free(SpectralPoint.ray(mod + h, theta), r)
               - green_free(SpectralPoint.ray(mod - h, theta), r)) / (2 * h)
-        val = green_free_dlambda(SpectralPoint.ray(mod, theta), r)
+        val = offdiag_kernel(SpectralPoint.ray(mod, theta), r, deriv=True)
         assert val * np.exp(1j * theta) == pytest.approx(fd, rel=1e-8)
 
-    def test_imag_axis_purely_imaginary(self):
-        sp = SpectralPoint.imaginary(0.9)
-        v = green_free_dlambda(sp, 1.1)
-        assert v.real == 0.0 and v.imag > 0
-
-    def test_dkappa_consistency(self):
-        # chain rule at lambda = i kappa: dG/dlambda = -i dG/dkappa
-        sp = SpectralPoint.imaginary(0.9)
-        assert green_free_dlambda(sp, 1.1) == pytest.approx(
-            -1j * green_free_dkappa(sp, 1.1))
+    def test_imag_axis_dkappa_vs_finite_difference(self):
+        # on the axis the derivative is in kappa and real
+        kap, r, h = 0.9, 1.1, 1e-6
+        fd = (green_free(SpectralPoint.imaginary(kap + h), r)
+              - green_free(SpectralPoint.imaginary(kap - h), r)) / (2 * h)
+        val = offdiag_kernel(SpectralPoint.imaginary(kap), r, deriv=True)
+        assert not np.iscomplexobj(val) and val < 0
+        assert val == pytest.approx(fd, rel=1e-8)
 
 
 def _nodes(curve, n):
@@ -202,17 +199,20 @@ class TestKressSplit:
         L = np.log(4 * np.sin((t[i] - t[j]) / 2) ** 2)
         # the derivative is in the axis variable: kappa (real) on the
         # imaginary axis, lambda on a ray
-        for sp, dg in ((SpectralPoint.imaginary(0.8), green_free_dkappa),
-                       (SpectralPoint.ray(1.1, np.pi / 3), green_free_dlambda)):
+        for sp in (SpectralPoint.imaginary(0.8), SpectralPoint.ray(1.1, np.pi / 3)):
             A, B = split_block(sp, r, speeds, deriv=True)
             assert np.iscomplexobj(B) != sp.is_imaginary
             assert np.all(np.diag(A) == 0.0)
-            direct = dg(sp, r[i, j]) * speeds[j]
+            direct = offdiag_kernel(sp, r[i, j], deriv=True) * speeds[j]
             assert A[i, j] * L + B[i, j] == pytest.approx(direct, rel=1e-12)
 
     def test_offdiag_kernel_modes(self):
         r = np.array([0.5, 2.0])
-        for sp, dg in ((SpectralPoint.imaginary(1.0), green_free_dkappa),
-                       (SpectralPoint.ray(1.1, np.pi / 3), green_free_dlambda)):
-            assert np.array_equal(offdiag_kernel(sp, r), green_free(sp, r))
-            assert np.array_equal(offdiag_kernel(sp, r, deriv=True), dg(sp, r))
+        sp = SpectralPoint.imaginary(1.0)
+        assert np.array_equal(offdiag_kernel(sp, r), green_free(sp, r))
+        assert np.array_equal(offdiag_kernel(sp, r, deriv=True),
+                              -(r / (2 * np.pi)) * specfun.bessel_k(1, r))
+        sp = SpectralPoint.ray(1.1, np.pi / 3)
+        assert np.array_equal(offdiag_kernel(sp, r), green_free(sp, r))
+        assert np.array_equal(offdiag_kernel(sp, r, deriv=True),
+                              -0.25j * r * special.hankel1(1, sp.lam * r))

@@ -3,11 +3,10 @@ import pytest
 from scipy.special import i0, i1, iv, ivp, jv, kv, kvp
 
 from layerdet import (LayerDetError, SingularOperatorError, SpectralPoint, assemble_dq,
-                      assemble_dt_dsep, assemble_q, discretize, factorize,
-                      layer_ops, make_circle, make_ellipse, make_kite, make_scene,
-                      solve, trace_rrel)
+                      assemble_q, discretize, factorize, layer_ops, make_circle,
+                      make_ellipse, make_kite, make_scene, solve, trace_rrel)
 from layerdet.kernel import offdiag_kernel
-from layerdet.layer_ops import kress_log_weights, split_blocks
+from layerdet.layer_ops import dt_dsep_levels, kress_log_weights, split_blocks
 
 SPECTRAL_POINTS = (SpectralPoint.imaginary(1.0), SpectralPoint.ray(2.0, np.pi / 8))
 
@@ -137,7 +136,7 @@ class TestAssembly:
                     assert calls[0] == nb * (nb - 1) // 2
                 # dT/ds: only the pairs with obstacle 1
                 calls[0] = 0
-                assemble_dt_dsep(grid, sp, (1.0, 0.0))
+                dt_dsep_levels([grid], sp, (1.0, 0.0))
                 assert calls[0] == nb - 1
 
     def test_circle_eigenvalues(self):
@@ -236,7 +235,7 @@ class TestAssembleDtDsep:
                 make_circle((0.0, 5.0), 1.0)]), 32)
 
         for sp in (SpectralPoint.imaginary(1.2), SpectralPoint.ray(1.2, np.pi / 5)):
-            dt = assemble_dt_dsep(grid(0.0), sp, e)
+            dt = dt_dsep_levels([grid(0.0)], sp, e)[0]
             fd = (assemble_q(grid(h), sp).entries
                   - assemble_q(grid(-h), sp).entries) / (2 * h)
             assert np.abs(fd - dt).max() <= 1e-7 * np.abs(dt).max()
@@ -244,7 +243,7 @@ class TestAssembleDtDsep:
 
     def test_needs_two_obstacles(self, single_disk):
         with pytest.raises(LayerDetError):
-            assemble_dt_dsep(single_disk[1], SpectralPoint.imaginary(1.0), (1.0, 0.0))
+            dt_dsep_levels([single_disk[1]], SpectralPoint.imaginary(1.0), (1.0, 0.0))
 
 
 class TestFactorize:

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 from layerdet import (ConvergenceError, Curve, LayerDetError,
                       PartialWaveConfig, SingularOperatorError, SpectralPoint,
-                      discretize, make_circle, make_ellipse, make_kite,
-                      make_polar_fourier, make_scene, trace_rrel, xi, xi_imag,
-                      xi_on_ray, xi_prime, xi_real, xi_rel, xi_rel_many,
+                      casimir_energy, discretize, make_circle, make_ellipse,
+                      make_kite, make_polar_fourier, make_scene, trace_rrel, xi,
+                      xi_imag, xi_on_ray, xi_prime, xi_real, xi_rel, xi_rel_many,
                       xi_two_disks)
-from layerdet.layer_ops import (assemble_dt_dsep, assemble_q, dt_dsep_levels,
-                                embedded_q)
+from layerdet.layer_ops import (assemble_q, dt_dsep_levels, embedded_q,
+                                factored_pairs)
 
 
 def richardson_fd(f, x, h):
@@ -96,6 +96,10 @@ class TestXiImag:
         with _w.catch_warnings():
             _w.simplefilter("ignore")
             assert abs(xi_imag(scene, grid, 4.0).xi) <= 1e-12
+        # the energy reports it from the nodes' own grids
+        scene = make_scene([make_kite((0, 0), 1.0), make_circle((4, 0), 1.0)])
+        with pytest.warns(RuntimeWarning, match="negative LU pivot"):
+            casimir_energy(scene, discretize(scene, 64))
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_determinant_raises(self, q_assemblies):
@@ -235,25 +239,27 @@ class TestEmbeddedLevels:
     @example(scene=KITE_AND_CIRCLE, kappa=2.0, counts=[128, 48, 16])
     @example(scene=KITE_AND_CIRCLE, kappa=0.5, counts=[64, 30, 16])
     def test_bitwise_the_coarse_assembly(self, scene, kappa, counts):
-        # every embedded level of an imaginary-axis Q and dT/ds is the
-        # assembly on the grid of every 2^k-th node, bitwise; a stride at
-        # which a count would turn odd or fall below 16 has no level
+        # every embedded level of an imaginary-axis Q, its factored pair and
+        # dT/ds is the one on the grid of every 2^k-th node, bitwise; a
+        # stride at which a count would turn odd or fall below 16 has no level
         makers, centres = scene
         sc = make_scene([m(c) for m, c in zip(makers, centres)])
         ns = counts[:sc.n_obstacles]
         grid, sp, e = discretize(sc, ns), SpectralPoint.imaginary(kappa), (0.6, 0.8)
         q = assemble_q(grid, sp)
-        stride = 2
+        stride, subs, refs = 2, [], []
         while all(n % stride == 0 and (n // stride) % 2 == 0 and n // stride >= 16
                   for n in ns):
             sub, ref = grid.embedded(stride), discretize(sc, [n // stride for n in ns])
             assert np.array_equal(embedded_q(q, sub), assemble_q(ref, sp).entries)
             assert np.array_equal(dt_dsep_levels([grid, sub], sp, e)[1],
-                                  assemble_dt_dsep(ref, sp, e))
+                                  dt_dsep_levels([ref], sp, e)[0])
+            subs.append(sub)
+            refs.append(ref)
             stride *= 2
         assert grid.embedded(stride) is None
-        assert np.array_equal(dt_dsep_levels([grid], sp, e)[0],
-                              assemble_dt_dsep(grid, sp, e))
+        for pair, ref in zip(factored_pairs(grid, sp, subs)[1:], refs):
+            assert pair.log_det_ratio() == xi_imag(sc, ref, kappa).xi
 
 
 def _descent(target, gap):
@@ -471,15 +477,15 @@ class TestXiRel:
             self, canonical_scene, canonical_grid_32, monkeypatch):
         # an exactly singular Q at a real target is reported through the
         # ray extrapolation, not as a value from a point moved off the axis
-        lam, logdet_pair = 0.9, xi._logdet_pair
+        lam, factored_pairs = 0.9, xi.factored_pairs
 
-        def singular_at_lam(grid, sp):
+        def singular_at_lam(grid, sp, subgrids=()):
             if sp.axis == "real" and sp.value == lam:
                 raise SingularOperatorError("exactly singular pivot")
-            return logdet_pair(grid, sp)
+            return factored_pairs(grid, sp, subgrids)
 
         ref = xi._shift_on_rays(canonical_scene, canonical_grid_32, lam)
-        monkeypatch.setattr(xi, "_logdet_pair", singular_at_lam)
+        monkeypatch.setattr(xi, "factored_pairs", singular_at_lam)
         batch = xi_rel_many(canonical_scene, canonical_grid_32, [1.3, lam, 0.5])
         assert batch[1] == ref and ref.eta_used == pytest.approx(1e-3 * lam)
         assert batch[0].eta_used == batch[2].eta_used == 0
