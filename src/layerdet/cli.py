@@ -28,11 +28,13 @@ from .oracle import PartialWaveConfig, xi_two_disks
 from .xi import _DELTA_PRIME_FRACTION, xi_imag, xi_real, xi_rel_many
 
 _SCENE_KEYS = {"version", "dimension", "n", "obstacles"}
-_OBSTACLE_KEYS = {
-    "circle": {"kind", "center", "radius", "n"},
-    "ellipse": {"kind", "center", "a", "b", "rotation", "n"},
-    "kite": {"kind", "center", "scale", "n"},
-    "polar_fourier": {"kind", "center", "cos", "sin", "n"},
+#: kind -> (factory, required keys, optional keys with their defaults), the
+#: keys in the factory's argument order; "kind" and "n" are allowed on all
+_OBSTACLES = {
+    "circle": (make_circle, ("center", "radius"), {}),
+    "ellipse": (make_ellipse, ("center", "a", "b"), {"rotation": 0.0}),
+    "kite": (make_kite, ("center", "scale"), {}),
+    "polar_fourier": (make_polar_fourier, ("center", "cos"), {"sin": ()}),
 }
 
 
@@ -82,26 +84,18 @@ def parse_scene_file(path: str):
         if not isinstance(ob, dict) or "kind" not in ob:
             raise SceneFileError(f"obstacle {i}: needs a \"kind\"")
         kind = ob["kind"]
-        if not isinstance(kind, str) or kind not in _OBSTACLE_KEYS:
+        if not isinstance(kind, str) or kind not in _OBSTACLES:
             raise SceneFileError(f"obstacle {i}: unknown kind {kind!r}")
-        unknown = set(ob) - _OBSTACLE_KEYS[kind]
+        factory, required, optional = _OBSTACLES[kind]
+        unknown = set(ob) - {"kind", "n", *required, *optional}
         if unknown:
             raise SceneFileError(f"obstacle {i}: unknown keys {sorted(unknown)}")
         for key in sorted(set(ob) - {"kind", "n"}):
             _check_numbers(ob[key], f"obstacle {i}: \"{key}\"",
                            2 if key == "center" else None)
         try:
-            center = ob["center"]
-            if kind == "circle":
-                curves.append(make_circle(center, ob["radius"]))
-            elif kind == "ellipse":
-                curves.append(make_ellipse(center, ob["a"], ob["b"],
-                                           ob.get("rotation", 0.0)))
-            elif kind == "kite":
-                curves.append(make_kite(center, ob["scale"]))
-            else:
-                curves.append(make_polar_fourier(center, ob["cos"],
-                                                 ob.get("sin", ())))
+            curves.append(factory(*(ob[key] for key in required),
+                                  *(ob.get(key, v) for key, v in optional.items())))
         except KeyError as exc:
             raise SceneFileError(f"obstacle {i}: missing key {exc}") from exc
         except (TypeError, IndexError, ValueError) as exc:

@@ -24,13 +24,16 @@ the one place where Q, its block-diagonal part Qtilde and the coupling
 T = Q - Qtilde are formed and factored; `dt_dsep_levels` gives T's derivative
 under a rigid motion of one obstacle, which leaves Qtilde unchanged.
 
-The grid of every 2nd, 4th, ... node of each obstacle is embedded in the
-full one (`BoundaryGrid.embedded`), and every kernel value is pointwise.  So
-Q on the imaginary axis keeps every-other-node copies of its split parts, and
-`embedded_q` forms Q on an embedded grid from their strided entries with that
-grid's own weights: bitwise its assembly there, with no kernel call.
-`factored_pairs` factors the pair on such grids too, and `dt_dsep_levels`
-forms dT/ds on them.
+The grid of every s-th node of each obstacle (s = 2, 4, ...) is embedded in
+the full one (`BoundaryGrid.embedded`): its nodes and speeds are the full
+grid's every s-th ones and its weights exactly s times theirs, as
+fl(2 pi / (n / s)) = s fl(2 pi / n).  So every cross-block entry of Q, and
+every entry of dT/ds, on that grid is bitwise s M[::s, ::s] of the full
+grid's matrix M.  The product-rule weights R_k do not stride, so Q on the
+imaginary axis keeps only its diagonal blocks' split parts, on every other
+node, and `embedded_q` refills those blocks from them: bitwise Q's assembly
+on the sub-grid, with no kernel call.  `q_levels` gives Q on a grid and its
+sub-grids from one assembly, and `dt_dsep_levels` dT/ds.
 """
 
 from __future__ import annotations
@@ -47,21 +50,14 @@ from .geometry import BoundaryGrid
 from .kernel import KAPPA_MIN_FACTOR, SpectralPoint, offdiag_kernel, split_block
 
 
-class _Split(NamedTuple):
-    """The pointwise values a matrix is weighted from, on every other node:
-    `split_block`'s (A, B) per obstacle and the cross kernel per obstacle
-    pair j < k."""
-    diag: list
-    cross: dict
-
-
 @dataclass(frozen=True)
 class LayerMatrix:
     entries: np.ndarray
     sp: SpectralPoint
-    #: Q on the imaginary axis keeps its split parts on the first embedded
-    #: sub-grid, from which `embedded_q` forms Q on every embedded sub-grid
-    parts: _Split | None = None
+    #: Q on the imaginary axis keeps `split_block`'s (A, B) per obstacle on
+    #: every other node, from which `embedded_q` refills the diagonal blocks
+    #: on every embedded sub-grid; the cross blocks stride exactly
+    parts: list | None = None
 
 
 @dataclass(frozen=True)
@@ -118,12 +114,6 @@ def _fill_diag(out: np.ndarray, sj: slice, A: np.ndarray, B: np.ndarray):
     out[sj, sj] = _kress_log_matrix(n) * A + (2 * np.pi / n) * B
 
 
-def _fill_cross(out: np.ndarray, grid: BoundaryGrid, j: int, k: int, K: np.ndarray):
-    sj, sk, w = grid.block_slice(j), grid.block_slice(k), grid.weights
-    out[sj, sk] = K * w[sk]
-    out[sk, sj] = K.T * w[sj]
-
-
 def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
               diagonal_only: bool) -> LayerMatrix:
     """Full matrix: Q for deriv "none", dQ/dv for any other value.  The
@@ -133,23 +123,22 @@ def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
     _check_sp(grid, sp)
     d = deriv != "none"
     keep = sp.is_imaginary and not d and grid.embedded(2) is not None
-    out, parts = _empty(grid, sp), _Split([], {})
+    out, parts, w = _empty(grid, sp), [], grid.weights
     sl = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
     # each block's values are freed before the next block's are evaluated,
-    # and only their every-other-node copies are kept: holding them all
-    # tripled the page faults of 16 trace_rrel and 6 field-kernel
+    # and only the split parts' every-other-node copies are kept: holding
+    # them all tripled the page faults of 16 trace_rrel and 6 field-kernel
     # evaluations (kite + circle, n = 128) and cost about 5% of their time
     for j, sj in enumerate(sl):
         A, B = split_block(sp, grid.distances[sj, sj], grid.speeds[sj], deriv=d)
         _fill_diag(out, sj, A, B)
         if keep:
-            parts.diag.append((A[::2, ::2].copy(), B[::2, ::2].copy()))
+            parts.append((A[::2, ::2].copy(), B[::2, ::2].copy()))
         del A, B
-        for k in range(j + 1, len(sl)):
-            K = offdiag_kernel(sp, grid.distances[sj, sl[k]], deriv=d)
-            _fill_cross(out, grid, j, k, K)
-            if keep:
-                parts.cross[j, k] = K[::2, ::2].copy()
+        for sk in sl[j + 1:]:
+            K = offdiag_kernel(sp, grid.distances[sj, sk], deriv=d)
+            out[sj, sk] = K * w[sk]
+            out[sk, sj] = K.T * w[sj]
     return LayerMatrix(out, sp, parts if keep else None)
 
 
@@ -164,30 +153,40 @@ def assemble_dq(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
     return _assemble(grid, sp, "dv", False)
 
 
-def _stride(big: int, small: int) -> int:
-    if big % small:
+def _strided(m: np.ndarray, grid: BoundaryGrid, counts: tuple) -> np.ndarray:
+    """s m[::s, ::s] for grid the embedded grid of every s-th node (s = 2,
+    4, ...) of the one m was assembled on, with counts nodes per obstacle:
+    bitwise m's assembly there wherever the entries are the kernel times
+    the column weight."""
+    s = m.shape[0] // grid.size
+    if s < 2 or s & (s - 1) or counts != tuple(s * n for n in grid.n_per_obstacle):
         raise ValueError("not an embedded sub-grid")
-    return big // small
+    return s * m[::s, ::s]
 
 
 def embedded_q(q: LayerMatrix, grid: BoundaryGrid) -> np.ndarray:
     """Q at q.sp on grid, an embedded sub-grid (`BoundaryGrid.embedded`) of
-    the imaginary-axis grid q was assembled on, from q's split parts at
-    every stride-th node: no kernel call, and bitwise
-    `assemble_q(grid, q.sp).entries`."""
-    s = _stride(q.entries.shape[0], 2 * grid.size)
-    out = _empty(grid, q.sp)
-    for j, (A, B) in enumerate(q.parts.diag):
+    the imaginary-axis grid q was assembled on: the cross blocks strided,
+    the diagonal blocks refilled from q's split parts.  No kernel call, and
+    bitwise `assemble_q(grid, q.sp).entries`."""
+    out = _strided(q.entries, grid, tuple(2 * len(A) for A, _ in q.parts))
+    s = q.entries.shape[0] // (2 * grid.size)
+    for j, (A, B) in enumerate(q.parts):
         _fill_diag(out, grid.block_slice(j), A[::s, ::s], B[::s, ::s])
-    for (j, k), K in q.parts.cross.items():
-        _fill_cross(out, grid, j, k, K[::s, ::s])
     return out
+
+
+def q_levels(grid: BoundaryGrid, sp: SpectralPoint, subgrids=()) -> list:
+    """Q's entries at sp on grid, then on each embedded sub-grid of it in
+    subgrids, from one assembly on grid; its split parts are freed here."""
+    q = assemble_q(grid, sp)
+    return [q.entries, *(embedded_q(q, g) for g in subgrids)]
 
 
 def dt_dsep_levels(grids, sp: SpectralPoint, direction) -> list:
     """dT/ds when obstacle 1 moves rigidly by s * direction (a unit vector),
-    on grids[0] and on each later grid, an embedded sub-grid of grids[0],
-    from one kernel evaluation on grids[0].
+    assembled on grids[0] and strided to each later grid, an embedded
+    sub-grid of grids[0].
 
     Only the cross blocks coupling obstacle 1 change, through r = |x - y|:
     dr/ds = +-(x - y).direction / r, + when x lies on obstacle 1.  The
@@ -197,26 +196,18 @@ def dt_dsep_levels(grids, sp: SpectralPoint, direction) -> list:
     if grid.scene.n_obstacles < 2:
         raise LayerDetError("the separation derivative needs obstacle 1")
     _check_sp(grid, sp)
-    s1 = grid.block_slice(1)
-    kernels = {j: offdiag_kernel(sp, grid.distances[s1, grid.block_slice(j)], deriv=True)
-               for j in range(grid.scene.n_obstacles) if j != 1}
-    return [_dt_dsep(g, sp, direction, kernels, _stride(grid.size, g.size))
-            for g in grids]
-
-
-def _dt_dsep(grid, sp, direction, kernels, s) -> np.ndarray:
     v = sp.value if sp.is_imaginary else sp.lam
     e = np.asarray(direction, dtype=float)
-    out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
-    w, s1 = grid.weights, grid.block_slice(1)
-    for j, K in kernels.items():
-        sj = grid.block_slice(j)
-        diff = grid.points[s1][:, None, :] - grid.points[sj][None, :, :]
-        scale = v * (diff @ e) / np.sum(diff ** 2, axis=-1)
-        K = K[::s, ::s]
-        out[s1, sj] = K * w[sj] * scale
-        out[sj, s1] = K.T * w[s1] * scale.T
-    return out
+    out, w, s1 = _empty(grid, sp), grid.weights, grid.block_slice(1)
+    for j in range(grid.scene.n_obstacles):
+        if j != 1:
+            sj = grid.block_slice(j)
+            K = offdiag_kernel(sp, grid.distances[s1, sj], deriv=True)
+            diff = grid.points[s1][:, None, :] - grid.points[sj][None, :, :]
+            scale = v * (diff @ e) / np.sum(diff ** 2, axis=-1)
+            out[s1, sj] = K * w[sj] * scale
+            out[sj, s1] = K.T * w[s1] * scale.T
+    return [out, *(_strided(out, g, grid.n_per_obstacle) for g in grids[1:])]
 
 
 def split_blocks(entries: np.ndarray, blocks):
@@ -279,12 +270,9 @@ class LayerPair(NamedTuple):
 
 def factored_pairs(grid: BoundaryGrid, sp: SpectralPoint, subgrids=()) -> list:
     """The LayerPair at sp on grid, then on each embedded sub-grid of it in
-    subgrids (`embedded_q`), all from one assembly of Q on grid."""
-    q = assemble_q(grid, sp)
-    mats = [q.entries, *(embedded_q(q, g) for g in subgrids)]
-    del q   # free the split parts before the LUs
+    subgrids, all from one assembly of Q on grid (`q_levels`)."""
     pairs = []
-    for m, g in zip(mats, (grid, *subgrids)):
+    for m, g in zip(q_levels(grid, sp, subgrids), (grid, *subgrids)):
         qt, T = split_blocks(m, g.blocks)
         pairs.append(LayerPair(factorize(m), factorize(qt), T))
     return pairs

@@ -37,8 +37,8 @@ import numpy as np
 from .errors import ConvergenceError, LayerDetError, SingularOperatorError
 from .geometry import BoundaryGrid, Scene
 from .kernel import SpectralPoint
-from .layer_ops import (assemble_dq, assemble_q, dt_dsep_levels, embedded_q,
-                        factored_pairs, factorize, solve, split_blocks)
+from .layer_ops import (assemble_dq, dt_dsep_levels, factored_pairs, factorize,
+                        q_levels, solve, split_blocks)
 
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate; the
 #: energy's kappa range and every walk's anchor end at _KAPPA_MAX_FACTOR / delta'
@@ -108,7 +108,7 @@ def xi_imag(scene: Scene, grid: BoundaryGrid, kappa: float) -> XiSample:
 def _xi_imag_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) -> list:
     """Xi(i kappa) on grid, bitwise `xi_imag`'s, then on each embedded
     sub-grid of it (`BoundaryGrid.embedded`) from the same assembly
-    (`embedded_q`), so a sub-grid costs its two LUs only.  A grid on which
+    (`q_levels`), so a sub-grid costs its two LUs only.  A grid on which
     the two determinants' signs disagree does not resolve kappa: nan."""
     _check(scene, grid)
     return [p.log_det_ratio().real if p.fq.sign * p.ft.sign > 0 else np.nan
@@ -184,8 +184,9 @@ def _from_axis(scene: Scene, points) -> list:
 
 
 def _positive(values, what: str) -> None:
-    if np.any(np.asarray(values) <= 0):
-        raise ValueError(f"{what} must be positive")
+    v = np.asarray(values, dtype=float)
+    if not np.all((v > 0) & (v < np.inf)):
+        raise ValueError(f"{what} must be positive and finite")
 
 
 def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
@@ -264,6 +265,8 @@ def xi_on_ray(scene: Scene, grid: BoundaryGrid, angle: float,
     """Xi(u e^{i angle}) with a continuous branch: one walk from the
     imaginary axis along the arc to the largest u, then down the ray."""
     _check(scene, grid)
+    if not 0 < angle < np.pi / 2:
+        raise ValueError(f"ray angle {angle} must lie in (0, pi/2)")
     u = np.asarray(list(u_values), dtype=float)
     _positive(u, "ray moduli")
     if scene.n_obstacles == 1 or not u.size:
@@ -364,6 +367,5 @@ def _xi_dsep_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) ->
     sp = SpectralPoint.imaginary(kappa)
     axis = np.subtract(scene.obstacles[1].center, scene.obstacles[0].center)
     dts = dt_dsep_levels([grid, *subgrids], sp, axis / np.hypot(*axis))
-    q = assemble_q(grid, sp)
-    qs = [q.entries, *(embedded_q(q, g) for g in subgrids)]
-    return [float(np.trace(solve(factorize(m), dT))) for m, dT in zip(qs, dts)]
+    return [float(np.trace(solve(factorize(m), dT)))
+            for m, dT in zip(q_levels(grid, sp, subgrids), dts)]

@@ -261,6 +261,18 @@ class TestEmbeddedLevels:
         for pair, ref in zip(factored_pairs(grid, sp, subs)[1:], refs):
             assert pair.log_det_ratio() == xi_imag(sc, ref, kappa).xi
 
+    # of 64 nodes per disk: 48 per disk is no stride's grid (96 does not
+    # divide 128), and 16 + 48 is half the size but not every other node
+    @pytest.mark.parametrize("counts", [48, [16, 48]], ids=["size", "split"])
+    @pytest.mark.parametrize("level", [
+        lambda grid, sub, sp: embedded_q(assemble_q(grid, sp), sub),
+        lambda grid, sub, sp: dt_dsep_levels([grid, sub], sp, (1.0, 0.0)),
+    ], ids=["embedded_q", "dt_dsep_levels"])
+    def test_rejects_a_grid_that_is_not_embedded(self, canonical_scene, level, counts):
+        grid, sub = discretize(canonical_scene, 64), discretize(canonical_scene, counts)
+        with pytest.raises(ValueError, match="not an embedded sub-grid"):
+            level(grid, sub, SpectralPoint.imaginary(1.0))
+
 
 def _descent(target, gap):
     """The 25-point descent from i*Lambda, Lambda = 20 / (0.9 gap), along a
@@ -587,12 +599,39 @@ class TestWalkerPaths:
         assert path[0] == pytest.approx(1j * kappa_max, rel=1e-15)
         assert max(abs(np.array(path))) == pytest.approx(u, rel=1e-15)
 
-    @pytest.mark.parametrize("eta", [0.0, -1e-3], ids=["xi_real_zero",
-                                                      "xi_real_negative"])
+    @pytest.mark.parametrize("eta", [0.0, -1e-3, np.nan], ids=["xi_real_zero",
+                                                              "xi_real_negative",
+                                                              "xi_real_nan"])
     def test_nonpositive_eta_rejected_before_walking(
             self, canonical_scene, canonical_grid_64, q_assemblies, eta):
         with pytest.raises(ValueError, match="eta"):
             xi_real(canonical_scene, canonical_grid_64, 0.7, eta=eta)
+        assert q_assemblies[0] == 0
+
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda s, g: xi_on_ray(s, g, -0.3, [1.0]),
+                     r"^ray angle -0.3 must lie in \(0, pi/2\)", id="ray_angle_negative"),
+        pytest.param(lambda s, g: xi_on_ray(s, g, np.nan, [1.0]),
+                     r"^ray angle nan must lie in \(0, pi/2\)", id="ray_angle_nan"),
+        pytest.param(lambda s, g: xi_on_ray(s, g, np.pi / 2, [1.0]),
+                     r"^ray angle 1.57\d* must lie in \(0, pi/2\)", id="ray_angle_half_pi"),
+        pytest.param(lambda s, g: xi_on_ray(s, g, np.pi / 8, [1.0, np.nan]),
+                     "^ray moduli must be positive and finite", id="ray_modulus_nan"),
+        pytest.param(lambda s, g: xi_on_ray(s, g, np.pi / 8, [np.inf]),
+                     "^ray moduli must be positive and finite", id="ray_modulus_inf"),
+        pytest.param(lambda s, g: xi_rel_many(s, g, [0.5, np.nan]),
+                     "^lambda grid must be positive and finite", id="xi_rel_many_nan"),
+        pytest.param(lambda s, g: xi_rel_many(s, g, [np.inf, 0.5]),
+                     "^lambda grid must be positive and finite", id="xi_rel_many_inf"),
+        pytest.param(lambda s, g: xi_real(s, g, np.nan),
+                     "^lam must be positive and finite", id="xi_real_lam_nan"),
+        pytest.param(lambda s, g: xi_real(s, g, np.inf),
+                     "^lam must be positive and finite", id="xi_real_lam_inf"),
+    ])
+    def test_bad_input_rejected_before_walking(self, canonical_scene, canonical_grid_32,
+                                               q_assemblies, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(canonical_scene, canonical_grid_32)
         assert q_assemblies[0] == 0
 
     def test_empty_sweeps(self, canonical_scene, canonical_grid_64, q_assemblies):
