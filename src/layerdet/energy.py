@@ -13,10 +13,12 @@ decays like C e^{-delta' kappa} beyond the gap scale and the truncated tail
 is bounded by fitting C on the last decade of samples with the
 conservative rate delta' = 0.9 * gap.
 
-On the imaginary axis the caller's grid is the finest level: each node is
-evaluated on the coarsest embedded sub-grid (every 2nd, 4th, ... node) whose
-own estimate |v_m - v_{m/2}| resolves it, and disc_err integrates those
-estimates.
+The caller's grid is the finest level of every integral, on the imaginary
+axis and on the contour alike (`_Levels`): each node is evaluated on the
+coarsest embedded sub-grid (every 2nd, 4th, ... node) whose own estimate
+|v_m - v_{m/2}| resolves it, and disc_err integrates those estimates.  The
+contour's nodes are walked down its ray one level at a time, each later
+level's walk from the largest node already on the branch.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from numpy.polynomial.legendre import leggauss
 from .errors import ConvergenceError, LayerDetError
 from .geometry import BoundaryGrid, Scene
 from .kernel import KAPPA_MIN_FACTOR
-from .xi import (_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR, _xi_dsep_levels,
-                 _xi_imag_levels, xi_on_ray, xi_rel_many)
+from .xi import (_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR, _ray_walker,
+                 _xi_dsep_levels, _xi_imag_levels, xi_rel_many)
 
 
 @dataclass(frozen=True)
@@ -41,7 +43,7 @@ class QuadConfig:
     32, ... 256 over kappa in [1e-6 / gap, 30 / (0.9 gap)] stop once the
     integral moves by <= `tol`, each node on the coarsest embedded grid whose
     estimate keeps its share of the discretization error below `tol` / 4
-    (`_xi_imag_weighted`).  Nodes are evaluated one after another; the
+    (`_Levels`); the contour's rule is the same on its two pieces.  Nodes are evaluated one after another; the
     only parallelism is the BLAS library's threads inside each LU and solve,
     whose count moves the energy by about 1e-12."""
 
@@ -173,60 +175,91 @@ def _strides(grid: BoundaryGrid) -> list:
     return out
 
 
-def _xi_imag_weighted(scene: Scene, grid: BoundaryGrid, sample: Callable,
-                      weight: Callable, cfg: QuadConfig) -> EnergyResult:
-    """Integral of weight(kappa) v(kappa) over [1e-6 / gap, 30 / (0.9 gap)]
-    of a multi-obstacle scene, v being Xi(i kappa) or a derivative of it.
-    sample(scene, g, kappa, subgrids) returns v on grid g and on each embedded
-    sub-grid of g in subgrids, from one assembly on g.
+def _spread(vals) -> np.ndarray:
+    # |v_s - v_2s| per level; a level without a value is not resolved
+    return np.nan_to_num(np.abs(np.diff(vals)), nan=np.inf)
+
+
+class _Levels:
+    """The embedded level of each node of one integral of weight(x) v(x)
+    over the log-mapped pieces between edges.
 
     grid is the finest level.  A node is resolved on the grid of every
-    s-th node when d_s = |v_s - v_2s| kappa |weight| log(kappa_max /
-    kappa_min) <= tol / 4: the log-mapped rule then keeps the integrated
+    s-th node when d_s = |v_s - v_2s| x |weight| log(edges[-1] / edges[0])
+    <= tol / 4: the log-mapped rule then keeps the integrated
     discretization error below tol / 4.  The first level's nodes are
     assembled on grid, and each records the coarsest stride resolving it;
     every later node is assembled on the finer of its two neighbours'
     grids and moves one stride finer, at one more assembly, only while its
-    own estimate fails.  disc_err sums weight |weight| d_s over the nodes."""
-    dprime = _DELTA_PRIME_FRACTION * scene.gap
-    kmin, kmax = KAPPA_MIN_FACTOR / scene.gap, _KAPPA_MAX_FACTOR / dprime
-    strides, span = _strides(grid), np.log(kmax / kmin)
-    level, disc = {}, {}
+    own estimate fails.  `disc_err` sums weight |weight| d_s over the
+    nodes."""
 
-    def resolved(k, d):
-        return d * k * abs(weight(k)) * span <= 0.25 * cfg.tol
+    def __init__(self, grid: BoundaryGrid, edges, weight: Callable, tol: float):
+        self.grid, self.edges, self.weight, self.tol = grid, edges, weight, tol
+        self.strides, self.span = _strides(grid), np.log(edges[-1] / edges[0])
+        self.level, self.disc, self.value = {}, {}, {}
 
-    def spread(vals):
-        # |v_s - v_2s| per level; a level without a value is not resolved
-        return np.nan_to_num(np.abs(np.diff(vals)), nan=np.inf)
+    def _resolved(self, x, d) -> bool:
+        return d * x * abs(self.weight(x)) * self.span <= 0.25 * self.tol
 
-    def node(k, known):
+    def evaluate(self, xs, sample: Callable) -> np.ndarray:
+        """v at xs, one Clenshaw-Curtis level's new nodes in the order given.
+        sample(x, g, subgrids) returns v at x on grid g and on each embedded
+        sub-grid of g in subgrids, from one assembly on g."""
+        known = np.array(sorted(self.level))
+        return np.array([self._node(x, known, sample) for x in xs])
+
+    def _node(self, x, known, sample):
+        grid, strides = self.grid, self.strides
         if not known.size:
-            vals = sample(scene, grid, k, [grid.embedded(2 * s) for s in strides])
-            v, ds = vals[0], spread(vals)
-            n_ok = next((i for i, d in enumerate(ds) if not resolved(k, d)), len(ds))
+            vals = sample(x, grid, [grid.embedded(2 * s) for s in strides])
+            v, ds = vals[0], _spread(vals)
+            n_ok = next((i for i, d in enumerate(ds) if not self._resolved(x, d)),
+                        len(ds))
             s = strides[max(n_ok, 1) - 1] if strides else 1
         else:
-            i = np.searchsorted(known, k)
-            s = min(level[x] for x in known[max(i - 1, 0):i + 1].tolist())
+            i = np.searchsorted(known, x)
+            s = min(self.level[k] for k in known[max(i - 1, 0):i + 1].tolist())
             while True:
-                vals = sample(scene, grid.embedded(s), k,
+                vals = sample(x, grid.embedded(s),
                               [grid.embedded(2 * s)] if strides else [])
-                v, ds = vals[0], spread(vals)
-                if s == 1 or resolved(k, ds[0]):
+                v, ds = vals[0], _spread(vals)
+                if s == 1 or self._resolved(x, ds[0]):
                     break
                 s //= 2
         if np.isnan(v):
             raise LayerDetError("negative determinant sign product on the "
-                                f"imaginary axis at kappa = {k}")
-        level[k], disc[k] = s, ds[0] if strides else None
+                                f"imaginary axis at kappa = {x}")
+        self.level[x], self.disc[x], self.value[x] = s, ds[0] if strides else None, v
         return v
 
-    def evaluate(ks):
-        known = np.array(sorted(level))
-        return np.array([node(k, known) for k in ks.tolist()])
+    def disc_err(self, nodes: np.ndarray) -> float | None:
+        """The final rule's weight times |weight| d_s summed over its nodes
+        (sorted), None where grid has no embedded sub-grid."""
+        if not self.strides:
+            return None
+        x, w = _pieces_rule(self.edges, (nodes.size - 1) // (self.edges.size - 1))
+        # pieces share their end points: one weight per distinct node
+        w = np.bincount(np.unique(x.ravel(), return_inverse=True)[1], w.ravel())
+        d = np.array([self.disc[k] for k in nodes.tolist()])
+        return float(np.sum(w * np.abs(self.weight(nodes)) * d))
 
-    value, err, nodes, vals = _nested_cc((kmin, kmax), evaluate, weight, cfg.tol)
+
+def _xi_imag_weighted(scene: Scene, grid: BoundaryGrid, sample: Callable,
+                      weight: Callable, cfg: QuadConfig) -> EnergyResult:
+    """Integral of weight(kappa) v(kappa) over [1e-6 / gap, 30 / (0.9 gap)]
+    of a multi-obstacle scene, v being Xi(i kappa) or a derivative of it,
+    each node on its embedded level (`_Levels`).  sample(scene, g, kappa,
+    subgrids) returns v on grid g and on each embedded sub-grid of g in
+    subgrids, from one assembly on g."""
+    dprime = _DELTA_PRIME_FRACTION * scene.gap
+    kmin, kmax = KAPPA_MIN_FACTOR / scene.gap, _KAPPA_MAX_FACTOR / dprime
+    levels = _Levels(grid, np.array([kmin, kmax]), weight, cfg.tol)
+
+    def evaluate(ks):
+        return levels.evaluate(ks.tolist(), lambda k, g, subs: sample(scene, g, k, subs))
+
+    value, err, nodes, vals = _nested_cc(levels.edges, evaluate, weight, cfg.tol)
     near_zero = kmin * max(abs(weight(kmin)), abs(weight(2.0 * kmin))) * \
         np.max(np.abs(vals[nodes <= 2.0 * kmin]))
     tail = _fit_tail(nodes, vals, kmax, dprime)
@@ -234,15 +267,10 @@ def _xi_imag_weighted(scene: Scene, grid: BoundaryGrid, sample: Callable,
     # any extension integrates noise; bound that by a rectangle over the
     # magnitudes observed on [kappa_max / 2, kappa_max]
     noise_tail = 0.5 * kmax * np.max(np.abs(vals[nodes >= 0.5 * kmax]))
-    disc_err = None
-    if strides:
-        # the final rule's weights, its nodes in descending order
-        w = _pieces_rule(np.array([kmin, kmax]), nodes.size - 1)[1][0, ::-1]
-        d = np.array([disc[k] for k in nodes.tolist()])
-        disc_err = float(np.sum(w * np.abs(weight(nodes)) * d))
     return EnergyResult(float(value), float(err + near_zero),
                         float(abs(weight(kmax)) * max(tail, noise_tail)),
-                        tuple(zip(nodes.tolist(), vals.tolist())), disc_err)
+                        tuple(zip(nodes.tolist(), vals.tolist())),
+                        levels.disc_err(nodes))
 
 
 def casimir_energy(scene: Scene, grid: BoundaryGrid,
@@ -274,7 +302,8 @@ def power_trace(scene: Scene, grid: BoundaryGrid, s: float,
 def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
              cfg: QuadConfig = QuadConfig(), theta: float = np.pi / 8) -> EnergyResult:
     """Tr D_f = (i/2pi) * contour integral of f'(lambda) Xi(lambda) over the
-    sector boundary rays u e^{i theta} and u e^{i (pi - theta)}.
+    sector boundary rays u e^{i theta} and u e^{i (pi - theta)}, each node
+    on its embedded level (`_Levels`).
 
     The kernels obey Q(-conj(lambda)) = conj(Q(lambda)) entrywise, so the
     left-ray integral is exactly the conjugate of the right-ray one and the
@@ -287,7 +316,7 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
     if not 0 < theta < np.pi / 4:
         raise LayerDetError("contour half-angle must satisfy 0 < 2*theta < pi/2")
     if scene.n_obstacles == 1:
-        return EnergyResult(0.0, 0.0, 0.0, ())
+        return EnergyResult(0.0, 0.0, 0.0, (), 0.0)
     gap = scene.gap
     dprime = _DELTA_PRIME_FRACTION * gap
     u_max = min(np.sqrt(45.0 / (f.t * np.cos(2 * theta))),
@@ -295,15 +324,31 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
     # the integrand is smooth in log u over the decades below 1 / gap; the
     # piece beyond gets its own nodes for the oscillation of Xi on the ray
     phase = np.exp(1j * theta)
-    value, delta, nodes, xis = _nested_cc(
-        (KAPPA_MIN_FACTOR / gap, min(1.0 / gap, 0.5 * u_max), u_max),
-        lambda u: xi_on_ray(scene, grid, theta, u),
-        lambda u: phase * f.f_prime(u * phase), cfg.tol)
+    edges = np.array([KAPPA_MIN_FACTOR / gap, min(1.0 / gap, 0.5 * u_max), u_max])
+
+    def weight(u):
+        return phase * f.f_prime(u * phase)
+
+    levels = _Levels(grid, edges, weight, cfg.tol)
+
+    def evaluate(us):
+        # one walk per level down the ray through its new nodes, started at
+        # the largest node already on the branch, or from the imaginary axis
+        desc = us[::-1].tolist()
+        top = max(levels.value, default=None)
+        walker = _ray_walker(scene, grid, theta, desc,
+                             None if top is None else (top, levels.value[top]))
+        return levels.evaluate(desc, lambda u, g, subs:
+                               walker.step(u * phase, g, subs))[::-1]
+
+    value, delta, nodes, xis = _nested_cc(edges, evaluate, weight, cfg.tol)
     # tail: |f'| * C e^{-delta' u sin(theta)} beyond u_max
     fmax = abs(f.f_prime(u_max * phase))
     tail = fmax * _fit_tail(nodes, xis, u_max, dprime * np.sin(theta)) / np.pi
+    disc = levels.disc_err(nodes)
     return EnergyResult(float(value.imag) / np.pi, float(delta) / np.pi, tail,
-                        tuple(zip(nodes.tolist(), xis.tolist())))
+                        tuple(zip(nodes.tolist(), xis.tolist())),
+                        None if disc is None else disc / np.pi)
 
 
 def birman_krein_trace(scene: Scene, grid: BoundaryGrid,

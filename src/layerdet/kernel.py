@@ -7,7 +7,8 @@ lambda = |lambda| e^{i theta} on a ray with 0 < theta < pi/2, or on the
 positive real axis (theta = 0, the boundary value lambda + i0).  The kernel
 is (i/4) H1_0(lambda r), which at lambda = i kappa collapses to
 (1/2pi) K_0(kappa r); the code uses the modified-Bessel form there so the
-imaginary part is exactly zero.
+imaginary part is exactly zero.  At real lambda it is (i/4) (J_0 + i Y_0)
+from the real-argument J and Y, so the regular factor J_0 is real there.
 
 The Martensen/Kussmaul-style splitting writes the single-layer kernel times
 the speed factor as
@@ -114,7 +115,22 @@ def green_free(sp: SpectralPoint, r):
     r = _check_r(r)
     if sp.is_imaginary:
         return specfun.bessel_k(0, sp.value * r) / (2 * np.pi)
-    return 0.25j * _sp.hankel1(0, sp.lam * r)
+    return 0.25j * _hankel1(0, sp, r)
+
+
+def _hankel1(order: int, sp: SpectralPoint, x, with_j: bool = False):
+    """H1_order(lambda x) off the imaginary axis, with J_order(lambda x)
+    before it when with_j.  At real lambda both come from the real-argument
+    J and Y (j0/y0 or j1/y1): AMOS on lambda x + 0j takes about three times
+    as long and leaves J an imaginary part of up to 4e-16."""
+    if sp.axis == "real":
+        z = sp.value * x
+        j, y = (_sp.j0(z), _sp.y0(z)) if order == 0 else (_sp.j1(z), _sp.y1(z))
+        h = j + 1j * y
+    else:
+        z = sp.lam * x
+        j, h = _sp.jv(order, z) if with_j else None, _sp.hankel1(order, z)
+    return (j, h) if with_j else h
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +170,8 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
     dG/dv * speed in the axis variable v (kappa on the imaginary axis,
     lambda on a ray).  The regular factor J and the kernel G are
     (I0, K0/2pi) or (r I1, -r K1/2pi) on the axis and (J0, (i/4) H0) or
-    (-r J1, -(i/4) r H1) on a ray; A = -J speed / 4pi.  J and G are
+    (-r J1, -(i/4) r H1) elsewhere, A then real at real lambda; A = -J
+    speed / 4pi.  J and G are
     symmetric in the node pair, so they are evaluated on the strict upper
     triangle only and mirrored."""
     n = speeds.size
@@ -165,9 +182,9 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
         J, G = ((x * _sp.i1(v * x), -(x / (2 * np.pi)) * _sp.k1(v * x)) if deriv
                 else (_sp.i0(v * x), _sp.k0(v * x) / (2 * np.pi)))
     else:
-        v, c = sp.lam, 0.25j
-        J, G = ((-(x * _sp.jv(1, v * x)), -0.25j * x * _sp.hankel1(1, v * x)) if deriv
-                else (_sp.jv(0, v * x), 0.25j * _sp.hankel1(0, v * x)))
+        v, c = (sp.value if sp.axis == "real" else sp.lam), 0.25j
+        J, H = _hankel1(int(deriv), sp, x, with_j=True)
+        J, G = (-(x * J), -0.25j * x * H) if deriv else (J, 0.25j * H)
     J, G = (_mirrored(a, upper, n) for a in (J, G))
     A = -(J / (4 * np.pi)) * speeds[None, :]
     # free J before B's temporaries: holding it made casimir_energy (disks,
@@ -189,4 +206,4 @@ def offdiag_kernel(sp: SpectralPoint, r: np.ndarray, deriv: bool = False):
     r = _check_r(r)
     if sp.is_imaginary:
         return -(r / (2 * np.pi)) * specfun.bessel_k(1, sp.value * r)
-    return -0.25j * r * _sp.hankel1(1, sp.lam * r)
+    return -0.25j * r * _hankel1(1, sp, r)

@@ -29,10 +29,10 @@ the full one (`BoundaryGrid.embedded`): its nodes and speeds are the full
 grid's every s-th ones and its weights exactly s times theirs, as
 fl(2 pi / (n / s)) = s fl(2 pi / n).  So every cross-block entry of Q, and
 every entry of dT/ds, on that grid is bitwise s M[::s, ::s] of the full
-grid's matrix M.  The product-rule weights R_k do not stride, so Q on the
-imaginary axis keeps only its diagonal blocks' split parts, on every other
-node, and `embedded_q` refills those blocks from them: bitwise Q's assembly
-on the sub-grid, with no kernel call.  `q_levels` gives Q on a grid and its
+grid's matrix M.  The product-rule weights R_k do not stride, so Q keeps
+its diagonal blocks' split parts, on every other node, on every axis, and
+`embedded_q` refills those blocks from them: bitwise Q's assembly on the
+sub-grid, with no kernel call.  `q_levels` gives Q on a grid and its
 sub-grids from one assembly, and `dt_dsep_levels` dT/ds.
 """
 
@@ -54,9 +54,10 @@ from .kernel import KAPPA_MIN_FACTOR, SpectralPoint, offdiag_kernel, split_block
 class LayerMatrix:
     entries: np.ndarray
     sp: SpectralPoint
-    #: Q on the imaginary axis keeps `split_block`'s (A, B) per obstacle on
-    #: every other node, from which `embedded_q` refills the diagonal blocks
-    #: on every embedded sub-grid; the cross blocks stride exactly
+    #: Q keeps `split_block`'s (A, B) per obstacle on every other node, on
+    #: every axis, wherever its grid has an embedded sub-grid; `embedded_q`
+    #: refills the diagonal blocks there from them, and the cross blocks
+    #: stride exactly
     parts: list | None = None
 
 
@@ -122,7 +123,7 @@ def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
     deriv == "none" as one Q assembly."""
     _check_sp(grid, sp)
     d = deriv != "none"
-    keep = sp.is_imaginary and not d and grid.embedded(2) is not None
+    keep = not d and grid.embedded(2) is not None
     out, parts, w = _empty(grid, sp), [], grid.weights
     sl = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
     # each block's values are freed before the next block's are evaluated,
@@ -166,10 +167,10 @@ def _strided(m: np.ndarray, grid: BoundaryGrid, counts: tuple) -> np.ndarray:
 
 def embedded_q(q: LayerMatrix, grid: BoundaryGrid) -> np.ndarray:
     """Q at q.sp on grid, an embedded sub-grid (`BoundaryGrid.embedded`) of
-    the imaginary-axis grid q was assembled on: the cross blocks strided,
-    the diagonal blocks refilled from q's split parts.  No kernel call, and
-    bitwise `assemble_q(grid, q.sp).entries`."""
-    out = _strided(q.entries, grid, tuple(2 * len(A) for A, _ in q.parts))
+    the grid q was assembled on: the cross blocks strided, the diagonal
+    blocks refilled from q's split parts.  No kernel call, and bitwise
+    `assemble_q(grid, q.sp).entries`."""
+    out = _strided(q.entries, grid, tuple(2 * len(A) for A, _ in q.parts or ()))
     s = q.entries.shape[0] // (2 * grid.size)
     for j, (A, B) in enumerate(q.parts):
         _fill_diag(out, grid.block_slice(j), A[::s, ::s], B[::s, ::s])

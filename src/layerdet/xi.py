@@ -14,9 +14,11 @@ the cancellation of two large traces.
 On the imaginary axis everything is real and Im Xi(i kappa) = 0 at every
 kappa.  Xi elsewhere carries the branch fixed by continuity from there: a
 walk starts, unevaluated, at i r, r = min(|z0|, kappa_max) for its first
-point z0, and reaches z0 along the arc of modulus r and then z0's ray.  Xi
-is analytic and zero-free in the open upper half plane, so every such path
-gives the same branch.
+point z0, and reaches z0 along the arc of modulus r and then z0's ray, or
+from a point whose value on the branch is known.  Xi is analytic and
+zero-free in the open upper half plane, so every such path gives the same
+branch.  A walk may evaluate each point on an embedded level of its grid
+(`_Unwrapper.step`), as `trace_df` does.
 
 The spectral shift -(1/pi) Im Xi(lambda + i0) is read at real lambda, from Q
 and Qtilde assembled there: the outgoing kernel is continuous up to the real
@@ -115,8 +117,14 @@ def _xi_imag_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) ->
             for p in _pairs(grid, SpectralPoint.imaginary(kappa), subgrids)]
 
 
+def _multiple(raw: complex, near: complex) -> float:
+    # the multiple m of 2 pi that puts Im raw + 2 pi m nearest Im near
+    return np.round((near.imag - raw.imag) / (2 * np.pi))
+
+
 class _Unwrapper:
-    """Continuous-branch walker along a path of spectral points."""
+    """Continuous-branch walker along a path of spectral points, each point
+    evaluated on the walker's grid or on an embedded level of it."""
 
     def __init__(self, grid: BoundaryGrid, budget: int = 600):
         self.grid = grid
@@ -126,43 +134,62 @@ class _Unwrapper:
         #: min(pivot_min / pivot_max) of Q and Qtilde at each evaluated
         #: point; 0.0 where the point was singular and the path deformed
         self.pivot_ratio = {}
+        #: the grid and sub-grids `_eval` assembles on, Xi on the sub-grids
+        #: at its last point, and the walk's last point and value
+        self._level, self._below, self._last = (grid, ()), [], None
 
     def _eval(self, z: complex) -> complex:
         if self.evals >= self.budget:
             raise ConvergenceError("phase-unwrapping budget exceeded")
         self.evals += 1
+        grid, subgrids = self._level
         w = z
         for attempt in range(4):
             try:
-                pair = _pairs(self.grid, SpectralPoint.from_complex(w))[0]
+                pairs = _pairs(grid, SpectralPoint.from_complex(w), subgrids)
             except SingularOperatorError:
                 # lambda^2 grazing an interior Dirichlet eigenvalue: deform
                 # the path locally upward
                 w = w + 1j * max(1e-6, 1e-3 * abs(w)) * 4.0 ** attempt
                 continue
             self.pivot_ratio[z] = 0.0 if w != z else min(
-                f.pivot_min / f.pivot_max for f in (pair.fq, pair.ft))
-            return pair.log_det_ratio()
+                f.pivot_min / f.pivot_max for f in (pairs[0].fq, pairs[0].ft))
+            self._below = [p.log_det_ratio() for p in pairs[1:]]
+            return pairs[0].log_det_ratio()
         raise SingularOperatorError("path deformation failed near a "
                                     f"singular spectral point {w}")
 
-    def walk(self, path) -> list:
-        """Xi at path[1:].  path[0] is an anchor on the imaginary axis,
-        where Im Xi = 0 is known, so it is not evaluated; every later point
-        keeps Im within pi/2 of its predecessor by absorbing 2 pi multiples
-        and bisecting oversized steps, the first one against the anchor."""
-        prev, vals = (path[0], 0j), []
-        for z in path[1:]:
-            prev = self._step(prev, z, self._eval(z), 0)
-            vals.append(prev[1])
-        return vals
+    def walk(self, path, start: complex = 0j) -> list:
+        """Xi at path[1:] on the walker's grid.  path[0] is an anchor where
+        Xi = start is known, by default a point of the imaginary axis, where
+        Im Xi = 0, so it is not evaluated; every later point keeps Im within
+        pi/2 of its predecessor by absorbing 2 pi multiples and bisecting
+        oversized steps, the first one against the anchor.  `step` goes on
+        from path[-1]."""
+        self._last = (path[0], start)
+        return [self.step(z)[0] for z in path[1:]]
+
+    def step(self, z: complex, grid: BoundaryGrid | None = None,
+             subgrids=()) -> list:
+        """Xi at z on grid (the walker's by default), the walk's next point,
+        then on each embedded sub-grid of grid in subgrids from the same
+        assembly, on the 2 pi multiple nearest the value on grid.  A step to
+        the walk's last point, a retry there on a finer grid, takes the
+        multiple nearest the value there; bisection midpoints are evaluated
+        on grid alone."""
+        self._level = (self.grid if grid is None else grid, subgrids)
+        raw = self._eval(z)
+        below, self._level = self._below, (self._level[0], ())
+        self._last = self._step(self._last, z, raw, 0)
+        v = self._last[1]
+        return [v, *(b + 2j * np.pi * _multiple(b, v) for b in below)]
 
     def _step(self, prev, z: complex, raw: complex, depth: int):
         prev_z, prev_val = prev
-        m = np.round((prev_val.imag - raw.imag) / (2 * np.pi))
+        m = _multiple(raw, prev_val)
         val = raw + 2j * np.pi * m
         if abs(val.imag - prev_val.imag) > np.pi / 2:
-            if depth > 48:
+            if depth > 48 or z == prev_z:
                 raise ConvergenceError("unwrapping step cannot be refined further")
             mid = 0.5 * (prev_z + z)
             prev = self._step(prev, mid, self._eval(mid), depth + 1)
@@ -181,6 +208,20 @@ def _from_axis(scene: Scene, points) -> list:
     arc = r * np.exp(1j * np.linspace(0.5 * np.pi, np.angle(z0), _ARC_STEPS + 1)[1:-1])
     out = np.geomspace(r, abs(z0), int(np.ceil(np.log2(abs(z0) / r))) + 1)[:-1]
     return [1j * r, *arc, *(out * np.exp(1j * np.angle(z0))), *points]
+
+
+def _ray_walker(scene: Scene, grid: BoundaryGrid, angle: float, us,
+                anchor=None) -> _Unwrapper:
+    """A walker ready to `step` down the ray u e^{i angle} through the
+    moduli us, in descending order: from anchor = (u, Xi(u e^{i angle})), a
+    point of the ray already on the branch, or else led in from the
+    imaginary axis to us[0] (`_from_axis`) on grid."""
+    walker = _Unwrapper(grid, budget=120 + 30 * len(us))
+    if anchor is None:
+        walker.walk(_from_axis(scene, [us[0] * np.exp(1j * angle)])[:-1])
+    else:
+        walker.walk([anchor[0] * np.exp(1j * angle)], start=anchor[1])
+    return walker
 
 
 def _positive(values, what: str) -> None:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
@@ -9,13 +11,15 @@ from layerdet import (PartialWaveConfig, default_l_max, discretize, layer_ops,
 @pytest.fixture
 def q_assemblies(monkeypatch):
     """Counts full Q assemblies at layer_ops._assemble, the point where the
-    benchmark counts determinant evaluations."""
-    count = [0]
+    benchmark counts determinant evaluations: [0] all of them, [1] a
+    Counter of them by matrix size."""
+    count = [0, Counter()]
     assemble = layer_ops._assemble
 
     def counted(grid, sp, deriv, diagonal_only):
         if deriv == "none" and not diagonal_only:
             count[0] += 1
+            count[1][grid.size] += 1
         return assemble(grid, sp, deriv, diagonal_only)
 
     monkeypatch.setattr(layer_ops, "_assemble", counted)

@@ -236,7 +236,8 @@ class TestEnergyCommands:
 
     def test_disc_err_follows_tail_bound(self, tmp_path):
         out = tmp_path / "out.json"
-        for argv in (["energy"], ["power", "--s", "0.25"], ["force"]):
+        for argv in (["energy"], ["power", "--s", "0.25"], ["force"],
+                     ["tracedf", "--a", "1.0", "--t", "4.0"]):
             assert main([*argv, "--scene", CANONICAL, "--n", "64",
                          "--output", str(out)]) == 0
             # the writer sorts the keys

@@ -8,7 +8,7 @@ from layerdet import (LayerDetError, PartialWaveConfig, QuadConfig,
                       SmoothFunctionSpec, casimir_energy, casimir_force,
                       default_l_max, discretize, make_circle, make_ellipse,
                       make_scene, power_trace, trace_df, xi_dsep, xi_imag,
-                      xi_two_disks)
+                      xi_on_ray, xi_two_disks)
 from layerdet.kernel import KAPPA_MIN_FACTOR
 from layerdet.xi import _DELTA_PRIME_FRACTION
 
@@ -224,6 +224,39 @@ class TestTraceDf:
         h = 1e-6
         fd = (f.f(lam + h) - f.f(lam - h)) / (2 * h)
         assert f.f_prime(lam) == pytest.approx(fd, rel=1e-8)
+
+    #: trace_df of a = 1, t = 4, tol 1e-9 on the canonical disks at n = 96
+    #: with every node on the 96-node grid, before the contour was levelled
+    UNLEVELLED_96 = -0.011650893672630589
+
+    def test_levelled_assemblies(self, canonical_scene, canonical_grid_96,
+                                 q_assemblies):
+        # the arc and the first level's 33 nodes at 96 nodes per disk, the
+        # 96 later nodes at 48, resolved there by their own estimate
+        trace_df(canonical_scene, canonical_grid_96,
+                 SmoothFunctionSpec(a=1.0, t=4.0), QuadConfig(tol=1e-9))
+        assert q_assemblies[1] == {192: 36, 96: 96}
+
+    def test_error_terms_cover_the_unlevelled_value(self, canonical_scene,
+                                                    canonical_grid_96):
+        td = trace_df(canonical_scene, canonical_grid_96,
+                      SmoothFunctionSpec(a=1.0, t=4.0), QuadConfig(tol=1e-9))
+        assert td.disc_err > 0
+        assert abs(td.value - self.UNLEVELLED_96) <= td.quad_err + td.disc_err
+
+    def test_no_sub_grid_no_estimate(self, canonical_scene, q_assemblies):
+        # as for the energy: every node on the caller's grid, on the branch
+        # xi_on_ray walks to, and disc_err says it was not estimated
+        spec = SmoothFunctionSpec(a=1.0, t=4.0)
+        for ns in ((40, 18), (32, 20)):
+            grid = discretize(canonical_scene, ns)
+            q_assemblies[1].clear()
+            td = trace_df(canonical_scene, grid, spec, QuadConfig(tol=1e-9))
+            assert td.disc_err is None
+            assert list(q_assemblies[1]) == [grid.size]
+            us, vals = np.array(td.samples).T
+            assert np.array_equal(vals, xi_on_ray(canonical_scene, grid,
+                                                  np.pi / 8, us.real))
 
     def test_continuity_to_power_trace(self, canonical_scene, canonical_grid_64):
         # a = 1/2, t -> 0+ approaches the s = 1/2 power trace

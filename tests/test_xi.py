@@ -231,21 +231,31 @@ KITE_AND_CIRCLE = ([_curve_maker("kite", 1.0, 1.0, 0.0, [0.0] * 4),
                    [(0.0, 0.0), (4.0, 0.0)])
 
 
+#: a spectral point of modulus kappa on each axis
+AXES = {"imaginary": SpectralPoint.imaginary,
+        "ray": lambda kappa: SpectralPoint.ray(kappa, np.pi / 5),
+        "real": lambda kappa: SpectralPoint.from_complex(kappa)}
+
+
 class TestEmbeddedLevels:
     @settings(max_examples=10, deadline=None, derandomize=True)
     @given(scene=disjoint_scenes(), kappa=st.floats(0.01, 6.0),
-           counts=st.lists(st.sampled_from(COUNTS), min_size=3, max_size=3))
+           counts=st.lists(st.sampled_from(COUNTS), min_size=3, max_size=3),
+           axis=st.sampled_from(sorted(AXES)))
     # mixed counts: one level (64, 24), none at (32, 12); and none at all
-    @example(scene=KITE_AND_CIRCLE, kappa=2.0, counts=[128, 48, 16])
-    @example(scene=KITE_AND_CIRCLE, kappa=0.5, counts=[64, 30, 16])
-    def test_bitwise_the_coarse_assembly(self, scene, kappa, counts):
-        # every embedded level of an imaginary-axis Q, its factored pair and
-        # dT/ds is the one on the grid of every 2^k-th node, bitwise; a
-        # stride at which a count would turn odd or fall below 16 has no level
+    @example(scene=KITE_AND_CIRCLE, kappa=2.0, counts=[128, 48, 16], axis="imaginary")
+    @example(scene=KITE_AND_CIRCLE, kappa=0.5, counts=[64, 30, 16], axis="imaginary")
+    @example(scene=KITE_AND_CIRCLE, kappa=2.0, counts=[128, 48, 16], axis="ray")
+    @example(scene=KITE_AND_CIRCLE, kappa=1.5, counts=[64, 64, 16], axis="real")
+    def test_bitwise_the_coarse_assembly(self, scene, kappa, counts, axis):
+        # every embedded level of Q, its factored pair and dT/ds, on the
+        # imaginary axis, a ray or the real axis, is the one on the grid of
+        # every 2^k-th node, bitwise; a stride at which a count would turn
+        # odd or fall below 16 has no level
         makers, centres = scene
         sc = make_scene([m(c) for m, c in zip(makers, centres)])
         ns = counts[:sc.n_obstacles]
-        grid, sp, e = discretize(sc, ns), SpectralPoint.imaginary(kappa), (0.6, 0.8)
+        grid, sp, e = discretize(sc, ns), AXES[axis](kappa), (0.6, 0.8)
         q = assemble_q(grid, sp)
         stride, subs, refs = 2, [], []
         while all(n % stride == 0 and (n // stride) % 2 == 0 and n // stride >= 16
@@ -259,7 +269,7 @@ class TestEmbeddedLevels:
             stride *= 2
         assert grid.embedded(stride) is None
         for pair, ref in zip(factored_pairs(grid, sp, subs)[1:], refs):
-            assert pair.log_det_ratio() == xi_imag(sc, ref, kappa).xi
+            assert pair.log_det_ratio() == factored_pairs(ref, sp)[0].log_det_ratio()
 
     # of 64 nodes per disk: 48 per disk is no stride's grid (96 does not
     # divide 128), and 16 + 48 is half the size but not every other node
