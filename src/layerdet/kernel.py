@@ -118,19 +118,15 @@ def green_free(sp: SpectralPoint, r):
     return 0.25j * _hankel1(0, sp, r)
 
 
-def _hankel1(order: int, sp: SpectralPoint, x, with_j: bool = False):
-    """H1_order(lambda x) off the imaginary axis, with J_order(lambda x)
-    before it when with_j.  At real lambda both come from the real-argument
-    J and Y (j0/y0 or j1/y1): AMOS on lambda x + 0j takes about three times
-    as long and leaves J an imaginary part of up to 4e-16."""
-    if sp.axis == "real":
-        z = sp.value * x
-        j, y = (_sp.j0(z), _sp.y0(z)) if order == 0 else (_sp.j1(z), _sp.y1(z))
-        h = j + 1j * y
-    else:
-        z = sp.lam * x
-        j, h = _sp.jv(order, z) if with_j else None, _sp.hankel1(order, z)
-    return (j, h) if with_j else h
+def _hankel1(order: int, sp: SpectralPoint, x):
+    """H1_order(lambda x) off the imaginary axis.  At real lambda it is
+    J + i Y from the real-argument j0/y0 or j1/y1, whose real part is J
+    exactly: AMOS on lambda x + 0j takes about three times as long and
+    leaves J an imaginary part of up to 4e-16."""
+    if sp.axis != "real":
+        return _sp.hankel1(order, sp.lam * x)
+    z = sp.value * x
+    return _sp.j0(z) + 1j * _sp.y0(z) if order == 0 else _sp.j1(z) + 1j * _sp.y1(z)
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +166,9 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
     dG/dv * speed in the axis variable v (kappa on the imaginary axis,
     lambda on a ray).  The regular factor J and the kernel G are
     (I0, K0/2pi) or (r I1, -r K1/2pi) on the axis and (J0, (i/4) H0) or
-    (-r J1, -(i/4) r H1) elsewhere, A then real at real lambda; A = -J
-    speed / 4pi.  J and G are
-    symmetric in the node pair, so they are evaluated on the strict upper
-    triangle only and mirrored."""
+    (-r J1, -(i/4) r H1) elsewhere, J real at real lambda; A = -J speed /
+    4pi.  J and G are symmetric in the node pair, so they are evaluated on
+    the strict upper triangle only and mirrored."""
     n = speeds.size
     upper, L = _split_grid(n)
     x = r[upper]
@@ -183,7 +178,8 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
                 else (_sp.i0(v * x), _sp.k0(v * x) / (2 * np.pi)))
     else:
         v, c = (sp.value if sp.axis == "real" else sp.lam), 0.25j
-        J, H = _hankel1(int(deriv), sp, x, with_j=True)
+        H = _hankel1(int(deriv), sp, x)
+        J = H.real if sp.axis == "real" else _sp.jv(int(deriv), v * x)
         J, G = (-(x * J), -0.25j * x * H) if deriv else (J, 0.25j * H)
     J, G = (_mirrored(a, upper, n) for a in (J, G))
     A = -(J / (4 * np.pi)) * speeds[None, :]
