@@ -121,7 +121,7 @@ def green_free(sp: SpectralPoint, r):
 def _hankel1(order: int, sp: SpectralPoint, x):
     """H1_order(lambda x) off the imaginary axis.  At real lambda it is
     J + i Y from the real-argument j0/y0 or j1/y1, whose real part is J
-    exactly: AMOS on lambda x + 0j takes about three times as long and
+    exactly: AMOS on lambda x + 0j takes about ten times as long and
     leaves J an imaginary part of up to 4e-16."""
     if sp.axis != "real":
         return _sp.hankel1(order, sp.lam * x)
