@@ -16,8 +16,8 @@ from .kernel import SpectralPoint, green_free
 from .layer_ops import (Factorization, LayerMatrix, LayerPair, assemble_dq,
                         assemble_q, factorize, solve)
 from .oracle import PartialWaveConfig, default_l_max, xi_two_disks
-from .xi import (ShiftSample, XiSample, trace_rrel, xi_dsep, xi_imag,
-                 xi_on_ray, xi_prime, xi_real, xi_rel, xi_rel_many)
+from .xi import (ShiftSample, XiSample, trace_rrel, xi_imag, xi_on_ray,
+                 xi_prime, xi_real, xi_rel, xi_rel_many)
 
 __version__ = "0.1.0"
 

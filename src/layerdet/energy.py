@@ -7,8 +7,9 @@ or two pieces, each level evaluating only its new nodes, until
 |I_n - I_{n/2}| <= tol: the contour's quad_err; on the imaginary axis
 quad_err adds a bound on the omitted segment (0, kappa_min).  The
 imaginary-axis integrals use one piece over [kappa_min, kappa_max], the
-contour two split at 1 / gap (all ends proportional to inverse gap, so scene
-rescaling maps every node onto its scaled counterpart).  The integrand
+contour and the real-axis Birman-Krein cross-check two split at 1 / gap
+(`_log_pieces`; all ends proportional to inverse gap, so scene rescaling
+maps every node onto its scaled counterpart).  The integrand
 decays like C e^{-delta' kappa} beyond the gap scale and the truncated tail
 is bounded by fitting C on the last decade of samples with the
 conservative rate delta' = 0.9 * gap.
@@ -28,7 +29,6 @@ from functools import lru_cache
 from typing import Callable, Sequence, Tuple
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .errors import ConvergenceError, LayerDetError
 from .geometry import BoundaryGrid, Scene
@@ -153,6 +153,13 @@ def _nested_cc(edges: Sequence[float], evaluate: Callable[[np.ndarray], np.ndarr
                                    f"|delta| = {np.max(err):.3e} at n = {n}")
     nodes, first = np.unique(x.ravel(), return_index=True)
     return cur, err, nodes, vals.reshape(vals.shape[:-2] + (-1,))[..., first]
+
+
+def _log_pieces(gap: float, top: float) -> np.ndarray:
+    """Edges of two log-mapped pieces from kappa_min to top, split at
+    min(1 / gap, top / 2): smooth in log below the gap scale, the piece
+    beyond gets its own nodes for the oscillation off the imaginary axis."""
+    return np.array([KAPPA_MIN_FACTOR / gap, min(1.0 / gap, 0.5 * top), top])
 
 
 def _fit_tail(nodes, xis, kmax: float, dprime: float) -> float:
@@ -321,10 +328,8 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
     dprime = _DELTA_PRIME_FRACTION * gap
     u_max = min(np.sqrt(45.0 / (f.t * np.cos(2 * theta))),
                 45.0 / (dprime * np.sin(theta)))
-    # the integrand is smooth in log u over the decades below 1 / gap; the
-    # piece beyond gets its own nodes for the oscillation of Xi on the ray
     phase = np.exp(1j * theta)
-    edges = np.array([KAPPA_MIN_FACTOR / gap, min(1.0 / gap, 0.5 * u_max), u_max])
+    edges = _log_pieces(gap, u_max)
 
     def weight(u):
         return phase * f.f_prime(u * phase)
@@ -354,32 +359,29 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
 def birman_krein_trace(scene: Scene, grid: BoundaryGrid,
                        f: SmoothFunctionSpec) -> float:
     """Real-axis evaluation -integral f'(lambda) xi_rel(lambda) d lambda,
-    the classical representation used to cross-check trace_df: 64 Gauss
-    nodes on [1e-3, L / 4] and on [L / 4, L], e^{-t L^2} = e^{-45}."""
+    the classical representation used to cross-check trace_df: `_nested_cc`
+    at the default tol over `_log_pieces` up to L, e^{-t L^2} = e^{-45},
+    each level's new nodes one `xi_rel_many` walk."""
     if scene.n_obstacles == 1:
         return 0.0
     if f.t <= 0:
         raise LayerDetError("real-axis cross-check needs t > 0")
-    lam_max = np.sqrt(45.0 / f.t)
-    x, w = leggauss(64)
-    panels = [(1e-3, 0.25 * lam_max), (0.25 * lam_max, lam_max)]
-    total = 0.0
-    for a, b in panels:
-        nodes = 0.5 * (b - a) * x + 0.5 * (a + b)
-        weights = 0.5 * (b - a) * w
-        shifts = xi_rel_many(scene, grid, nodes)
-        vals = np.array([s.xi_rel for s in shifts])
-        total += float(np.sum(weights * f.f_prime(nodes) * vals))
-    return -total
+
+    def evaluate(lams):
+        return np.array([s.xi_rel for s in xi_rel_many(scene, grid, lams)])
+
+    value = _nested_cc(_log_pieces(scene.gap, np.sqrt(45.0 / f.t)), evaluate,
+                       f.f_prime, QuadConfig().tol)[0]
+    return -float(value)
 
 
 def casimir_force(scene: Scene, grid: BoundaryGrid,
                   cfg: QuadConfig = QuadConfig()) -> EnergyResult:
-    """-dE/ds = -(1/pi) * integral of dXi(i kappa)/ds (`xi_dsep`) over the
-    energy's kappa range, for obstacle 1 of a two-obstacle scene moving
-    along the unit vector from obstacle 0's centre to its own.  Exact in the
-    separation; quad_err and tail_bound bound the spectral integral as for
-    the energy.  Negative force = attraction (energy increases with
+    """-dE/ds = -(1/pi) * integral of dXi(i kappa)/ds (`_xi_dsep_levels`)
+    over the energy's kappa range, for obstacle 1 of a two-obstacle scene
+    moving along the unit vector from obstacle 0's centre to its own.  Exact
+    in the separation; quad_err and tail_bound bound the spectral integral as
+    for the energy.  Negative force = attraction (energy increases with
     separation)."""
     if scene.n_obstacles != 2:
         raise LayerDetError("the force needs a two-obstacle scene")

@@ -53,7 +53,6 @@ from .kernel import KAPPA_MIN_FACTOR, SpectralPoint, offdiag_kernel, split_block
 @dataclass(frozen=True)
 class LayerMatrix:
     entries: np.ndarray
-    sp: SpectralPoint
     #: Q keeps `split_block`'s (A, B) per obstacle on every other node, on
     #: every axis, wherever its grid has an embedded sub-grid; `embedded_q`
     #: refills the diagonal blocks there from them, and the cross blocks
@@ -140,7 +139,7 @@ def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
             K = offdiag_kernel(sp, grid.distances[sj, sk], deriv=d)
             out[sj, sk] = K * w[sk]
             out[sk, sj] = K.T * w[sj]
-    return LayerMatrix(out, sp, parts if keep else None)
+    return LayerMatrix(out, parts if keep else None)
 
 
 def assemble_q(grid: BoundaryGrid, sp: SpectralPoint) -> LayerMatrix:
@@ -166,10 +165,10 @@ def _strided(m: np.ndarray, grid: BoundaryGrid, counts: tuple) -> np.ndarray:
 
 
 def embedded_q(q: LayerMatrix, grid: BoundaryGrid) -> np.ndarray:
-    """Q at q.sp on grid, an embedded sub-grid (`BoundaryGrid.embedded`) of
-    the grid q was assembled on: the cross blocks strided, the diagonal
-    blocks refilled from q's split parts.  No kernel call, and bitwise
-    `assemble_q(grid, q.sp).entries`."""
+    """Q on grid, an embedded sub-grid (`BoundaryGrid.embedded`) of the grid
+    q was assembled on, at q's spectral point: the cross blocks strided, the
+    diagonal blocks refilled from q's split parts.  No kernel call, and
+    bitwise `assemble_q(grid, sp).entries` at that point sp."""
     out = _strided(q.entries, grid, tuple(2 * len(A) for A, _ in q.parts or ()))
     s = q.entries.shape[0] // (2 * grid.size)
     for j, (A, B) in enumerate(q.parts):

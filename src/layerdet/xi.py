@@ -79,11 +79,12 @@ def _check(scene: Scene, grid: BoundaryGrid):
         raise LayerDetError("grid was built for a different scene")
 
 
-def _pairs(grid: BoundaryGrid, sp: SpectralPoint, subgrids=()) -> list:
-    """`factored_pairs`, warning when the pair on grid itself has a negative
-    determinant on the imaginary axis."""
-    pairs = factored_pairs(grid, sp, subgrids)
-    if sp.is_imaginary and (pairs[0].fq.sign < 0 or pairs[0].ft.sign < 0):
+def _imag_pairs(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids=()) -> list:
+    """`factored_pairs` at i kappa, warning when the pair on grid itself has a
+    negative determinant."""
+    _check(scene, grid)
+    pairs = factored_pairs(grid, SpectralPoint.imaginary(kappa), subgrids)
+    if pairs[0].fq.sign < 0 or pairs[0].ft.sign < 0:
         # positivity of the layer operator at imaginary wavenumber is an
         # empirical diagnostic, not a correctness assumption; fixed message
         # so the default warning filter deduplicates repeats
@@ -94,17 +95,16 @@ def _pairs(grid: BoundaryGrid, sp: SpectralPoint, subgrids=()) -> list:
 
 
 def xi_imag(scene: Scene, grid: BoundaryGrid, kappa: float) -> XiSample:
-    """Xi(i kappa): real, from two real LU log-determinants."""
-    _check(scene, grid)
-    sp = SpectralPoint.imaginary(kappa)
-    pair = _pairs(grid, sp)[0]
+    """Xi(i kappa): real, from two real LU log-determinants, as on grid in
+    `_xi_imag_levels`; disagreeing signs raise, err_est is a rounding floor."""
+    pair = _imag_pairs(scene, grid, kappa)[0]
     fq, ft = pair.fq, pair.ft
     if fq.sign * ft.sign <= 0:
         raise LayerDetError(
             "negative determinant sign product on the imaginary axis "
             f"(signs {fq.sign}, {ft.sign}); internal consistency violated")
     floor = (abs(fq.log_abs_det) + abs(ft.log_abs_det) + 1.0) * 8 * _EPS
-    return XiSample(sp, pair.log_det_ratio(), 0, floor)
+    return XiSample(SpectralPoint.imaginary(kappa), pair.log_det_ratio(), 0, floor)
 
 
 def _xi_imag_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) -> list:
@@ -112,9 +112,8 @@ def _xi_imag_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) ->
     sub-grid of it (`BoundaryGrid.embedded`) from the same assembly
     (`q_levels`), so a sub-grid costs its two LUs only.  A grid on which
     the two determinants' signs disagree does not resolve kappa: nan."""
-    _check(scene, grid)
     return [p.log_det_ratio().real if p.fq.sign * p.ft.sign > 0 else np.nan
-            for p in _pairs(grid, SpectralPoint.imaginary(kappa), subgrids)]
+            for p in _imag_pairs(scene, grid, kappa, subgrids)]
 
 
 def _multiple(raw: complex, near: complex) -> float:
@@ -146,7 +145,7 @@ class _Unwrapper:
         w = z
         for attempt in range(4):
             try:
-                pairs = _pairs(grid, SpectralPoint.from_complex(w), subgrids)
+                pairs = factored_pairs(grid, SpectralPoint.from_complex(w), subgrids)
             except SingularOperatorError:
                 # lambda^2 grazing an interior Dirichlet eigenvalue: deform
                 # the path locally upward
@@ -388,22 +387,12 @@ def trace_rrel(scene: Scene, grid: BoundaryGrid, sp: SpectralPoint,
     return primary, _rrel_from_trace(alt, sp)
 
 
-def xi_dsep(scene: Scene, grid: BoundaryGrid, kappa: float) -> float:
-    """dXi(i kappa)/ds when obstacle 1 of a two-obstacle scene moves by s
-    along the unit vector from obstacle 0's centre to obstacle 1's.
-
-    A rigid motion leaves Qtilde unchanged, so dXi/ds = Tr[Q^{-1} dT/ds]
-    exactly: one Q assembly and one LU, and the trace involves only the
-    small coupling T's derivative."""
-    _check(scene, grid)
-    if scene.n_obstacles != 2:
-        raise LayerDetError("the separation derivative needs a two-obstacle scene")
-    return _xi_dsep_levels(scene, grid, kappa, ())[0]
-
-
 def _xi_dsep_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) -> list:
-    """dXi(i kappa)/ds on grid, bitwise `xi_dsep`'s, then on each embedded
-    sub-grid of it from the same kernel values, as `_xi_imag_levels`."""
+    """dXi(i kappa)/ds when obstacle 1 of a two-obstacle scene moves by s
+    along the unit vector from obstacle 0's centre to obstacle 1's, on grid,
+    then on each embedded sub-grid of it as `_xi_imag_levels`.  A rigid
+    motion leaves Qtilde unchanged, so dXi/ds = Tr[Q^{-1} dT/ds] exactly: one
+    LU per grid, and the trace involves only the small coupling's derivative."""
     _check(scene, grid)
     sp = SpectralPoint.imaginary(kappa)
     axis = np.subtract(scene.obstacles[1].center, scene.obstacles[0].center)

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from layerdet import (LayerDetError, PartialWaveConfig, QuadConfig,
-                      SmoothFunctionSpec, casimir_energy, casimir_force,
-                      default_l_max, discretize, make_circle, make_ellipse,
-                      make_scene, power_trace, trace_df, xi_dsep, xi_imag,
-                      xi_on_ray, xi_two_disks)
+                      SmoothFunctionSpec, birman_krein_trace, casimir_energy,
+                      casimir_force, default_l_max, discretize, make_circle,
+                      make_ellipse, make_scene, power_trace, trace_df,
+                      xi_imag, xi_on_ray, xi_two_disks)
 from layerdet.kernel import KAPPA_MIN_FACTOR
-from layerdet.xi import _DELTA_PRIME_FRACTION
+from layerdet.xi import _DELTA_PRIME_FRACTION, _xi_dsep_levels
 
 
 def disk_pair(sep, radius=1.0):
@@ -258,6 +258,20 @@ class TestTraceDf:
             assert np.array_equal(vals, xi_on_ray(canonical_scene, grid,
                                                   np.pi / 8, us.real))
 
+    @pytest.mark.parametrize("scene, n, t, rel", [
+        ("canonical_scene", 96, 4.0, 1e-10),
+        ("mixed_scene", 64, 4.0, 1e-10),
+        # L = sqrt(45 / t) < 2 / gap: the real-axis pieces split at L / 2
+        ("canonical_scene", 96, 64.0, 1e-6)], ids=["disks", "kite+circle", "disks-t64"])
+    def test_birman_krein_cross_check(self, request, scene, n, t, rel):
+        # -integral f' xi_rel on the real axis and the contour integral on
+        # the ray are one trace (modified Birman-Krein), from separate walks
+        scene = request.getfixturevalue(scene)
+        grid, spec = discretize(scene, n), SmoothFunctionSpec(a=1.0, t=t)
+        td = trace_df(scene, grid, spec, QuadConfig(tol=1e-9))
+        bk = birman_krein_trace(scene, grid, spec)
+        assert bk == pytest.approx(td.value, rel=rel, abs=0)
+
     def test_continuity_to_power_trace(self, canonical_scene, canonical_grid_64):
         # a = 1/2, t -> 0+ approaches the s = 1/2 power trace
         gap = canonical_scene.gap
@@ -323,7 +337,8 @@ class TestForce:
         h = 1e-4
         c1 = (pw(4.0 + h) - pw(4.0 - h)) / (2 * h)
         c2 = (pw(4.0 + h / 2) - pw(4.0 - h / 2)) / h
-        got = xi_dsep(canonical_scene, discretize(canonical_scene, 128), kappa)
+        got = _xi_dsep_levels(canonical_scene, discretize(canonical_scene, 128),
+                              kappa, ())[0]
         assert got == pytest.approx((4 * c2 - c1) / 3, rel=1e-8, abs=0)
 
     @settings(max_examples=5, deadline=None)
