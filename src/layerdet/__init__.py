@@ -7,7 +7,7 @@ from .energy import (EnergyResult, QuadConfig, SmoothFunctionSpec,
                      birman_krein_trace, casimir_energy, casimir_force,
                      power_trace, trace_df)
 from .errors import (ConvergenceError, LayerDetError, SceneError,
-                     SceneFileError, SingularOperatorError)
+                     SceneFileError, SingularOperatorError, UnresolvedGridError)
 from .fields import FieldEvaluator, FieldPoint, field_point
 from .geometry import (BoundaryGrid, Curve, Scene, discretize,
                        distance_to_boundary, make_circle, make_ellipse,

@@ -6,7 +6,8 @@ Numeric output is deterministic (17 significant digits, LF endings, no
 timestamps) so runs can be diffed and used as golden references.
 
 Exit codes: 0 success, 2 parse error, 3 numerical failure, 4 validation
-failure.
+failure, 5 a spectral integral failed on nodes the boundary grid does not
+resolve.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from . import specfun
 from .energy import (QuadConfig, SmoothFunctionSpec, casimir_energy,
                      casimir_force, power_trace, trace_df)
-from .errors import LayerDetError, SceneError, SceneFileError
+from .errors import LayerDetError, SceneError, SceneFileError, UnresolvedGridError
 from .geometry import discretize, make_circle, make_ellipse, make_kite, \
     make_polar_fourier, make_scene
 from .oracle import PartialWaveConfig, xi_two_disks
@@ -414,6 +415,9 @@ def main(argv=None) -> int:
     except SceneFileError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    except UnresolvedGridError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 5
     except LayerDetError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -30,7 +30,7 @@ from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import ConvergenceError, LayerDetError
+from .errors import ConvergenceError, LayerDetError, UnresolvedGridError
 from .geometry import BoundaryGrid, Scene
 from .kernel import KAPPA_MIN_FACTOR
 from .xi import (_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR, _ray_walker,
@@ -124,10 +124,12 @@ def _eval_unique(evaluate, x: np.ndarray) -> np.ndarray:
 
 
 def _nested_cc(edges: Sequence[float], evaluate: Callable[[np.ndarray], np.ndarray],
-               weight: Callable[[np.ndarray], np.ndarray], tol: float):
+               weight: Callable[[np.ndarray], np.ndarray], tol: float,
+               fail: Callable[[str], Exception] = ConvergenceError):
     """Integral of weight(x) * evaluate(x) from edges[0] to edges[-1], one
     log-mapped piece between consecutive edges, each with n + 1 nodes, n
-    doubling from 16 (ConvergenceError past 256).
+    doubling from 16 (past 256 it raises fail(message), a ConvergenceError
+    by default).
 
     evaluate maps an array of abscissae to samples along its last axis
     (leading axes integrate independently and converge together); each
@@ -149,8 +151,8 @@ def _nested_cc(edges: Sequence[float], evaluate: Callable[[np.ndarray], np.ndarr
         if np.all(err <= tol):
             break
         if n >= 256:
-            raise ConvergenceError(f"spectral quadrature did not converge: "
-                                   f"|delta| = {np.max(err):.3e} at n = {n}")
+            raise fail(f"spectral quadrature did not converge: "
+                       f"|delta| = {np.max(err):.3e} at n = {n}")
     nodes, first = np.unique(x.ravel(), return_index=True)
     return cur, err, nodes, vals.reshape(vals.shape[:-2] + (-1,))[..., first]
 
@@ -199,12 +201,16 @@ class _Levels:
     every later node is assembled on the finer of its two neighbours'
     grids and moves one stride finer, at one more assembly, only while its
     own estimate fails.  `disc_err` sums weight |weight| d_s over the
-    nodes."""
+    nodes.  A node whose estimate fails on grid itself stays there,
+    unresolved, and `failure` blames those nodes when the nested rule does
+    not converge.  var names the integration variable in messages."""
 
-    def __init__(self, grid: BoundaryGrid, edges, weight: Callable, tol: float):
+    def __init__(self, grid: BoundaryGrid, edges, weight: Callable, tol: float,
+                 var: str = "kappa"):
         self.grid, self.edges, self.weight, self.tol = grid, edges, weight, tol
         self.strides, self.span = _strides(grid), np.log(edges[-1] / edges[0])
-        self.level, self.disc, self.value = {}, {}, {}
+        self.level, self.disc, self.value, self.unresolved = {}, {}, {}, {}
+        self.var = var
 
     def _resolved(self, x, d) -> bool:
         return d * x * abs(self.weight(x)) * self.span <= 0.25 * self.tol
@@ -238,7 +244,22 @@ class _Levels:
             raise LayerDetError("negative determinant sign product on the "
                                 f"imaginary axis at kappa = {x}")
         self.level[x], self.disc[x], self.value[x] = s, ds[0] if strides else None, v
+        if strides and s == 1 and not self._resolved(x, ds[0]):
+            self.unresolved[x] = ds[0]
         return v
+
+    def failure(self, message: str) -> LayerDetError:
+        """The error for `_nested_cc`'s message: UnresolvedGridError naming
+        the unresolved nodes' range, the largest estimate and the grid
+        when there are any, else ConvergenceError."""
+        if not self.unresolved:
+            return ConvergenceError(message)
+        xs, worst = sorted(self.unresolved), max(self.unresolved, key=self.unresolved.get)
+        return UnresolvedGridError(
+            f"{message}, while {len(xs)} nodes at {self.var} in [{xs[0]:.4g}, "
+            f"{xs[-1]:.4g}] are not resolved on the grid of "
+            f"{self.grid.n_per_obstacle} nodes per obstacle: |v_n - v_n/2| "
+            f"up to {self.unresolved[worst]:.3e} at {self.var} = {worst:.4g}")
 
     def disc_err(self, nodes: np.ndarray) -> float | None:
         """The final rule's weight times |weight| d_s summed over its nodes
@@ -266,7 +287,8 @@ def _xi_imag_weighted(scene: Scene, grid: BoundaryGrid, sample: Callable,
     def evaluate(ks):
         return levels.evaluate(ks.tolist(), lambda k, g, subs: sample(scene, g, k, subs))
 
-    value, err, nodes, vals = _nested_cc(levels.edges, evaluate, weight, cfg.tol)
+    value, err, nodes, vals = _nested_cc(levels.edges, evaluate, weight, cfg.tol,
+                                         levels.failure)
     near_zero = kmin * max(abs(weight(kmin)), abs(weight(2.0 * kmin))) * \
         np.max(np.abs(vals[nodes <= 2.0 * kmin]))
     tail = _fit_tail(nodes, vals, kmax, dprime)
@@ -334,7 +356,7 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
     def weight(u):
         return phase * f.f_prime(u * phase)
 
-    levels = _Levels(grid, edges, weight, cfg.tol)
+    levels = _Levels(grid, edges, weight, cfg.tol, "|lambda|")
 
     def evaluate(us):
         # one walk per level down the ray through its new nodes, started at
@@ -346,7 +368,8 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
         return levels.evaluate(desc, lambda u, g, subs:
                                walker.step(u * phase, g, subs))[::-1]
 
-    value, delta, nodes, xis = _nested_cc(edges, evaluate, weight, cfg.tol)
+    value, delta, nodes, xis = _nested_cc(edges, evaluate, weight, cfg.tol,
+                                          levels.failure)
     # tail: |f'| * C e^{-delta' u sin(theta)} beyond u_max
     fmax = abs(f.f_prime(u_max * phase))
     tail = fmax * _fit_tail(nodes, xis, u_max, dprime * np.sin(theta)) / np.pi

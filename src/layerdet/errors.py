@@ -27,5 +27,11 @@ class ConvergenceError(LayerDetError, RuntimeError):
     truncation) ran out of budget before reaching its tolerance."""
 
 
+class UnresolvedGridError(LayerDetError, RuntimeError):
+    """A spectral integral's nested rule did not converge while some of its
+    nodes stayed unresolved on the caller's boundary grid: the grid, not
+    the spectral quadrature, is too coarse (or too noisy) there."""
+
+
 class SceneFileError(LayerDetError, ValueError):
     """Scene file failed to parse or violated the strict schema."""

@@ -271,6 +271,26 @@ class Scene:
     def n_obstacles(self) -> int:
         return len(self.obstacles)
 
+    @cached_property
+    def diameters(self) -> Tuple[Tuple[float, ...], float]:
+        """Upper bounds on each obstacle's diameter and on the scene's,
+        built on first use.  Each obstacle lies in the disk about its
+        polygon nodes' mean reaching the farthest node plus a step of arc
+        (twice the half step within which every curve point lies of a
+        node); the bounds are those disks' diameters and their largest
+        pairwise extent.  The diameters are rounded to single precision,
+        well inside the step, so that congruent obstacles share one."""
+        t = 2 * np.pi * np.arange(_POLYGON_SAMPLES) / _POLYGON_SAMPLES
+        disks = []
+        for c in self.obstacles:
+            p = c.point(t)
+            m = p.mean(axis=0)
+            disks.append((m, float(np.max(np.hypot(*(p - m).T))
+                                   + np.max(c.speed(t)) * 2 * np.pi / _POLYGON_SAMPLES)))
+        whole = max(float(np.hypot(*(mj - mk))) + rj + rk
+                    for mj, rj in disks for mk, rk in disks)
+        return tuple(float(np.float32(2 * r)) for _, r in disks), whole
+
 
 def make_scene(obstacles: Sequence[Curve]) -> Scene:
     obstacles = tuple(obstacles)

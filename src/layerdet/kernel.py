@@ -25,6 +25,15 @@ Both factors of the split are symmetric in the node pair, so `split_block`
 evaluates the Bessel/Hankel functions on one triangle of the block and
 mirrors them; the triangle's indices and the log factor depend on the node
 count alone and are cached per count.
+
+On a ray, where every AMOS call is costly, the order-0 kernels of `Q` are
+Chebyshev expansions in the distance, fitted once per lambda and interval
+to AMOS values (Trefethen, Approximation Theory and Approximation
+Practice, 2013) and evaluated entry by entry: J0 and the entire part of Y0
+in r on a diagonal block, H1_0 e^{-i lambda r} in log r across the gap.
+The intervals come from the scene, never from the grid.  The imaginary
+axis, real lambda, the derivative kernels and `green_free` keep their
+special functions.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ import numpy as np
 from scipy import special as _sp
 
 from . import specfun
+from .errors import ConvergenceError, LayerDetError
 
 EULER = np.euler_gamma
 
@@ -103,8 +113,9 @@ class SpectralPoint:
 
 def _check_r(r):
     r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise ValueError("green_free requires r > 0 (diagonal handled by the splitting)")
+    if not np.all((r > 0) & (r < np.inf)):
+        raise ValueError("green_free requires finite r > 0 "
+                         "(diagonal handled by the splitting)")
     return r
 
 
@@ -127,6 +138,129 @@ def _hankel1(order: int, sp: SpectralPoint, x):
         return _sp.hankel1(order, sp.lam * x)
     z = sp.value * x
     return _sp.j0(z) + 1j * _sp.y0(z) if order == 0 else _sp.j1(z) + 1j * _sp.y1(z)
+
+
+# ---------------------------------------------------------------------------
+# Chebyshev expansions in the distance: the order-0 kernels on a ray
+# ---------------------------------------------------------------------------
+
+def _cheb_fit(f, a: float, b: float, d: int) -> np.ndarray:
+    """Chebyshev coefficients, shape (k, m), of the m real series that f
+    gives along the last axis at an array of points in [a, b], from their
+    values at the d + 1 first-kind points (never at an end).  The degree
+    doubles until the last quarter of the coefficients lies 2^-47 below the
+    largest, or until doubling no longer lowers that tail (AMOS's rounding
+    at large arguments), which must then lie 2^-40 below; the series keep
+    the terms above twice the tail and above 2^-50 of the largest."""
+    prev = np.inf
+    for _ in range(5):
+        x = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
+        vals = f(0.5 * (b - a) * x + 0.5 * (b + a))
+        if not np.all(np.isfinite(vals)):
+            raise LayerDetError(f"kernel values on [{a}, {b}] are not finite "
+                                "(|lambda| too large for the obstacles?)")
+        # the cosine transform, from an FFT of the even extension: its
+        # rounding stays at the tail's level for any degree, where a cosine
+        # matrix's grows with the degree
+        k = np.arange(d + 1)[:, None]
+        c = (np.exp(-0.5j * np.pi * k / (d + 1))
+             * np.fft.fft(np.concatenate([vals, vals[::-1]]), axis=0)[:d + 1]).real / (d + 1)
+        c[0] *= 0.5
+        # the largest coefficient from each degree on, relative to the largest
+        env = np.maximum.accumulate(np.abs(c).max(axis=1)[::-1])[::-1]
+        env /= env[0]
+        tail = env[-(d + 1) // 4]
+        if tail <= 2.0 ** -47 or prev / 2 <= tail <= 2.0 ** -40:
+            c = c[:max(int(np.argmax(env <= max(2 * tail, 2.0 ** -50))), 1)]
+            c.setflags(write=False)
+            return c
+        prev, d = tail, 2 * d
+    raise ConvergenceError(f"Chebyshev coefficients on [{a}, {b}] did not "
+                           f"decay by degree {d // 2}")
+
+
+def _clenshaw(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k c[k] T_k(t) for each column of c, shape (k, m), stacked along a
+    new first axis of t's shape: the recurrence runs elementwise, so each
+    value depends on its own t alone and a sub-grid's entries are bitwise
+    the full grid's."""
+    axes = (c.shape[1],) + (1,) * t.ndim
+    t2 = 2 * t
+    b1, b2 = np.zeros(axes[:1] + t.shape), np.zeros(axes[:1] + t.shape)
+    tmp = np.empty_like(b1)
+    for ck in c[:0:-1]:
+        np.multiply(t2, b1, out=tmp)
+        tmp -= b2
+        tmp += ck.reshape(axes)
+        b1, b2, tmp = tmp, b1, b2
+    np.multiply(t, b1, out=tmp)
+    tmp -= b2
+    tmp += c[0].reshape(axes)
+    return tmp
+
+
+def _stacked(*zs):
+    # complex series as real and imaginary parts along the last axis
+    return np.stack([p for z in zs for p in (z.real, z.imag)], axis=-1)
+
+
+def _complex(v: np.ndarray) -> np.ndarray:
+    # the complex series from their stacked real and imaginary parts
+    return v[0::2] + 1j * v[1::2]
+
+
+def _in_span(x: np.ndarray, span) -> None:
+    if not (x.min() >= span[0] and x.max() <= span[1]):
+        raise ValueError(f"distances in [{x.min()}, {x.max()}] outside the "
+                         f"expansion interval [{span[0]}, {span[1]}]")
+
+
+def _degree(lam: complex, a: float, b: float) -> int:
+    # the first guess, |lambda| times the interval's length in r plus a
+    # margin; `_cheb_fit` checks it by the coefficients' decay
+    return int(np.ceil(abs(lam) * (b - a))) + 24
+
+
+@lru_cache(maxsize=16)
+def _split_series(lam: complex, a: float, b: float) -> np.ndarray:
+    """J0(lambda r) and the entire part Y0(z) - (2/pi) log(z/2) J0(z) of
+    Y0 at z = lambda r (DLMF 10.8.2) as Chebyshev series in r on [a, b]."""
+    def f(r):
+        z = lam * r
+        J = _sp.jv(0, z)
+        # Y0 = -i (H0 - J0): AMOS's yv takes two Hankel functions
+        return _stacked(J, -1j * (_sp.hankel1(0, z) - J) - (2 / np.pi) * np.log(z / 2) * J)
+    return _cheb_fit(f, a, b, _degree(lam, a, b))
+
+
+@lru_cache(maxsize=16)
+def _cross_series(lam: complex, a: float, b: float) -> np.ndarray:
+    """(i/4) H1_0(lambda r) e^{-i lambda r} (AMOS's scaled `hankel1e`),
+    smooth and without oscillation, as a Chebyshev series in log r on
+    [log a, log b]: the log singularity at r = 0 sits at -infinity, so the
+    degree stays bounded as a shrinks."""
+    def f(s):
+        return _stacked(0.25j * _sp.hankel1e(0, lam * np.exp(s)))
+    return _cheb_fit(f, np.log(a), np.log(b), _degree(lam, a, b))
+
+
+def _ray_split(lam: complex, x: np.ndarray, span):
+    """J0(lambda x) and (i/4) H1_0(lambda x) from `_split_series` on span,
+    H0 rebuilt as J + i (Ytilde + (2/pi) (log x + log(lambda/2)) J)."""
+    _in_span(x, span)
+    a, b = span
+    J, Yt = _complex(_clenshaw(_split_series(lam, a, b), (2 * x - (a + b)) / (b - a)))
+    return J, 0.25j * J - 0.25 * (Yt + (2 / np.pi) * (np.log(x) + np.log(lam / 2)) * J)
+
+
+def _ray_cross(lam: complex, r: np.ndarray, span):
+    """(i/4) H1_0(lambda r) from `_cross_series` on span."""
+    _in_span(r, span)
+    la, lb = np.log(span[0]), np.log(span[1])
+    # a one-point interval maps to t = 0
+    scale = 2 / (lb - la) if lb > la else 0.0
+    t = (np.log(r) - 0.5 * (la + lb)) * scale
+    return _complex(_clenshaw(_cross_series(lam, *span), t))[0] * np.exp(1j * lam * r)
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +294,7 @@ def _mirrored(upper_values, upper, n):
 
 
 def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
-                deriv: bool = False):
+                deriv: bool = False, span=None):
     """Vectorized (A, B) for G * speed on one curve's n equispaced nodes,
     from their n x n distance matrix r (diagonal unused), or with deriv for
     dG/dv * speed in the axis variable v (kappa on the imaginary axis,
@@ -168,7 +302,13 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
     (I0, K0/2pi) or (r I1, -r K1/2pi) on the axis and (J0, (i/4) H0) or
     (-r J1, -(i/4) r H1) elsewhere, J real at real lambda; A = -J speed /
     4pi.  J and G are symmetric in the node pair, so they are evaluated on
-    the strict upper triangle only and mirrored."""
+    the strict upper triangle only and mirrored.
+
+    On a ray, J0 and H0 come from Chebyshev series in r on span, an
+    interval of distances (default [0, max r]; `layer_ops` passes [0, the
+    obstacle's diameter bound]), fitted to AMOS values once per lambda and
+    span (`_split_series`); a distance outside span is a ValueError.  The
+    derivative and the other axes keep their special functions."""
     n = speeds.size
     upper, L = _split_grid(n)
     x = r[upper]
@@ -176,10 +316,13 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
         v, c = sp.value, 0.0
         J, G = ((x * _sp.i1(v * x), -(x / (2 * np.pi)) * _sp.k1(v * x)) if deriv
                 else (_sp.i0(v * x), _sp.k0(v * x) / (2 * np.pi)))
+    elif sp.axis == "ray" and not deriv:
+        v, c = sp.lam, 0.25j
+        J, G = _ray_split(v, x, (0.0, float(x.max())) if span is None else span)
     else:
         v, c = (sp.value if sp.axis == "real" else sp.lam), 0.25j
         H = _hankel1(int(deriv), sp, x)
-        J = H.real if sp.axis == "real" else _sp.jv(int(deriv), v * x)
+        J = H.real if sp.axis == "real" else _sp.jv(1, v * x)
         J, G = (-(x * J), -0.25j * x * H) if deriv else (J, 0.25j * H)
     J, G = (_mirrored(a, upper, n) for a in (J, G))
     A = -(J / (4 * np.pi)) * speeds[None, :]
@@ -193,10 +336,22 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
     return A, B
 
 
-def offdiag_kernel(sp: SpectralPoint, r: np.ndarray, deriv: bool = False):
+def offdiag_kernel(sp: SpectralPoint, r: np.ndarray, deriv: bool = False,
+                   span=None):
     """Smooth cross-obstacle kernel values (no speed/weight factors): G, or
     with deriv dG/dv in the axis variable of split_block: -(r/2pi) K1(kappa r)
-    on the imaginary axis, -(i r/4) H1_1(lambda r) elsewhere."""
+    on the imaginary axis, -(i r/4) H1_1(lambda r) elsewhere.
+
+    On a ray, G comes from a Chebyshev series in log r on span, an interval
+    of distances (default [min r, max r]; `layer_ops` passes [the gap, the
+    scene's diameter bound]), fitted to AMOS values once per lambda and span
+    (`_cross_series`); a distance outside span is a ValueError.  The
+    derivative and the other axes keep their special functions, as
+    `green_free` does."""
+    if sp.axis == "ray" and not deriv:
+        r = _check_r(r)
+        return _ray_cross(sp.lam, r, (float(r.min()), float(r.max()))
+                          if span is None else span)
     if not deriv:
         return green_free(sp, r)
     r = _check_r(r)

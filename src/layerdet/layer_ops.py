@@ -114,6 +114,17 @@ def _fill_diag(out: np.ndarray, sj: slice, A: np.ndarray, B: np.ndarray):
     out[sj, sj] = _kress_log_matrix(n) * A + (2 * np.pi / n) * B
 
 
+def _ray_spans(scene):
+    """The intervals of the ray kernels' Chebyshev expansions (unused on the
+    other axes): [0, each obstacle's diameter bound] for its diagonal block,
+    and [gap, the scene's diameter bound] for the cross blocks, the gap
+    lowered by 1e-6 relative for the rounding of node distances.  They
+    depend on the scene alone, so a sub-grid's entries stay bitwise the
+    full grid's."""
+    own, whole = scene.diameters
+    return [(0.0, d) for d in own], (scene.gap * (1 - 1e-6), whole)
+
+
 def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
               diagonal_only: bool) -> LayerMatrix:
     """Full matrix: Q for deriv "none", dQ/dv for any other value.  The
@@ -125,18 +136,20 @@ def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
     keep = not d and grid.embedded(2) is not None
     out, parts, w = _empty(grid, sp), [], grid.weights
     sl = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
+    own, cross = _ray_spans(grid.scene)
     # each block's values are freed before the next block's are evaluated,
     # and only the split parts' every-other-node copies are kept: holding
     # them all tripled the page faults of 16 trace_rrel and 6 field-kernel
     # evaluations (kite + circle, n = 128) and cost about 5% of their time
     for j, sj in enumerate(sl):
-        A, B = split_block(sp, grid.distances[sj, sj], grid.speeds[sj], deriv=d)
+        A, B = split_block(sp, grid.distances[sj, sj], grid.speeds[sj], deriv=d,
+                           span=own[j])
         _fill_diag(out, sj, A, B)
         if keep:
             parts.append((A[::2, ::2].copy(), B[::2, ::2].copy()))
         del A, B
         for sk in sl[j + 1:]:
-            K = offdiag_kernel(sp, grid.distances[sj, sk], deriv=d)
+            K = offdiag_kernel(sp, grid.distances[sj, sk], deriv=d, span=cross)
             out[sj, sk] = K * w[sk]
             out[sk, sj] = K.T * w[sj]
     return LayerMatrix(out, parts if keep else None)

@@ -6,7 +6,7 @@ import pytest
 
 from layerdet import cli
 from layerdet.cli import main, parse_scene_file
-from layerdet.errors import SceneFileError
+from layerdet.errors import ConvergenceError, SceneFileError, UnresolvedGridError
 from layerdet.kernel import KAPPA_MIN_FACTOR
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -194,6 +194,16 @@ class TestCmdShift:
 
 
 class TestEnergyCommands:
+    @pytest.mark.parametrize("error, code", [(UnresolvedGridError, 5),
+                                             (ConvergenceError, 3)])
+    def test_exit_code_of_a_failed_integral(self, monkeypatch, capsys, error, code):
+        def fail(*args):
+            raise error("spectral quadrature did not converge")
+
+        monkeypatch.setattr(cli, "casimir_energy", fail)
+        assert main(["energy", "--scene", CANONICAL, "--n", "64"]) == code
+        assert capsys.readouterr().err.startswith("error: spectral quadrature")
+
     def test_power_half_equals_energy(self, tmp_path):
         e_out, p_out = tmp_path / "e.json", tmp_path / "p.json"
         assert main(["energy", "--scene", CANONICAL, "--n", "64",

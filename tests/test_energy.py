@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
-from layerdet import (LayerDetError, PartialWaveConfig, QuadConfig,
-                      SmoothFunctionSpec, birman_krein_trace, casimir_energy,
-                      casimir_force, default_l_max, discretize, make_circle,
-                      make_ellipse, make_scene, power_trace, trace_df,
+from layerdet import (ConvergenceError, LayerDetError, PartialWaveConfig, QuadConfig,
+                      SmoothFunctionSpec, UnresolvedGridError, birman_krein_trace,
+                      casimir_energy, casimir_force, default_l_max, discretize,
+                      make_circle, make_ellipse, make_scene, power_trace, trace_df,
                       xi_imag, xi_on_ray, xi_two_disks)
 from layerdet.kernel import KAPPA_MIN_FACTOR
 from layerdet.xi import _DELTA_PRIME_FRACTION, _xi_dsep_levels
@@ -121,7 +121,7 @@ class TestDiscretizationError:
 
     def test_bounds_the_grid_error(self, mixed_scene, partial_wave_energy):
         # kite + circle against n = 256; unit disks at gap 1 against the
-        # partial-wave energy (n = 256 raises ConvergenceError there)
+        # partial-wave energy (n = 256 raises UnresolvedGridError there)
         e64 = casimir_energy(mixed_scene, discretize(mixed_scene, 64))
         e256 = casimir_energy(mixed_scene, discretize(mixed_scene, 256))
         assert e64.disc_err >= abs(e64.value - e256.value)
@@ -142,6 +142,20 @@ class TestDiscretizationError:
             assert all(v == xi_imag(canonical_scene, grid, k).xi.real
                        for k, v in energy.samples)
         assert casimir_force(canonical_scene, grid).disc_err is None
+
+    @pytest.mark.filterwarnings("ignore:negative LU pivot")
+    @pytest.mark.parametrize("sep, n, nodes, kappas", [
+        (2.5, 128, 18, "[7.072, 20.52]"), (3.0, 256, 13, "[11.4, 19.37]")])
+    def test_unresolved_nodes_are_named(self, sep, n, nodes, kappas):
+        # unit disks at gaps 0.5 and 1: the nested rule fails because nodes
+        # stay unresolved on the caller's grid, not because of the rule
+        disks = disk_pair(sep)
+        with pytest.raises(UnresolvedGridError) as info:
+            casimir_energy(disks, discretize(disks, n))
+        assert not isinstance(info.value, ConvergenceError)
+        msg = str(info.value)
+        assert f"{nodes} nodes at kappa in {kappas}" in msg
+        assert f"grid of ({n}, {n}) nodes per obstacle" in msg
 
     def test_exact_zero_has_no_error(self, single_disk):
         scene, grid = single_disk

@@ -6,7 +6,7 @@ import pytest
 from scipy import special
 from scipy.special import i0, jv
 
-from layerdet import SpectralPoint, green_free, make_circle, make_kite
+from layerdet import LayerDetError, SpectralPoint, green_free, make_circle, make_kite
 from layerdet import kernel, specfun
 from layerdet.kernel import offdiag_kernel, split_block
 
@@ -57,6 +57,17 @@ class TestGreenFree:
     def test_rejects_nonpositive_r(self):
         with pytest.raises(ValueError):
             green_free(SpectralPoint.imaginary(1.0), 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_r(self, bad):
+        r = np.array([1.0, bad])
+        for sp in (SpectralPoint.imaginary(1.0), SpectralPoint.ray(1.0, np.pi / 8),
+                   SpectralPoint.from_complex(1.0)):
+            with pytest.raises(ValueError, match="finite r > 0"):
+                green_free(sp, r)
+            for deriv in (False, True):
+                with pytest.raises(ValueError, match="finite r > 0"):
+                    offdiag_kernel(sp, r, deriv=deriv)
 
     def test_pointwise_decay_envelope_d2(self):
         # |G| <= C (kappa r)^{-1/2} e^{-kappa r} for kappa r >= 1, C fitted
@@ -172,7 +183,9 @@ class TestKressSplit:
 
     def test_bessel_on_one_triangle(self, monkeypatch):
         # every special-function call of a diagonal block sees the
-        # n (n - 1) / 2 node pairs of one triangle, not the n^2 square
+        # n (n - 1) / 2 node pairs of one triangle, not the n^2 square; the
+        # order-0 block on a ray sees only the d + 1 Chebyshev points of its
+        # expansions in the distance, fewer than either
         sizes = []
 
         def counted(fn):
@@ -182,15 +195,21 @@ class TestKressSplit:
             return wrapped
 
         spec = SimpleNamespace(**{name: counted(getattr(special, name))
-                                  for name in ("i0", "i1", "k0", "k1", "jv", "hankel1")})
+                                  for name in ("i0", "i1", "k0", "k1", "jv",
+                                               "hankel1", "hankel1e")})
         monkeypatch.setattr(kernel, "_sp", spec)
         n = 48
         _, r, speeds = _nodes(make_kite((0, 0), 1.0), n)
         for sp in (SpectralPoint.imaginary(0.8), SpectralPoint.ray(1.1, np.pi / 3)):
             for deriv in (False, True):
                 sizes.clear()
+                kernel._split_series.cache_clear()
                 split_block(sp, r, speeds, deriv=deriv)
-                assert sizes == [n * (n - 1) // 2] * 2
+                if sp.is_imaginary or deriv:
+                    assert sizes == [n * (n - 1) // 2] * 2
+                else:
+                    d = kernel._degree(sp.lam, 0.0, r.max())
+                    assert sizes == [d + 1] * 2 and d + 1 < n * (n - 1) // 2
 
     def test_derivative_split_reconstruction(self):
         curve = make_kite((0, 0), 1.0)
@@ -213,6 +232,34 @@ class TestKressSplit:
         assert np.array_equal(offdiag_kernel(sp, r, deriv=True),
                               -(r / (2 * np.pi)) * specfun.bessel_k(1, r))
         sp = SpectralPoint.ray(1.1, np.pi / 3)
-        assert np.array_equal(offdiag_kernel(sp, r), green_free(sp, r))
+        # the order-0 ray kernel comes from its expansion in log r
+        assert offdiag_kernel(sp, r) == pytest.approx(green_free(sp, r), rel=1e-14)
         assert np.array_equal(offdiag_kernel(sp, r, deriv=True),
                               -0.25j * r * special.hankel1(1, sp.lam * r))
+
+
+class TestRayExpansions:
+    def test_rejects_distances_outside_the_interval(self):
+        sp = SpectralPoint.ray(2.0, np.pi / 8)
+        _, r, speeds = _nodes(make_circle((0, 0), 1.0), 16)
+        with pytest.raises(ValueError, match="outside the expansion interval"):
+            split_block(sp, r, speeds, span=(0.0, 1.5))
+        with pytest.raises(ValueError, match="outside the expansion interval"):
+            offdiag_kernel(sp, np.array([1.0, 3.0]), span=(1.0, 2.0))
+        with pytest.raises(ValueError, match="outside the expansion interval"):
+            offdiag_kernel(sp, np.array([0.5, 1.5]), span=(1.0, 2.0))
+        r[0, 1] = r[1, 0] = np.nan
+        with pytest.raises(ValueError, match="outside the expansion interval"):
+            split_block(sp, r, speeds, span=(0.0, 2.5))
+
+    def test_one_point_interval(self):
+        sp = SpectralPoint.ray(2.0, np.pi / 8)
+        assert offdiag_kernel(sp, 1.3) == pytest.approx(green_free(sp, 1.3), rel=1e-14)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflow_raises(self):
+        # Im(lambda) r near 1400 passes J0's overflow on the diagonal block
+        sp = SpectralPoint.ray(1000.0, 1.5)
+        _, r, speeds = _nodes(make_circle((0, 0), 1.0), 16)
+        with pytest.raises(LayerDetError, match="not finite"):
+            split_block(sp, r, speeds)

@@ -3,7 +3,7 @@ import pytest
 from scipy.special import i0, i1, iv, ivp, jv, kv, kvp
 
 from layerdet import (LayerDetError, SingularOperatorError, SpectralPoint, assemble_dq,
-                      assemble_q, discretize, factorize, layer_ops, make_circle,
+                      assemble_q, discretize, factorize, kernel, layer_ops, make_circle,
                       make_ellipse, make_kite, make_scene, solve, trace_rrel)
 from layerdet.kernel import offdiag_kernel
 from layerdet.layer_ops import dt_dsep_levels, kress_log_weights, split_blocks
@@ -29,8 +29,10 @@ def _direct_assembly(grid, sp, deriv):
     """Q, or dQ/dv with deriv, with the kernel evaluated at every ordered
     node pair on its own (the full square of each diagonal block, both
     cross blocks of each pair), and NaN on the diagonal, whose values do
-    not come from the kernel."""
+    not come from the kernel.  The order-0 kernels on a ray come from the
+    Chebyshev expansions on the scene's intervals, as in the assembly."""
     v = sp.value if sp.is_imaginary else sp.lam
+    own, cross = layer_ops._ray_spans(grid.scene)
     out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
     for j, (a, b) in enumerate(grid.blocks):
         for k, (c, d) in enumerate(grid.blocks):
@@ -38,19 +40,20 @@ def _direct_assembly(grid, sp, deriv):
             r = np.hypot(x[:, 0][:, None] - y[:, 0][None, :],
                          x[:, 1][:, None] - y[:, 1][None, :])
             if j != k:
-                out[a:b, c:d] = offdiag_kernel(sp, r, deriv) * grid.weights[c:d]
+                out[a:b, c:d] = offdiag_kernel(sp, r, deriv, span=cross) * grid.weights[c:d]
                 continue
             n = b - a
             np.fill_diagonal(r, 1.0)
             if sp.is_imaginary:
-                J = r * i1(v * r) if deriv else i0(v * r)
+                J, G = (r * i1(v * r) if deriv else i0(v * r)), offdiag_kernel(sp, r, deriv)
+            elif deriv:
+                J, G = -(r * jv(1, v * r)), offdiag_kernel(sp, r, deriv)
             else:
-                J = -(r * jv(1, v * r)) if deriv else jv(0, v * r)
+                J, G = kernel._ray_split(v, r, own[j])
             speeds = grid.speeds[a:b]
             A = -(J / (4 * np.pi)) * speeds[None, :]
             dt = grid.t[a:b][:, None] - grid.t[a:b][None, :] + np.eye(n)
-            B = offdiag_kernel(sp, r, deriv) * speeds[None, :] \
-                - A * np.log(4.0 * np.sin(0.5 * dt) ** 2)
+            B = G * speeds[None, :] - A * np.log(4.0 * np.sin(0.5 * dt) ** 2)
             R = kress_log_weights(n)[np.abs(np.subtract.outer(np.arange(n), np.arange(n)))]
             out[a:b, a:b] = R * A + (2 * np.pi / n) * B
     np.fill_diagonal(out, np.nan)

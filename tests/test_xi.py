@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.special import jv
 
 from layerdet import (ConvergenceError, Curve, LayerDetError,
                       PartialWaveConfig, SingularOperatorError, SpectralPoint,
-                      casimir_energy, discretize, make_circle, make_ellipse,
-                      make_kite, make_polar_fourier, make_scene, trace_rrel, xi,
-                      xi_imag, xi_on_ray, xi_prime, xi_real, xi_rel, xi_rel_many,
-                      xi_two_disks)
+                      casimir_energy, discretize, green_free, kernel, layer_ops,
+                      make_circle, make_ellipse, make_kite, make_polar_fourier,
+                      make_scene, trace_rrel, xi, xi_imag, xi_on_ray, xi_prime,
+                      xi_real, xi_rel, xi_rel_many, xi_two_disks)
+from layerdet.kernel import split_block
 from layerdet.layer_ops import (assemble_q, dt_dsep_levels, embedded_q,
                                 factored_pairs)
 
@@ -219,6 +221,54 @@ class TestRandomScenes:
         assert np.allclose(np.imag(ref[-2:]), ray.imag, rtol=0, atol=1e-10)
         ref = xi._Unwrapper(grid).walk(_descent(lam + 1e-3j * lam, sc.gap))
         assert abs(ref[-1].imag - real.imag) <= 1e-10
+
+
+#: trace_df's u_max at t = 1 and its default theta = pi/8 for gaps up to 2:
+#: sqrt(45 / (t cos(2 theta))), below 45 / (0.9 gap sin(theta))
+RAY_U_MAX = float(np.sqrt(45.0 / np.cos(np.pi / 4)))
+
+CLOSE_DISKS = ([_curve_maker("circle", 1.0, 1.0, 0.0, [0.0] * 4)] * 2,
+               [(0.0, 0.0), (2.1, 0.0)])
+
+
+def _amos_split(sp, r, speeds):
+    """split_block's (A, B) on a ray from AMOS's jv and hankel1 at every
+    node pair of the square, the diagonal's distance replaced by 1."""
+    r = r + np.eye(speeds.size)
+    A = -(jv(0, sp.lam * r) / (4 * np.pi)) * speeds
+    return A, green_free(sp, r) * speeds - A * kernel._split_grid(speeds.size)[1]
+
+
+class TestRayExpansions:
+    n = 48
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(scene=disjoint_scenes(), log_u=st.floats(np.log(1e-6), np.log(RAY_U_MAX)),
+           angle=st.floats(0.0, np.pi / 2, exclude_min=True, exclude_max=True))
+    @example(scene=CLOSE_DISKS, log_u=np.log(RAY_U_MAX), angle=np.pi / 8)
+    @example(scene=CLOSE_DISKS, log_u=np.log(RAY_U_MAX), angle=1.5)
+    @example(scene=CLOSE_DISKS, log_u=0.0, angle=0.05)
+    @example(scene=CLOSE_DISKS, log_u=np.log(1e-6), angle=0.7)
+    def test_kernels_match_amos(self, scene, log_u, angle):
+        # the ray Q's cross entries within 1e-13 of AMOS each, and each
+        # diagonal block's A and B within 1e-13 of their largest entry
+        makers, centres = scene
+        sc = make_scene([m(c) for m, c in zip(makers, centres)])
+        grid, sp = discretize(sc, self.n), SpectralPoint.ray(np.exp(log_u), angle)
+        q, own = assemble_q(grid, sp).entries, layer_ops._ray_spans(sc)[0]
+        off = ~np.eye(self.n, dtype=bool)
+        for j in range(sc.n_obstacles):
+            sj = grid.block_slice(j)
+            for k in range(sc.n_obstacles):
+                sk = grid.block_slice(k)
+                if k != j:
+                    amos = green_free(sp, grid.distances[sj, sk]) * grid.weights[sk]
+                    assert np.all(np.abs(q[sj, sk] - amos) <= 1e-13 * np.abs(amos))
+            parts = split_block(sp, grid.distances[sj, sj], grid.speeds[sj], span=own[j])
+            for part, amos in zip(parts, _amos_split(sp, grid.distances[sj, sj],
+                                                     grid.speeds[sj])):
+                err = np.abs(part - amos)[off].max()
+                assert err <= 1e-13 * np.abs(amos)[off].max()
 
 
 #: node counts per obstacle: halving 18, 20 or 30 turns odd or falls below
