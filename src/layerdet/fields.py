@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayerDetError
-from .geometry import BoundaryGrid, Scene, _winding_contains, distance_to_boundary
+from .geometry import _POLYGON, BoundaryGrid, Scene, _winding_contains, distance_to_boundary
 from .kernel import SpectralPoint, green_free
 from .layer_ops import factored_pairs, solve
 
@@ -32,9 +32,11 @@ def field_point(scene: Scene, xy) -> FieldPoint:
     """Wrap a planar point with its distance to the obstacle union; points
     on or inside an obstacle are rejected."""
     p = (float(xy[0]), float(xy[1]))
+    if not np.all(np.isfinite(p)):
+        raise LayerDetError(f"field point {p} is not finite")
     d = distance_to_boundary(scene, p)
     inside = any(
-        _winding_contains(c.point(2 * np.pi * np.arange(512) / 512), np.array([p]))[0]
+        _winding_contains(c.point(_POLYGON), np.array([p]))[0]
         for c in scene.obstacles)
     if d <= 0 or inside:
         raise LayerDetError(f"field point {p} lies on or inside an obstacle")

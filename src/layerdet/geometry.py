@@ -1,9 +1,10 @@
 """Smooth closed obstacle boundaries, scenes, and Nystrom boundary grids.
 
-Curves are parametrized over t in [0, 2pi) with closed-form first and second
-derivatives, oriented counterclockwise.  A Scene is an ordered list of
-pairwise disjoint curves; its minimal boundary-to-boundary gap controls every
-decay rate downstream.
+Every curve is a trigonometric polynomial in its parameter t in [0, 2pi),
+x(t) = center + sum_k cos(kt) a_k + sin(kt) b_k with a_k, b_k in R^2, oriented
+counterclockwise; its derivatives are the same sums over exact coefficients.
+A Scene is an ordered list of pairwise disjoint curves; its minimal
+boundary-to-boundary gap controls every decay rate downstream.
 """
 
 from __future__ import annotations
@@ -11,160 +12,136 @@ from __future__ import annotations
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import SceneError
 
-_REGULARITY_SAMPLES = 2048
-#: polygon nodes per curve for the nesting test and the gap search's start
-_POLYGON_SAMPLES = 512
+#: parameters of the regularity and radius checks and of the distance search
+_SAMPLES = 2 * np.pi * np.arange(2048) / 2048
+#: polygon node parameters of every curve for the nesting test, the gap
+#: search's start and the diameter bounds
+_POLYGON = 2 * np.pi * np.arange(512) / 512
 
 
 @dataclass(frozen=True)
 class Curve:
-    """Closed smooth parametric curve.
+    """Closed smooth curve x(t) = center + sum_{k=0}^K cos(kt) a_k + sin(kt) b_k.
 
     kind: one of "circle", "ellipse", "kite", "polar-fourier"
     params: kind-specific numeric parameters (documented per factory)
+    a, b: (K + 1) x 2 arrays of the a_k and b_k, which alone define the
+    curve; equality and hashing read kind, center and params only.
     """
 
     kind: str
     center: Tuple[float, float]
     params: tuple
-    _maps: Callable = field(repr=False, compare=False, default=None)
+    a: np.ndarray = field(repr=False, compare=False)
+    b: np.ndarray = field(repr=False, compare=False)
+
+    @cached_property
+    def _terms(self):
+        """k = 1..K, center + a_0 (added last: a circle's point stays bitwise
+        center + r (cos t, sin t)), and the k's coefficients of x, x', x''."""
+        k = np.arange(1.0, len(self.a))[:, None]
+        a, b = self.a[1:], self.b[1:]
+        return k[:, 0], self.center + self.a[0], \
+            ((a, b), (k * b, -k * a), (-k * k * a, -k * k * b))
+
+    def _derivative(self, t, order: int):
+        k, offset, terms = self._terms
+        kt = np.multiply.outer(np.asarray(t, dtype=float), k)
+        a, b = terms[order]
+        x = np.dot(np.cos(kt), a) + np.dot(np.sin(kt), b)
+        return offset + x if order == 0 else x
 
     def point(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._maps(t, 0)
+        return self._derivative(t, 0)
 
     def velocity(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._maps(t, 1)
+        return self._derivative(t, 1)
 
     def accel(self, t):
-        t = np.asarray(t, dtype=float)
-        return self._maps(t, 2)
+        return self._derivative(t, 2)
 
     def speed(self, t):
         v = self.velocity(t)
         return np.hypot(v[..., 0], v[..., 1])
 
 
-def _finalize(curve: Curve) -> Curve:
-    t = 2 * np.pi * np.arange(_REGULARITY_SAMPLES) / _REGULARITY_SAMPLES
-    sp = curve.speed(t)
-    if not np.all(sp > 0.0):
-        raise SceneError(f"{curve.kind} curve is not regular (|x'(t)| vanishes)")
+def _curve(kind: str, center, terms, **params) -> Curve:
+    """The curve of `kind` with coefficients a, b = terms(*params), refused
+    unless the centre and every parameter are finite and |x'(t)| > 0."""
+    for name, v in (("centre", center), *params.items()):
+        if not np.all(np.isfinite(np.asarray(v, dtype=float))):
+            raise SceneError(f"{kind} {name} must be finite, got {v!r}")
+    curve = Curve(kind, (float(center[0]), float(center[1])), tuple(params.values()),
+                  *(np.asarray(c, dtype=float) for c in terms(*params.values())))
+    if not np.all(curve.speed(_SAMPLES) > 0.0):
+        raise SceneError(f"{kind} curve is not regular (|x'(t)| vanishes)")
     return curve
 
 
 def make_circle(center, radius) -> Curve:
-    """Circle of given radius."""
+    """Circle center + radius (cos t, sin t)."""
     if radius <= 0:
         raise SceneError("radius must be positive")
-    cx, cy = float(center[0]), float(center[1])
-    r = float(radius)
-
-    def maps(t, order):
-        c, s = np.cos(t), np.sin(t)
-        if order == 0:
-            return np.stack([cx + r * c, cy + r * s], axis=-1)
-        if order == 1:
-            return np.stack([-r * s, r * c], axis=-1)
-        return np.stack([-r * c, -r * s], axis=-1)
-
-    return _finalize(Curve("circle", (cx, cy), (r,), maps))
+    return _curve("circle", center, lambda r: ([[0, 0], [r, 0]], [[0, 0], [0, r]]),
+                  radius=float(radius))
 
 
 def make_ellipse(center, a, b, rotation=0.0) -> Curve:
-    """Axis lengths a, b; rotated by `rotation` radians."""
+    """Axis lengths a, b, turned by `rotation` radians: center +
+    (cos rotation, sin rotation) a cos t + (-sin rotation, cos rotation) b sin t."""
     if a <= 0 or b <= 0:
         raise SceneError("ellipse axes must be positive")
-    cx, cy = float(center[0]), float(center[1])
-    a, b, phi = float(a), float(b), float(rotation)
-    cphi, sphi = np.cos(phi), np.sin(phi)
-
-    def maps(t, order):
-        c, s = np.cos(t), np.sin(t)
-        if order == 0:
-            u, v = a * c, b * s
-            return np.stack([cx + cphi * u - sphi * v, cy + sphi * u + cphi * v], axis=-1)
-        if order == 1:
-            u, v = -a * s, b * c
-        else:
-            u, v = -a * c, -b * s
-        return np.stack([cphi * u - sphi * v, sphi * u + cphi * v], axis=-1)
-
-    return _finalize(Curve("ellipse", (cx, cy), (a, b, phi), maps))
+    return _curve("ellipse", center, lambda a, b, phi: (
+        [[0, 0], [a * np.cos(phi), a * np.sin(phi)]],
+        [[0, 0], [-b * np.sin(phi), b * np.cos(phi)]]), a=float(a), b=float(b),
+        rotation=float(rotation))
 
 
 def make_kite(center, scale) -> Curve:
-    """Standard kite test curve (cos t + 0.65 cos 2t - 0.65, 1.5 sin t), scaled."""
+    """Standard kite test curve center + scale (cos t + 0.65 cos 2t - 0.65, 1.5 sin t)."""
     if scale <= 0:
         raise SceneError("kite scale must be positive")
-    cx, cy = float(center[0]), float(center[1])
-    sc = float(scale)
-
-    def maps(t, order):
-        if order == 0:
-            return np.stack([cx + sc * (np.cos(t) + 0.65 * np.cos(2 * t) - 0.65),
-                             cy + sc * 1.5 * np.sin(t)], axis=-1)
-        if order == 1:
-            return np.stack([sc * (-np.sin(t) - 1.3 * np.sin(2 * t)),
-                             sc * 1.5 * np.cos(t)], axis=-1)
-        return np.stack([sc * (-np.cos(t) - 2.6 * np.cos(2 * t)),
-                         sc * -1.5 * np.sin(t)], axis=-1)
-
-    return _finalize(Curve("kite", (cx, cy), (sc,), maps))
+    return _curve("kite", center, lambda sc: ([[-0.65 * sc, 0], [sc, 0], [0.65 * sc, 0]],
+                                              [[0, 0], [0, 1.5 * sc], [0, 0]]),
+                  scale=float(scale))
 
 
 def make_polar_fourier(center, cos_coeffs, sin_coeffs=()) -> Curve:
-    """Star-shaped curve r(t) = c_0 + sum_k (a_k cos kt + b_k sin kt).
+    """Star-shaped curve center + r(t) (cos t, sin t),
+    r(t) = c_0 + sum_k (a_k cos kt + b_k sin kt).
 
     cos_coeffs = (c_0, a_1, a_2, ...), sin_coeffs = (b_1, b_2, ...).
     The radius must stay positive; this also guarantees simplicity.
     """
-    cx, cy = float(center[0]), float(center[1])
-    ac = np.asarray(cos_coeffs, dtype=float)
-    bs = np.asarray(sin_coeffs, dtype=float)
-    if ac.size == 0 or ac[0] <= 0:
-        raise SceneError("polar-fourier needs a positive constant coefficient")
-    kc = np.arange(ac.size)
-    ks = np.arange(1, bs.size + 1)
+    return _curve("polar-fourier", center, _polar_terms,
+                  cos_coeffs=tuple(np.asarray(cos_coeffs, dtype=float)),
+                  sin_coeffs=tuple(np.asarray(sin_coeffs, dtype=float)))
 
-    def radius(t, order):
-        tt = np.atleast_1d(t)[:, None]
-        if order == 0:
-            r = (ac * np.cos(kc * tt)).sum(axis=1)
-            if bs.size:
-                r = r + (bs * np.sin(ks * tt)).sum(axis=1)
-        elif order == 1:
-            r = (-ac * kc * np.sin(kc * tt)).sum(axis=1)
-            if bs.size:
-                r = r + (bs * ks * np.cos(ks * tt)).sum(axis=1)
-        else:
-            r = (-ac * kc**2 * np.cos(kc * tt)).sum(axis=1)
-            if bs.size:
-                r = r + (-bs * ks**2 * np.sin(ks * tt)).sum(axis=1)
-        return r.reshape(np.shape(t))
 
-    def maps(t, order):
-        c, s = np.cos(t), np.sin(t)
-        r = radius(t, 0)
-        if order == 0:
-            return np.stack([cx + r * c, cy + r * s], axis=-1)
-        r1 = radius(t, 1)
-        if order == 1:
-            return np.stack([r1 * c - r * s, r1 * s + r * c], axis=-1)
-        r2 = radius(t, 2)
-        return np.stack([r2 * c - 2 * r1 * s - r * c, r2 * s + 2 * r1 * c - r * s], axis=-1)
-
-    tgrid = 2 * np.pi * np.arange(_REGULARITY_SAMPLES) / _REGULARITY_SAMPLES
-    if np.any(radius(tgrid, 0) <= 0):
+def _polar_terms(ac, bs):
+    """The coefficients of r(t) (cos t, sin t), of degree K + 1 for r of
+    degree K, by the product-to-sum identities: a term al cos kt + be sin kt
+    of r gives (al, -be) / 2 cos (k+1)t + (be, al) / 2 sin (k+1)t, and the
+    same times (1, -1) at k - 1."""
+    n = max(len(ac), len(bs) + 1)
+    al, be = np.zeros(n), np.zeros(n)
+    al[:len(ac)], be[1:len(bs) + 1] = ac, bs
+    kt = np.multiply.outer(_SAMPLES, np.arange(n))
+    if np.any(np.cos(kt) @ al + np.sin(kt) @ be <= 0):
         raise SceneError("polar-fourier radius must stay positive")
-    return _finalize(Curve("polar-fourier", (cx, cy), (tuple(ac), tuple(bs)), maps))
+    a, b = np.zeros((n + 1, 2)), np.zeros((n + 1, 2))
+    a[1, 0] = b[1, 1] = al[0]
+    for c, up in ((a, (al[1:], -be[1:])), (b, (be[1:], al[1:]))):
+        up = np.stack(up, axis=-1) / 2
+        c[2:] += up
+        c[:-2] += up * (1, -1)
+    return a, b
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +215,7 @@ def _pair_min_distance(cj: Curve, ck: Curve, pj: np.ndarray, pk: np.ndarray) -> 
     pair: moved to the closest pair of the 8x finer node lattice within 16
     of its nodes (where a search of that whole lattice lands), then Newton."""
     i, k = _closest_pair(pj, pk)
-    n = 8 * _POLYGON_SAMPLES
+    n = 8 * len(_POLYGON)
     t = 2 * np.pi * ((8 * np.array([[i], [k]]) + np.arange(-16, 17)) % n) / n
     a, b = _closest_pair(cj.point(t[0]), ck.point(t[1]))
     return np.sqrt(2.0 * _newton_refine_pair(cj, ck, t[0, a], t[1, b]))
@@ -280,13 +257,12 @@ class Scene:
         node); the bounds are those disks' diameters and their largest
         pairwise extent.  The diameters are rounded to single precision,
         well inside the step, so that congruent obstacles share one."""
-        t = 2 * np.pi * np.arange(_POLYGON_SAMPLES) / _POLYGON_SAMPLES
         disks = []
         for c in self.obstacles:
-            p = c.point(t)
+            p = c.point(_POLYGON)
             m = p.mean(axis=0)
             disks.append((m, float(np.max(np.hypot(*(p - m).T))
-                                   + np.max(c.speed(t)) * 2 * np.pi / _POLYGON_SAMPLES)))
+                                   + np.max(c.speed(_POLYGON)) * 2 * np.pi / len(_POLYGON))))
         whole = max(float(np.hypot(*(mj - mk))) + rj + rk
                     for mj, rj in disks for mk, rk in disks)
         return tuple(float(np.float32(2 * r)) for _, r in disks), whole
@@ -296,11 +272,8 @@ def make_scene(obstacles: Sequence[Curve]) -> Scene:
     obstacles = tuple(obstacles)
     if len(obstacles) < 1:
         raise SceneError("scene needs at least one obstacle")
-    if len(obstacles) == 1:
-        return Scene(obstacles, np.inf)
     gap = np.inf
-    t = 2 * np.pi * np.arange(_POLYGON_SAMPLES) / _POLYGON_SAMPLES
-    polys = [c.point(t) for c in obstacles]
+    polys = [c.point(_POLYGON) for c in obstacles]
     for j in range(len(obstacles)):
         for k in range(j + 1, len(obstacles)):
             d = _pair_min_distance(obstacles[j], obstacles[k], polys[j], polys[k])
@@ -310,21 +283,18 @@ def make_scene(obstacles: Sequence[Curve]) -> Scene:
                     or _winding_contains(polys[j], polys[k]).any():
                 raise SceneError(f"obstacles {j} and {k} overlap or nest")
             gap = min(gap, d)
-    if not np.isfinite(gap) or gap <= 0:
-        raise SceneError("invalid gap")
     return Scene(obstacles, gap)
 
 
 def distance_to_boundary(scene: Scene, xy) -> float:
     """Distance from a planar point to the union of obstacle boundaries."""
     p = np.asarray(xy, dtype=float)
-    t = 2 * np.pi * np.arange(2048) / 2048
     best = np.inf
     for c in scene.obstacles:
-        pts = c.point(t)
+        pts = c.point(_SAMPLES)
         d2 = (pts[:, 0] - p[0]) ** 2 + (pts[:, 1] - p[1]) ** 2
         i = int(np.argmin(d2))
-        tcur = t[i]
+        tcur = _SAMPLES[i]
         for _ in range(40):
             d = c.point(tcur) - p
             v = c.velocity(tcur)
@@ -416,11 +386,9 @@ def discretize(scene: Scene, n_per_obstacle) -> BoundaryGrid:
     start = 0
     for curve, n in zip(scene.obstacles, ns):
         t = 2 * np.pi * np.arange(n) / n
-        p = curve.point(t)
-        v = curve.velocity(t)
-        sp = np.hypot(v[:, 0], v[:, 1])
+        sp = curve.speed(t)
         ts.append(t)
-        pts.append(p)
+        pts.append(curve.point(t))
         sps.append(sp)
         wts.append((2 * np.pi / n) * sp)
         blocks.append((start, start + n))

@@ -110,6 +110,13 @@ class TestRelResolvent:
         with pytest.raises(LayerDetError):
             field_point(canonical_scene, (0.2, 0.0))  # inside the first disk
 
+    @pytest.mark.parametrize("xy", [(np.nan, 2.0), (2.0, np.inf), (-np.inf, 2.0)],
+                             ids=["nan", "inf", "minus_inf"])
+    def test_non_finite_point_rejected(self, canonical_scene, xy):
+        # min(inf, nan) is inf: the distance alone would let a NaN through
+        with pytest.raises(LayerDetError, match="not finite"):
+            field_point(canonical_scene, xy)
+
     def test_trace_proxy_demonstration(self, canonical_scene, canonical_grid_96):
         # Demonstration, not an assertion of equality: integrating the
         # relative-kernel diagonal over a finite box tracks part of the

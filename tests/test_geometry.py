@@ -13,17 +13,51 @@ class TestCurves:
         grid = discretize(scene, 64)
         assert np.sum(grid.weights) == pytest.approx(2 * np.pi, rel=1e-12)
 
+    def test_circle_point_is_the_closed_form_exactly(self):
+        # the canonical disks' numbers rest on this route staying bitwise
+        t = np.linspace(0, 2 * np.pi, 41)
+        c = make_circle((0.3, -0.2), 0.7)
+        assert np.array_equal(c.point(t), np.stack([0.3 + 0.7 * np.cos(t),
+                                                    -0.2 + 0.7 * np.sin(t)], axis=-1))
+
     def test_degenerate_ellipse_is_circle(self):
         t = np.linspace(0, 2 * np.pi, 37)
         c = make_circle((0.3, -0.2), 0.7)
         e = make_ellipse((0.3, -0.2), 0.7, 0.7)
-        assert np.allclose(c.point(t), e.point(t), atol=1e-15)
+        for m in ("point", "velocity", "accel"):
+            assert np.array_equal(getattr(c, m)(t), getattr(e, m)(t))
 
     def test_constant_polar_fourier_is_circle(self):
         t = np.linspace(0, 2 * np.pi, 29)
         c = make_circle((1.0, 2.0), 1.3)
         p = make_polar_fourier((1.0, 2.0), [1.3])
-        assert np.allclose(c.point(t), p.point(t), atol=1e-15)
+        for m in ("point", "velocity", "accel"):
+            assert np.array_equal(getattr(c, m)(t), getattr(p, m)(t))
+
+    @pytest.mark.parametrize("curve, closed_form", [
+        (make_circle((0.3, -0.2), 0.8),
+         lambda t: np.stack([0.3 + 0.8 * np.cos(t), -0.2 + 0.8 * np.sin(t)], axis=-1)),
+        (make_ellipse((0.1, 0.2), 1.0, 0.6, 0.4),
+         lambda t: np.array([0.1, 0.2]) + np.stack([np.cos(t), 0.6 * np.sin(t)], axis=-1)
+         @ np.array([[np.cos(0.4), np.sin(0.4)], [-np.sin(0.4), np.cos(0.4)]])),
+        (make_kite((-0.5, 0.25), 1.0),
+         lambda t: np.stack([-0.5 + np.cos(t) + 0.65 * np.cos(2 * t) - 0.65,
+                             0.25 + 1.5 * np.sin(t)], axis=-1)),
+        (make_polar_fourier((0.2, 0.1), [1.0, 0.1], [0.05, -0.08, 0.04]),
+         lambda t: np.array([0.2, 0.1]) + (1.0 + 0.1 * np.cos(t) + 0.05 * np.sin(t)
+                                           - 0.08 * np.sin(2 * t) + 0.04 * np.sin(3 * t)
+                                           )[:, None] * np.stack([np.cos(t), np.sin(t)], -1)),
+    ], ids=["circle", "ellipse", "kite", "polar-fourier"])
+    def test_derivatives_and_closed_form(self, curve, closed_form):
+        t, h = np.linspace(0, 2 * np.pi, 53), 1e-5
+        assert np.allclose(curve.point(t), closed_form(t), rtol=0, atol=1e-14)
+        fd_v = (curve.point(t + h) - curve.point(t - h)) / (2 * h)
+        fd_a = (curve.velocity(t + h) - curve.velocity(t - h)) / (2 * h)
+        assert np.allclose(curve.velocity(t), fd_v, rtol=0, atol=1e-8)
+        assert np.allclose(curve.accel(t), fd_a, rtol=0, atol=1e-8)
+        # a scalar parameter gives one point, as an array of them gives many
+        for m in (curve.point, curve.velocity, curve.accel):
+            assert m(t[5]).shape == (2,) and np.array_equal(m(t[5]), m(t)[5])
 
     def test_closure_and_regularity(self):
         for curve in (make_kite((0, 0), 1.0),
@@ -43,6 +77,23 @@ class TestCurves:
             make_kite((0, 0), 0.0)
         with pytest.raises(SceneError):
             make_polar_fourier((0, 0), [0.5, 0.8])  # radius crosses zero
+
+    @pytest.mark.parametrize("make, name", [
+        (lambda: make_circle((0, 0), np.inf), "radius"),
+        (lambda: make_circle((0, 0), np.nan), "radius"),
+        (lambda: make_circle((np.nan, 0), 1.0), "centre"),
+        (lambda: make_ellipse((0, 0), 1.0, np.nan), "b"),
+        (lambda: make_ellipse((0, 0), 1.0, 0.5, np.inf), "rotation"),
+        (lambda: make_kite((0, 0), np.inf), "scale"),
+        (lambda: make_kite((0, -np.inf), 1.0), "centre"),
+        (lambda: make_polar_fourier((0, 0), [np.nan]), "cos_coeffs"),
+        (lambda: make_polar_fourier((0, 0), [1.0, 0.1], [np.nan]), "sin_coeffs"),
+        (lambda: make_polar_fourier((np.inf, 0), [1.0]), "centre"),
+    ], ids=["circle-inf", "circle-nan", "circle-centre", "ellipse-b", "ellipse-rotation",
+            "kite-inf", "kite-centre", "polar-cos", "polar-sin", "polar-centre"])
+    def test_non_finite_parameters(self, make, name):
+        with pytest.raises(SceneError, match=f" {name} must be finite"):
+            make()
 
     def test_outward_normals(self):
         kite = make_kite((0, 0), 1.0)

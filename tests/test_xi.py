@@ -153,14 +153,15 @@ def _similar(curve, scale, turn):
     """curve scaled by `scale` and turned by `turn` about the origin, its
     parameter shifted by `turn` as well: for a whole number of node
     spacings the nodes land on the turned curve's own nodes, as a circle's
-    do, whose nodes start at angle 0 wherever its centre is."""
+    do, whose nodes start at angle 0 wherever its centre is.  x(t - turn)
+    has the coefficients a_k cos k turn - b_k sin k turn of cos kt and
+    a_k sin k turn + b_k cos k turn of sin kt."""
     c, s = np.cos(turn), np.sin(turn)
     rot = scale * np.array([[c, s], [-s, c]])      # row vectors: p @ rot
-
-    def maps(t, order):
-        return (curve.point, curve.velocity, curve.accel)[order](t - turn) @ rot
-
-    return Curve(curve.kind, tuple(np.array(curve.center) @ rot), curve.params, maps)
+    kt = turn * np.arange(len(curve.a))[:, None]
+    a = (curve.a * np.cos(kt) - curve.b * np.sin(kt)) @ rot
+    b = (curve.a * np.sin(kt) + curve.b * np.cos(kt)) @ rot
+    return Curve(curve.kind, tuple(np.array(curve.center) @ rot), curve.params, a, b)
 
 
 class TestRandomScenes:
