@@ -4,7 +4,8 @@ away from the obstacles.
 The resolvent-difference kernel is the boundary bilinear form
 k(x, y) = -<G(y, .), Q^{-1} G(x, .)> over the obstacle boundary; the
 relative kernel replaces Q^{-1} by Q^{-1} - Qtilde^{-1} =
--Q^{-1} T Qtilde^{-1} and is evaluated in that factorized form.  Off the
+-Q^{-1} T Qtilde^{-1} and is evaluated in that factorized form, Qtilde^{-1}
+block by block from the LUs of the obstacles' own blocks.  Off the
 boundary the integrands are smooth, so the plain trapezoid weights of the
 grid are spectrally accurate; points closer than a tenth of the obstacle
 gap are rejected rather than computed inaccurately.
@@ -17,9 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LayerDetError
-from .geometry import _POLYGON, BoundaryGrid, Scene, _winding_contains, distance_to_boundary
+from .geometry import BoundaryGrid, Scene, _winding_contains, distance_to_boundary
 from .kernel import SpectralPoint, green_free
-from .layer_ops import factored_pairs, solve
+from .layer_ops import factored_blocks, solve, solve_blocks, split_blocks
 
 
 @dataclass(frozen=True)
@@ -35,23 +36,23 @@ def field_point(scene: Scene, xy) -> FieldPoint:
     if not np.all(np.isfinite(p)):
         raise LayerDetError(f"field point {p} is not finite")
     d = distance_to_boundary(scene, p)
-    inside = any(
-        _winding_contains(c.point(_POLYGON), np.array([p]))[0]
-        for c in scene.obstacles)
+    inside = any(_winding_contains(poly, np.array([p]))[0] for _, poly in scene.samples)
     if d <= 0 or inside:
         raise LayerDetError(f"field point {p} lies on or inside an obstacle")
     return FieldPoint(p, d)
 
 
 class FieldEvaluator:
-    """Caches the factorizations for one (scene, grid, spectral point); all
-    per-point evaluations are then two boundary-vector solves."""
+    """Caches the factorizations for one (scene, grid, spectral point), Q's
+    and those of its diagonal blocks; all per-point evaluations are then
+    boundary-vector solves."""
 
     def __init__(self, scene: Scene, grid: BoundaryGrid, sp: SpectralPoint):
         self.scene = scene
         self.grid = grid
         self.sp = sp
-        self._fq, self._ft, self._T = factored_pairs(grid, sp)[0]
+        q, self._fq, self._fb = factored_blocks(grid, sp)
+        self._T = split_blocks(q, grid.blocks)[1]
         gap = scene.gap
         if np.isfinite(gap):
             self._standoff = 0.1 * gap
@@ -88,6 +89,6 @@ class FieldEvaluator:
             return 0j
         gx = self._boundary_vector(x)
         gy = self._boundary_vector(y)
-        v = solve(self._ft, gx)
+        v = solve_blocks(self._fb, self.grid.blocks, gx)
         u = solve(self._fq, self._T @ v)
         return complex(np.dot(gy * self.grid.weights, u))

@@ -249,6 +249,15 @@ class Scene:
         return len(self.obstacles)
 
     @cached_property
+    def samples(self) -> Tuple[Tuple[np.ndarray, np.ndarray], ...]:
+        """Each obstacle's points at the distance search's parameters and at
+        its polygon nodes, read-only and built on first use."""
+        out = tuple((c.point(_SAMPLES), c.point(_POLYGON)) for c in self.obstacles)
+        for a in (a for pair in out for a in pair):
+            a.setflags(write=False)
+        return out
+
+    @cached_property
     def diameters(self) -> Tuple[Tuple[float, ...], float]:
         """Upper bounds on each obstacle's diameter and on the scene's,
         built on first use.  Each obstacle lies in the disk about its
@@ -258,8 +267,7 @@ class Scene:
         pairwise extent.  The diameters are rounded to single precision,
         well inside the step, so that congruent obstacles share one."""
         disks = []
-        for c in self.obstacles:
-            p = c.point(_POLYGON)
+        for c, (_, p) in zip(self.obstacles, self.samples):
             m = p.mean(axis=0)
             disks.append((m, float(np.max(np.hypot(*(p - m).T))
                                    + np.max(c.speed(_POLYGON)) * 2 * np.pi / len(_POLYGON))))
@@ -290,8 +298,7 @@ def distance_to_boundary(scene: Scene, xy) -> float:
     """Distance from a planar point to the union of obstacle boundaries."""
     p = np.asarray(xy, dtype=float)
     best = np.inf
-    for c in scene.obstacles:
-        pts = c.point(_SAMPLES)
+    for c, (pts, _) in zip(scene.obstacles, scene.samples):
         d2 = (pts[:, 0] - p[0]) ** 2 + (pts[:, 1] - p[1]) ** 2
         i = int(np.argmin(d2))
         tcur = _SAMPLES[i]

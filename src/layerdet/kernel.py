@@ -26,14 +26,14 @@ evaluates the Bessel/Hankel functions on one triangle of the block and
 mirrors them; the triangle's indices and the log factor depend on the node
 count alone and are cached per count.
 
-On a ray, where every AMOS call is costly, the order-0 kernels of `Q` are
-Chebyshev expansions in the distance, fitted once per lambda and interval
-to AMOS values (Trefethen, Approximation Theory and Approximation
-Practice, 2013) and evaluated entry by entry: J0 and the entire part of Y0
-in r on a diagonal block, H1_0 e^{-i lambda r} in log r across the gap.
-The intervals come from the scene, never from the grid.  The imaginary
-axis, real lambda, the derivative kernels and `green_free` keep their
-special functions.
+On a ray, where every AMOS call is costly, the kernels of `Q` and of its
+lambda derivative are Chebyshev expansions in the distance, fitted once per
+lambda and interval to AMOS values (Trefethen, Approximation Theory and
+Approximation Practice, 2013) and evaluated entry by entry: J and the
+entire part of Y in r on a diagonal block (J0 and Y0 for Q, -r J1 and
+-r Y1 for dQ), H1 e^{-i lambda r} in log r across the gap.  The intervals
+come from the scene, never from the grid.  The imaginary axis, real lambda
+and `green_free` keep their special functions.
 """
 
 from __future__ import annotations
@@ -141,17 +141,19 @@ def _hankel1(order: int, sp: SpectralPoint, x):
 
 
 # ---------------------------------------------------------------------------
-# Chebyshev expansions in the distance: the order-0 kernels on a ray
+# Chebyshev expansions in the distance: the kernels on a ray
 # ---------------------------------------------------------------------------
 
-def _cheb_fit(f, a: float, b: float, d: int) -> np.ndarray:
+def _cheb_fit(f, a: float, b: float, d: int, groups: int = 1) -> np.ndarray:
     """Chebyshev coefficients, shape (k, m), of the m real series that f
     gives along the last axis at an array of points in [a, b], from their
     values at the d + 1 first-kind points (never at an end).  The degree
     doubles until the last quarter of the coefficients lies 2^-47 below the
     largest, or until doubling no longer lowers that tail (AMOS's rounding
     at large arguments), which must then lie 2^-40 below; the series keep
-    the terms above twice the tail and above 2^-50 of the largest."""
+    the terms above twice the tail and above 2^-50 of the largest.  The m
+    series form `groups` equal groups, each measured against its own
+    largest coefficient, so that series of unlike sizes keep their digits."""
     prev = np.inf
     for _ in range(5):
         x = np.cos(np.pi * (np.arange(d + 1) + 0.5) / (d + 1))
@@ -166,9 +168,10 @@ def _cheb_fit(f, a: float, b: float, d: int) -> np.ndarray:
         c = (np.exp(-0.5j * np.pi * k / (d + 1))
              * np.fft.fft(np.concatenate([vals, vals[::-1]]), axis=0)[:d + 1]).real / (d + 1)
         c[0] *= 0.5
-        # the largest coefficient from each degree on, relative to the largest
-        env = np.maximum.accumulate(np.abs(c).max(axis=1)[::-1])[::-1]
-        env /= env[0]
+        # the largest coefficient from each degree on, relative to the
+        # largest of its group, the larger over the groups
+        env = np.maximum.accumulate(np.abs(c).reshape(d + 1, groups, -1).max(axis=2)[::-1])[::-1]
+        env = (env / env[0]).max(axis=1)
         tail = env[-(d + 1) // 4]
         if tail <= 2.0 ** -47 or prev / 2 <= tail <= 2.0 ** -40:
             c = c[:max(int(np.argmax(env <= max(2 * tail, 2.0 ** -50))), 1)]
@@ -222,45 +225,54 @@ def _degree(lam: complex, a: float, b: float) -> int:
 
 
 @lru_cache(maxsize=16)
-def _split_series(lam: complex, a: float, b: float) -> np.ndarray:
+def _split_series(lam: complex, a: float, b: float, order: int = 0) -> np.ndarray:
     """J0(lambda r) and the entire part Y0(z) - (2/pi) log(z/2) J0(z) of
-    Y0 at z = lambda r (DLMF 10.8.2) as Chebyshev series in r on [a, b]."""
+    Y0 at z = lambda r (DLMF 10.8.2) as Chebyshev series in r on [a, b];
+    for order 1, the lambda derivative's -r J1(lambda r) and the entire
+    -r (Y1(z) - (2/pi) log(z/2) J1(z)) (DLMF 10.8.1), each fitted on its
+    own scale: at small |lambda| the first is about lambda r^2 / 2 and the
+    second about 2 / (pi lambda)."""
     def f(r):
         z = lam * r
-        J = _sp.jv(0, z)
-        # Y0 = -i (H0 - J0): AMOS's yv takes two Hankel functions
-        return _stacked(J, -1j * (_sp.hankel1(0, z) - J) - (2 / np.pi) * np.log(z / 2) * J)
-    return _cheb_fit(f, a, b, _degree(lam, a, b))
+        J = _sp.jv(order, z)
+        # Y = -i (H - J): AMOS's yv takes two Hankel functions
+        Yt = -1j * (_sp.hankel1(order, z) - J) - (2 / np.pi) * np.log(z / 2) * J
+        return _stacked(J, Yt) if order == 0 else _stacked(-r * J, -r * Yt)
+    return _cheb_fit(f, a, b, _degree(lam, a, b), groups=1 + order)
 
 
 @lru_cache(maxsize=16)
-def _cross_series(lam: complex, a: float, b: float) -> np.ndarray:
-    """(i/4) H1_0(lambda r) e^{-i lambda r} (AMOS's scaled `hankel1e`),
-    smooth and without oscillation, as a Chebyshev series in log r on
+def _cross_series(lam: complex, a: float, b: float, order: int = 0) -> np.ndarray:
+    """(i/4) H1_0(lambda r) e^{-i lambda r} (AMOS's scaled `hankel1e`), or
+    for order 1 the lambda derivative's -(i/4) r H1_1(lambda r) e^{-i lambda
+    r}, smooth and without oscillation, as a Chebyshev series in log r on
     [log a, log b]: the log singularity at r = 0 sits at -infinity, so the
     degree stays bounded as a shrinks."""
     def f(s):
-        return _stacked(0.25j * _sp.hankel1e(0, lam * np.exp(s)))
+        r = np.exp(s)
+        h = _sp.hankel1e(order, lam * r)
+        return _stacked(0.25j * h if order == 0 else -0.25j * r * h)
     return _cheb_fit(f, np.log(a), np.log(b), _degree(lam, a, b))
 
 
-def _ray_split(lam: complex, x: np.ndarray, span):
-    """J0(lambda x) and (i/4) H1_0(lambda x) from `_split_series` on span,
-    H0 rebuilt as J + i (Ytilde + (2/pi) (log x + log(lambda/2)) J)."""
+def _ray_split(lam: complex, x: np.ndarray, span, order: int = 0):
+    """J and G of `split_block` on a ray from `_split_series` on span: J0
+    and (i/4) H1_0(lambda x), or -x J1 and -(i/4) x H1_1(lambda x) for order
+    1, H rebuilt as J + i (Ytilde + (2/pi) (log x + log(lambda/2)) J)."""
     _in_span(x, span)
     a, b = span
-    J, Yt = _complex(_clenshaw(_split_series(lam, a, b), (2 * x - (a + b)) / (b - a)))
+    J, Yt = _complex(_clenshaw(_split_series(lam, a, b, order), (2 * x - (a + b)) / (b - a)))
     return J, 0.25j * J - 0.25 * (Yt + (2 / np.pi) * (np.log(x) + np.log(lam / 2)) * J)
 
 
-def _ray_cross(lam: complex, r: np.ndarray, span):
-    """(i/4) H1_0(lambda r) from `_cross_series` on span."""
+def _ray_cross(lam: complex, r: np.ndarray, span, order: int = 0):
+    """offdiag_kernel's G or dG/dlambda from `_cross_series` on span."""
     _in_span(r, span)
     la, lb = np.log(span[0]), np.log(span[1])
     # a one-point interval maps to t = 0
     scale = 2 / (lb - la) if lb > la else 0.0
     t = (np.log(r) - 0.5 * (la + lb)) * scale
-    return _complex(_clenshaw(_cross_series(lam, *span), t))[0] * np.exp(1j * lam * r)
+    return _complex(_clenshaw(_cross_series(lam, *span, order), t))[0] * np.exp(1j * lam * r)
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +316,11 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
     4pi.  J and G are symmetric in the node pair, so they are evaluated on
     the strict upper triangle only and mirrored.
 
-    On a ray, J0 and H0 come from Chebyshev series in r on span, an
-    interval of distances (default [0, max r]; `layer_ops` passes [0, the
-    obstacle's diameter bound]), fitted to AMOS values once per lambda and
-    span (`_split_series`); a distance outside span is a ValueError.  The
-    derivative and the other axes keep their special functions."""
+    On a ray, J and H, of G or of its derivative, come from Chebyshev
+    series in r on span, an interval of distances (default [0, max r];
+    `layer_ops` passes [0, the obstacle's diameter bound]), fitted to AMOS
+    values once per lambda and span (`_split_series`); a distance outside
+    span is a ValueError.  The other axes keep their special functions."""
     n = speeds.size
     upper, L = _split_grid(n)
     x = r[upper]
@@ -316,14 +328,13 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
         v, c = sp.value, 0.0
         J, G = ((x * _sp.i1(v * x), -(x / (2 * np.pi)) * _sp.k1(v * x)) if deriv
                 else (_sp.i0(v * x), _sp.k0(v * x) / (2 * np.pi)))
-    elif sp.axis == "ray" and not deriv:
+    elif sp.axis == "ray":
         v, c = sp.lam, 0.25j
-        J, G = _ray_split(v, x, (0.0, float(x.max())) if span is None else span)
+        J, G = _ray_split(v, x, (0.0, float(x.max())) if span is None else span, int(deriv))
     else:
-        v, c = (sp.value if sp.axis == "real" else sp.lam), 0.25j
+        v, c = sp.value, 0.25j
         H = _hankel1(int(deriv), sp, x)
-        J = H.real if sp.axis == "real" else _sp.jv(1, v * x)
-        J, G = (-(x * J), -0.25j * x * H) if deriv else (J, 0.25j * H)
+        J, G = (-(x * H.real), -0.25j * x * H) if deriv else (H.real, 0.25j * H)
     J, G = (_mirrored(a, upper, n) for a in (J, G))
     A = -(J / (4 * np.pi)) * speeds[None, :]
     # free J before B's temporaries: holding it made casimir_energy (disks,
@@ -345,13 +356,14 @@ def offdiag_kernel(sp: SpectralPoint, r: np.ndarray, deriv: bool = False,
     On a ray, G comes from a Chebyshev series in log r on span, an interval
     of distances (default [min r, max r]; `layer_ops` passes [the gap, the
     scene's diameter bound]), fitted to AMOS values once per lambda and span
-    (`_cross_series`); a distance outside span is a ValueError.  The
-    derivative and the other axes keep their special functions, as
-    `green_free` does."""
-    if sp.axis == "ray" and not deriv:
+    (`_cross_series`); a distance outside span is a ValueError.  So does
+    dG/dlambda when a span is given; without one it stays on AMOS, as
+    `dt_dsep_levels` uses it.  The other axes keep their special functions,
+    as `green_free` does."""
+    if sp.axis == "ray" and not (deriv and span is None):
         r = _check_r(r)
         return _ray_cross(sp.lam, r, (float(r.min()), float(r.max()))
-                          if span is None else span)
+                          if span is None else span, int(deriv))
     if not deriv:
         return green_free(sp, r)
     r = _check_r(r)

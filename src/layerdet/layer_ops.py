@@ -21,8 +21,10 @@ At real lambda the outgoing kernel is assembled as is, which is Q(lambda + i0).
 Determinants are only ever consumed as ratios of two factorizations sharing
 the same weights, so no symmetrized weighting is needed.  `factored_pairs` is
 the one place where Q, its block-diagonal part Qtilde and the coupling
-T = Q - Qtilde are formed and factored; `dt_dsep_levels` gives T's derivative
-under a rigid motion of one obstacle, which leaves Qtilde unchanged.
+T = Q - Qtilde are formed and factored for Xi; the traces and field kernels,
+which only apply Qtilde^{-1}, factor it block by block (`factored_blocks`).
+`dt_dsep_levels` gives T's derivative under a rigid motion of one obstacle,
+which leaves Qtilde unchanged.
 
 The grid of every s-th node of each obstacle (s = 2, 4, ...) is embedded in
 the full one (`BoundaryGrid.embedded`): its nodes and speeds are the full
@@ -265,11 +267,12 @@ def factorize(m) -> Factorization:
 class LayerPair(NamedTuple):
     """Q and Qtilde factored at one spectral point, and T = Q - Qtilde.
 
-    Qtilde is factored at full N x N size on purpose: Xi = log|det Q| -
-    log|det Qtilde| is exact to rounding only because both LUs' pivots on
-    the obstacles' own blocks round alike.  At the energy's kappa_max those
-    blocks have condition number ~5e10 (unit disks) and Xi is exactly 0.0;
-    per-block LUs move log|det Qtilde| by 3e-7 and the energy by 8e-8."""
+    Qtilde is factored at full N x N size on purpose, for Xi alone: Xi =
+    log|det Q| - log|det Qtilde| is exact to rounding only because both LUs'
+    pivots on the obstacles' own blocks round alike.  At the energy's
+    kappa_max those blocks have condition number ~5e10 (unit disks) and Xi
+    is exactly 0.0; per-block LUs move log|det Qtilde| by 3e-7 and the
+    energy by 8e-8.  The traces take no determinant (`factored_blocks`)."""
     fq: Factorization
     ft: Factorization
     T: np.ndarray
@@ -289,6 +292,23 @@ def factored_pairs(grid: BoundaryGrid, sp: SpectralPoint, subgrids=()) -> list:
         qt, T = split_blocks(m, g.blocks)
         pairs.append(LayerPair(factorize(m), factorize(qt), T))
     return pairs
+
+
+def factored_blocks(grid: BoundaryGrid, sp: SpectralPoint):
+    """Q's entries at sp on grid, Q's LU and the LU of each obstacle's own
+    block: Qtilde factored block by block, for the traces and field kernels,
+    which apply Qtilde^{-1} (`solve_blocks`) but take no determinant of it."""
+    q = assemble_q(grid, sp).entries
+    return q, factorize(q), [factorize(q[a:b, a:b]) for a, b in grid.blocks]
+
+
+def solve_blocks(fs, blocks, rhs: np.ndarray) -> np.ndarray:
+    """Qtilde^{-1} rhs from the LUs fs of Qtilde's blocks, block row by
+    block row."""
+    out = np.empty(rhs.shape, dtype=np.result_type(fs[0].lu, rhs))
+    for f, (a, b) in zip(fs, blocks):
+        out[a:b] = solve(f, rhs[a:b])
+    return out
 
 
 def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ Xi is computed as the difference of two LU log-determinants, never through
 the difference operator itself: each log-magnitude is O(1)-conditioned and
 the subtraction is exact to the rounding floor, because Qtilde is factored
 at full size (`layer_ops.LayerPair`), so its pivots round as Q's do.  The
-derivative Xi' uses the opposite strategy: it is evaluated from the
-difference-structured operator form  (dT) Q^{-1} - (dQtilde) Qtilde^{-1} T
-Q^{-1}, whose traces involve only small (cross-coupling) factors, avoiding
-the cancellation of two large traces.
+derivative Xi' uses the opposite strategy: it is the trace Tr[Q^{-1} R] of
+the difference-structured R = dT - (dQtilde) Qtilde^{-1} T, which involves
+only small (cross-coupling) factors and avoids the cancellation of two
+large traces.  It takes no determinant of Qtilde, so Qtilde is factored
+block by block (`layer_ops.factored_blocks`), at the obstacles' size.
 
 On the imaginary axis everything is real and Im Xi(i kappa) = 0 at every
 kappa.  Xi elsewhere carries the branch fixed by continuity from there: a
@@ -35,12 +36,13 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 from .errors import ConvergenceError, LayerDetError, SingularOperatorError
 from .geometry import BoundaryGrid, Scene
 from .kernel import SpectralPoint
-from .layer_ops import (assemble_dq, dt_dsep_levels, factored_pairs, factorize,
-                        q_levels, solve, split_blocks)
+from .layer_ops import (assemble_dq, dt_dsep_levels, factored_blocks, factored_pairs,
+                        factorize, q_levels, solve, solve_blocks, split_blocks)
 
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate; the
 #: energy's kappa range and every walk's anchor end at _KAPPA_MAX_FACTOR / delta'
@@ -329,23 +331,32 @@ def _trace_product(U: np.ndarray, V: np.ndarray):
 
 
 def _trace_terms(grid: BoundaryGrid, sp: SpectralPoint, both_paths: bool):
-    """Assemble and factor Q and Qtilde once and return the
-    difference-structured trace  d = Tr[(dT) Q^{-1}] - Tr[(dQtilde)
-    Qtilde^{-1} T Q^{-1}]  and, with both_paths, the independent
-    Tr[(dQ)(Q^{-1} - Qtilde^{-1})] = -Tr[Qtilde^{-1} dQ Q^{-1} T]  (else
-    None).
+    """Assemble Q and dQ once, factor Q and each obstacle's own block of it
+    (`factored_blocks`), and return d = Tr[Q^{-1} R], R = dT - (dQtilde)
+    Qtilde^{-1} T with exactly zero diagonal blocks, and, with both_paths,
+    the independent Tr[(dQ)(Q^{-1} - Qtilde^{-1})] = -Tr[(Qtilde^{-1} dQ)
+    (Q^{-1} T)] (else None): one N-size solve per path.  Products run on
+    scipy's BLAS: a numpy one between scipy's LAPACK calls wakes a second
+    thread pool, which contends with scipy's for the cores.
 
     Derivatives are in the axis variable of `assemble_dq`: on the
     imaginary axis all matrices are real and d is a kappa derivative, so
     callers apply the chain factor dlambda = i dkappa.
     """
-    fq, ft, T = factored_pairs(grid, sp)[0]
+    q, fq, fb = factored_blocks(grid, sp)
     dq = assemble_dq(grid, sp).entries
-    dqt, dT = split_blocks(dq, grid.blocks)
-    d = np.trace(solve(fq, dT)) - _trace_product(solve(fq, dqt), solve(ft, T))
+    R = np.zeros_like(dq)
+    for f, (a, b) in zip(fb, grid.blocks):
+        for c, e in grid.blocks:
+            if c != a:
+                W = solve(f, q[a:b, c:e])
+                R[a:b, c:e] = get_blas_funcs("gemm", (W,))(-1.0, dq[a:b, a:b], W,
+                                                           1.0, dq[a:b, c:e])
+    d = np.trace(solve(fq, R))
     if not both_paths:
         return d, None
-    return d, -_trace_product(solve(ft, dq), solve(fq, T))
+    return d, -_trace_product(solve_blocks(fb, grid.blocks, dq),
+                              solve(fq, split_blocks(q, grid.blocks)[1]))
 
 
 def _rrel_from_trace(d, sp: SpectralPoint) -> complex:
@@ -358,7 +369,7 @@ def _rrel_from_trace(d, sp: SpectralPoint) -> complex:
 
 def xi_prime(scene: Scene, grid: BoundaryGrid, sp: SpectralPoint) -> complex:
     """Xi'(lambda) by the difference-structured trace
-    Tr[(dT) Q^{-1}] - Tr[(dQtilde) Qtilde^{-1} T Q^{-1}]."""
+    Tr[Q^{-1} (dT - (dQtilde) Qtilde^{-1} T)]."""
     _check(scene, grid)
     if scene.n_obstacles == 1:
         return 0.0 + 0.0j
@@ -375,7 +386,7 @@ def trace_rrel(scene: Scene, grid: BoundaryGrid, sp: SpectralPoint,
     With both_paths=True also returns the independent evaluation through
     S^t S = (1/2 lambda) dQ/dlambda, i.e.
     -(1/2 lambda) Tr[(dQ/dlambda)(Q^{-1} - Qtilde^{-1})] with the inverse
-    difference in its factorized form -Q^{-1} T Qtilde^{-1}.
+    difference in its factorized form -Qtilde^{-1} T Q^{-1}.
     """
     _check(scene, grid)
     if scene.n_obstacles == 1:

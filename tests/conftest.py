@@ -1,3 +1,4 @@
+import sys
 from collections import Counter
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from numpy.polynomial.legendre import leggauss
 
 from layerdet import (PartialWaveConfig, default_l_max, discretize, layer_ops,
-                      make_circle, make_kite, make_scene, xi_two_disks)
+                      make_circle, make_ellipse, make_kite, make_scene, xi_two_disks)
 
 
 @pytest.fixture
@@ -23,6 +24,31 @@ def q_assemblies(monkeypatch):
         return assemble(grid, sp, deriv, diagonal_only)
 
     monkeypatch.setattr(layer_ops, "_assemble", counted)
+    return count
+
+
+@pytest.fixture
+def lu_solves(monkeypatch):
+    """Counts `layer_ops.factorize` and `layer_ops.solve` calls, the LUs and
+    solves the benchmark's spans count, at every binding in the package:
+    [0] a Counter of LUs by matrix size, [1] a Counter of solves by the
+    size of the factored matrix."""
+    count = (Counter(), Counter())
+    factorize, solve = layer_ops.factorize, layer_ops.solve
+
+    def counted_factorize(m):
+        f = factorize(m)
+        count[0][f.lu.shape[0]] += 1
+        return f
+
+    def counted_solve(f, rhs):
+        count[1][f.lu.shape[0]] += 1
+        return solve(f, rhs)
+
+    for mod in [m for k, m in sys.modules.items() if k.startswith("layerdet.")]:
+        for orig, counted in ((factorize, counted_factorize), (solve, counted_solve)):
+            if getattr(mod, orig.__name__, None) is orig:
+                monkeypatch.setattr(mod, orig.__name__, counted)
     return count
 
 
@@ -57,6 +83,13 @@ def single_disk():
 def mixed_scene():
     """Kite and circle with a moderate gap (smooth but not circular)."""
     return make_scene([make_kite((0.0, 0.0), 1.0), make_circle((4.0, 0.0), 1.0)])
+
+
+@pytest.fixture(scope="session")
+def three_scene():
+    """A circle, a kite and an ellipse: three pairs, unlike blocks."""
+    return make_scene([make_circle((0.0, 0.0), 1.0), make_kite((4.0, 0.0), 1.0),
+                       make_ellipse((0.0, 5.0), 1.5, 0.7)])
 
 
 @pytest.fixture(scope="session")

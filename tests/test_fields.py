@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from scipy.special import iv, kv
 
-from layerdet import (FieldEvaluator, LayerDetError, SpectralPoint,
-                      discretize, field_point, make_circle, make_scene)
+from layerdet import (Curve, FieldEvaluator, LayerDetError, SpectralPoint,
+                      discretize, field_point, make_circle, make_kite, make_scene)
 
 
 def disk_diff_kernel_series(kappa, a, rx, ry, dtheta, nmax=60):
@@ -80,6 +80,14 @@ class TestResolventDiff:
         assert fresh.resolvent_diff(x, x) == evaluator.resolvent_diff(x, x)
         assert fresh.rel_resolvent(x, x) == evaluator.rel_resolvent(x, x)
 
+    def test_symmetry_three_obstacles(self, three_scene):
+        ev = FieldEvaluator(three_scene, discretize(three_scene, (48, 64, 32)),
+                            SpectralPoint.imaginary(0.8))
+        x = field_point(three_scene, (2.0, 2.5))
+        y = field_point(three_scene, (-2.5, 1.0))
+        assert abs(ev.resolvent_diff(y, x) - ev.resolvent_diff(x, y)) \
+            <= 1e-10 * abs(ev.resolvent_diff(x, y))
+
 
 class TestRelResolvent:
     def test_single_obstacle_zero(self):
@@ -94,6 +102,16 @@ class TestRelResolvent:
         y = field_point(canonical_scene, (-1.5, 1.0))
         assert evaluator.rel_resolvent(y, x) == pytest.approx(
             evaluator.rel_resolvent(x, y), rel=1e-11)
+
+    def test_no_full_size_qtilde_lu(self, canonical_scene, lu_solves):
+        # Q's LU at N = 2n and one per obstacle block; the relative kernel
+        # applies Qtilde^{-1} block by block
+        ev = FieldEvaluator(canonical_scene, discretize(canonical_scene, 48),
+                            SpectralPoint.imaginary(1.0))
+        assert lu_solves[0] == {96: 1, 48: 2}
+        ev.rel_resolvent(field_point(canonical_scene, (2.0, 1.5)),
+                         field_point(canonical_scene, (-1.5, 1.0)))
+        assert lu_solves[1] == {96: 1, 48: 2}
 
     def test_decays_faster_than_diff_kernel(self, canonical_scene, evaluator):
         # the relative kernel carries the gap-crossing factor on top of the
@@ -144,3 +162,21 @@ class TestRelResolvent:
               f"full-space Tr R_rel {full:.4e}")
         assert np.sign(box_sum) == np.sign(full)
         assert 0.05 * abs(full) < abs(box_sum) < 20 * abs(full)
+
+
+class TestFieldPoint:
+    def test_boundary_samples_cached(self, monkeypatch):
+        # the distance search's samples and the winding polygon are the
+        # scene's, built on the first call: a second call evaluates the
+        # curves at single parameters only, and gives the same point
+        scene = make_scene([make_circle((0, 0), 1.0), make_kite((4.0, 0.0), 1.0)])
+        first = field_point(scene, (2.0, 1.5))
+        sizes, point = [], Curve.point
+
+        def counted(curve, t):
+            sizes.append(np.size(t))
+            return point(curve, t)
+
+        monkeypatch.setattr(Curve, "point", counted)
+        assert field_point(scene, (2.0, 1.5)) == first
+        assert sizes and max(sizes) == 1

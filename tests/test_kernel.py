@@ -183,9 +183,10 @@ class TestKressSplit:
 
     def test_bessel_on_one_triangle(self, monkeypatch):
         # every special-function call of a diagonal block sees the
-        # n (n - 1) / 2 node pairs of one triangle, not the n^2 square; the
-        # order-0 block on a ray sees only the d + 1 Chebyshev points of its
-        # expansions in the distance, fewer than either
+        # n (n - 1) / 2 node pairs of one triangle, not the n^2 square; a
+        # block on a ray, of Q or of its derivative, sees only the d + 1
+        # Chebyshev points of its expansions in the distance, fewer than
+        # either
         sizes = []
 
         def counted(fn):
@@ -205,7 +206,7 @@ class TestKressSplit:
                 sizes.clear()
                 kernel._split_series.cache_clear()
                 split_block(sp, r, speeds, deriv=deriv)
-                if sp.is_imaginary or deriv:
+                if sp.is_imaginary:
                     assert sizes == [n * (n - 1) // 2] * 2
                 else:
                     d = kernel._degree(sp.lam, 0.0, r.max())

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from scipy.special import i0, i1, iv, ivp, jv, kv, kvp
+from scipy.special import i0, i1, iv, ivp, kv, kvp
 
 from layerdet import (LayerDetError, SingularOperatorError, SpectralPoint, assemble_dq,
                       assemble_q, discretize, factorize, kernel, layer_ops, make_circle,
-                      make_ellipse, make_kite, make_scene, solve, trace_rrel)
+                      make_kite, make_scene, solve, trace_rrel)
 from layerdet.kernel import offdiag_kernel
-from layerdet.layer_ops import dt_dsep_levels, kress_log_weights, split_blocks
+from layerdet.layer_ops import dt_dsep_levels, factored_pairs, kress_log_weights, split_blocks
 
 SPECTRAL_POINTS = (SpectralPoint.imaginary(1.0), SpectralPoint.ray(2.0, np.pi / 8))
 
@@ -17,20 +17,19 @@ def two_disk_grid(canonical_scene):
 
 
 @pytest.fixture(scope="module")
-def unequal_grids(mixed_scene):
+def unequal_grids(mixed_scene, three_scene):
     """Kite + circle at unequal node counts, and three obstacles (three
     pairs, rectangular cross blocks)."""
-    three = make_scene([make_circle((0.0, 0.0), 1.0), make_kite((4.0, 0.0), 1.0),
-                        make_ellipse((0.0, 5.0), 1.5, 0.7)])
-    return discretize(mixed_scene, (48, 64)), discretize(three, (48, 64, 32))
+    return discretize(mixed_scene, (48, 64)), discretize(three_scene, (48, 64, 32))
 
 
 def _direct_assembly(grid, sp, deriv):
     """Q, or dQ/dv with deriv, with the kernel evaluated at every ordered
     node pair on its own (the full square of each diagonal block, both
     cross blocks of each pair), and NaN on the diagonal, whose values do
-    not come from the kernel.  The order-0 kernels on a ray come from the
-    Chebyshev expansions on the scene's intervals, as in the assembly."""
+    not come from the kernel.  The kernels on a ray, of Q and of its
+    derivative, come from the Chebyshev expansions on the scene's
+    intervals, as in the assembly."""
     v = sp.value if sp.is_imaginary else sp.lam
     own, cross = layer_ops._ray_spans(grid.scene)
     out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
@@ -46,10 +45,8 @@ def _direct_assembly(grid, sp, deriv):
             np.fill_diagonal(r, 1.0)
             if sp.is_imaginary:
                 J, G = (r * i1(v * r) if deriv else i0(v * r)), offdiag_kernel(sp, r, deriv)
-            elif deriv:
-                J, G = -(r * jv(1, v * r)), offdiag_kernel(sp, r, deriv)
             else:
-                J, G = kernel._ray_split(v, r, own[j])
+                J, G = kernel._ray_split(v, r, own[j], int(deriv))
             speeds = grid.speeds[a:b]
             A = -(J / (4 * np.pi)) * speeds[None, :]
             dt = grid.t[a:b][:, None] - grid.t[a:b][None, :] + np.eye(n)
@@ -250,6 +247,14 @@ class TestAssembleDtDsep:
 
 
 class TestFactorize:
+    def test_factored_pairs_keep_a_full_size_qtilde(self, two_disk_grid, lu_solves):
+        # Xi's path: Q and Qtilde each factored at N = 2n, whose pivots on
+        # the obstacles' blocks round alike, and no solve
+        for sp in SPECTRAL_POINTS:
+            lu_solves[0].clear()
+            factored_pairs(two_disk_grid, sp)
+            assert lu_solves[0] == {128: 2} and not lu_solves[1]
+
     def test_identity(self):
         f = factorize(np.eye(5))
         assert f.log_abs_det == pytest.approx(0.0, abs=1e-15)

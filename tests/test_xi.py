@@ -2,11 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import jv
+from scipy.special import hankel1, jv
 
 from layerdet import (ConvergenceError, Curve, LayerDetError,
                       PartialWaveConfig, SingularOperatorError, SpectralPoint,
-                      casimir_energy, discretize, green_free, kernel, layer_ops,
+                      assemble_dq, casimir_energy, discretize, green_free, kernel, layer_ops,
                       make_circle, make_ellipse, make_kite, make_polar_fourier,
                       make_scene, trace_rrel, xi, xi_imag, xi_on_ray, xi_prime,
                       xi_real, xi_rel, xi_rel_many, xi_two_disks)
@@ -232,12 +232,19 @@ CLOSE_DISKS = ([_curve_maker("circle", 1.0, 1.0, 0.0, [0.0] * 4)] * 2,
                [(0.0, 0.0), (2.1, 0.0)])
 
 
-def _amos_split(sp, r, speeds):
-    """split_block's (A, B) on a ray from AMOS's jv and hankel1 at every
-    node pair of the square, the diagonal's distance replaced by 1."""
+def _amos_kernel(sp, r, deriv):
+    # G on a ray, or with deriv dG/dlambda, from AMOS's hankel1
+    return -0.25j * r * hankel1(1, sp.lam * r) if deriv else green_free(sp, r)
+
+
+def _amos_split(sp, r, speeds, deriv):
+    """split_block's (A, B) on a ray, or with deriv its lambda derivative's,
+    from AMOS's jv and hankel1 at every node pair of the square, the
+    diagonal's distance replaced by 1."""
     r = r + np.eye(speeds.size)
-    A = -(jv(0, sp.lam * r) / (4 * np.pi)) * speeds
-    return A, green_free(sp, r) * speeds - A * kernel._split_grid(speeds.size)[1]
+    J = -(r * jv(1, sp.lam * r)) if deriv else jv(0, sp.lam * r)
+    A = -(J / (4 * np.pi)) * speeds
+    return A, _amos_kernel(sp, r, deriv) * speeds - A * kernel._split_grid(speeds.size)[1]
 
 
 class TestRayExpansions:
@@ -250,26 +257,31 @@ class TestRayExpansions:
     @example(scene=CLOSE_DISKS, log_u=np.log(RAY_U_MAX), angle=1.5)
     @example(scene=CLOSE_DISKS, log_u=0.0, angle=0.05)
     @example(scene=CLOSE_DISKS, log_u=np.log(1e-6), angle=0.7)
+    @example(scene=CLOSE_DISKS, log_u=np.log(1e-4), angle=0.7)
     def test_kernels_match_amos(self, scene, log_u, angle):
-        # the ray Q's cross entries within 1e-13 of AMOS each, and each
-        # diagonal block's A and B within 1e-13 of their largest entry
+        # the ray Q's and dQ/dlambda's cross entries within 1e-13 of AMOS
+        # each, and each diagonal block's A and B within 1e-13 of their
+        # largest entry; the derivative's two diagonal series differ in size
+        # by lambda^2 r^2 at small |lambda|, so each keeps its own digits
         makers, centres = scene
         sc = make_scene([m(c) for m, c in zip(makers, centres)])
         grid, sp = discretize(sc, self.n), SpectralPoint.ray(np.exp(log_u), angle)
-        q, own = assemble_q(grid, sp).entries, layer_ops._ray_spans(sc)[0]
-        off = ~np.eye(self.n, dtype=bool)
-        for j in range(sc.n_obstacles):
-            sj = grid.block_slice(j)
-            for k in range(sc.n_obstacles):
-                sk = grid.block_slice(k)
-                if k != j:
-                    amos = green_free(sp, grid.distances[sj, sk]) * grid.weights[sk]
-                    assert np.all(np.abs(q[sj, sk] - amos) <= 1e-13 * np.abs(amos))
-            parts = split_block(sp, grid.distances[sj, sj], grid.speeds[sj], span=own[j])
-            for part, amos in zip(parts, _amos_split(sp, grid.distances[sj, sj],
-                                                     grid.speeds[sj])):
-                err = np.abs(part - amos)[off].max()
-                assert err <= 1e-13 * np.abs(amos)[off].max()
+        own, off = layer_ops._ray_spans(sc)[0], ~np.eye(self.n, dtype=bool)
+        for deriv, assemble in ((False, assemble_q), (True, assemble_dq)):
+            q = assemble(grid, sp).entries
+            for j in range(sc.n_obstacles):
+                sj = grid.block_slice(j)
+                for k in range(sc.n_obstacles):
+                    sk = grid.block_slice(k)
+                    if k != j:
+                        amos = _amos_kernel(sp, grid.distances[sj, sk], deriv) * grid.weights[sk]
+                        assert np.all(np.abs(q[sj, sk] - amos) <= 1e-13 * np.abs(amos))
+                parts = split_block(sp, grid.distances[sj, sj], grid.speeds[sj], deriv,
+                                    span=own[j])
+                for part, amos in zip(parts, _amos_split(sp, grid.distances[sj, sj],
+                                                         grid.speeds[sj], deriv)):
+                    err = np.abs(part - amos)[off].max()
+                    assert err <= 1e-13 * np.abs(amos)[off].max()
 
 
 #: node counts per obstacle: halving 18, 20 or 30 turns odd or falls below
@@ -385,6 +397,20 @@ class TestXiPrime:
             xp = xi_prime(scene, grid, SpectralPoint.ray(u, theta))
             assert abs(xp - fd) <= 1e-6 * abs(fd)
 
+    def test_vs_finite_difference_three_obstacles(self, three_scene):
+        # Qtilde^{-1} applied block by block on three unlike blocks
+        scene, grid = three_scene, discretize(three_scene, (48, 64, 32))
+        for kap in (0.5, 1.0):
+            fd = richardson_fd(lambda k: xi_imag(scene, grid, k).xi.real, kap, 2e-3)
+            xp = xi_prime(scene, grid, SpectralPoint.imaginary(kap))
+            assert (1j * xp).real == pytest.approx(fd, rel=1e-6)
+        theta, h, u = np.pi / 8, 2e-3, 0.8
+        nodes = [u + d for d in (-h, -h / 2, h / 2, h)]
+        on_ray = dict(zip(nodes, xi_on_ray(scene, grid, theta, nodes)))
+        fd = np.exp(-1j * theta) * richardson_fd(on_ray.__getitem__, u, h)
+        xp = xi_prime(scene, grid, SpectralPoint.ray(u, theta))
+        assert abs(xp - fd) <= 1e-6 * abs(fd)
+
     def test_vs_finite_difference_gap_units(self, mixed_scene):
         # kappa in {0.5, 1, 2}/delta on a second shipped scene
         grid = discretize(mixed_scene, 64)
@@ -425,6 +451,27 @@ class TestTraceRrel:
             p1, p2 = trace_rrel(canonical_scene, canonical_grid_96,
                                 SpectralPoint.imaginary(kap), both_paths=True)
             assert p2 == pytest.approx(p1, rel=1e-9)
+
+    def test_both_paths_agree_three_obstacles(self, three_scene):
+        grid = discretize(three_scene, (48, 64, 32))
+        for sp in (SpectralPoint.imaginary(0.7), SpectralPoint.ray(1.5, np.pi / 5)):
+            p1, p2 = trace_rrel(three_scene, grid, sp, both_paths=True)
+            assert abs(p2 - p1) <= 1e-9 * abs(p1)
+
+    def test_solves_at_obstacle_block_cost(self, canonical_scene, lu_solves):
+        # Q factored at N = 2n and each obstacle's block at n; Qtilde is
+        # applied block by block, so both paths take two N-size solves and
+        # Xi' one
+        scene, n = canonical_scene, 48
+        grid = discretize(scene, n)
+        for sp in (SpectralPoint.imaginary(1.0), SpectralPoint.ray(1.0, np.pi / 8)):
+            for call, solves in ((lambda: trace_rrel(scene, grid, sp, both_paths=True), 2),
+                                 (lambda: xi_prime(scene, grid, sp), 1)):
+                lu_solves[0].clear()
+                lu_solves[1].clear()
+                call()
+                assert lu_solves[0] == {2 * n: 1, n: 2}
+                assert lu_solves[1][2 * n] == solves
 
     def test_matches_xi_prime(self, canonical_scene, canonical_grid_96):
         sp = SpectralPoint.imaginary(1.0)
