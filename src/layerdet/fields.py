@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 from .errors import LayerDetError
 from .geometry import BoundaryGrid, Scene, _winding_contains, distance_to_boundary
@@ -90,5 +91,6 @@ class FieldEvaluator:
         gx = self._boundary_vector(x)
         gy = self._boundary_vector(y)
         v = solve_blocks(self._fb, self.grid.blocks, gx)
-        u = solve(self._fq, self._T @ v)
+        # T v on scipy's BLAS, from T^T's F-ordered view: no copy
+        u = solve(self._fq, get_blas_funcs("gemv", (v,))(1.0, self._T.T, v, trans=1))
         return complex(np.dot(gy * self.grid.weights, u))

@@ -26,14 +26,15 @@ evaluates the Bessel/Hankel functions on one triangle of the block and
 mirrors them; the triangle's indices and the log factor depend on the node
 count alone and are cached per count.
 
-On a ray, where every AMOS call is costly, the kernels of `Q` and of its
-lambda derivative are Chebyshev expansions in the distance, fitted once per
-lambda and interval to AMOS values (Trefethen, Approximation Theory and
-Approximation Practice, 2013) and evaluated entry by entry: J and the
-entire part of Y in r on a diagonal block (J0 and Y0 for Q, -r J1 and
--r Y1 for dQ), H1 e^{-i lambda r} in log r across the gap.  The intervals
-come from the scene, never from the grid.  The imaginary axis, real lambda
-and `green_free` keep their special functions.
+AMOS calls are costly, so the kernels of `Q` and dQ are Chebyshev series in
+the distance, fitted once per lambda and interval to AMOS values (Trefethen,
+Approximation Theory and Approximation Practice, 2013) and evaluated entry
+by entry: on a ray J and the entire part of Y in r on a diagonal block (J0
+and Y0 for Q, -r J1 and -r Y1 for dQ) and H1 e^{-i lambda r} in log r across
+the gap, on the imaginary axis the real K e^{kappa r} in log r across the gap
+(entries keep their relative digits however far they decay).  Intervals come
+from the scene.  Real lambda, `green_free` and the axis's diagonal blocks
+keep their special functions.
 """
 
 from __future__ import annotations
@@ -247,9 +248,13 @@ def _cross_series(lam: complex, a: float, b: float, order: int = 0) -> np.ndarra
     for order 1 the lambda derivative's -(i/4) r H1_1(lambda r) e^{-i lambda
     r}, smooth and without oscillation, as a Chebyshev series in log r on
     [log a, log b]: the log singularity at r = 0 sits at -infinity, so the
-    degree stays bounded as a shrinks."""
+    degree stays bounded as a shrinks.  At lambda = i kappa: the real
+    K0(kappa r) e^{kappa r} / 2pi or -(r/2pi) K1(kappa r) e^{kappa r} (`kve`)."""
     def f(s):
         r = np.exp(s)
+        if not lam.real:
+            k = _sp.kve(order, lam.imag * r) / (2 * np.pi)
+            return (k if order == 0 else -r * k)[:, None]
         h = _sp.hankel1e(order, lam * r)
         return _stacked(0.25j * h if order == 0 else -0.25j * r * h)
     return _cheb_fit(f, np.log(a), np.log(b), _degree(lam, a, b))
@@ -265,14 +270,21 @@ def _ray_split(lam: complex, x: np.ndarray, span, order: int = 0):
     return J, 0.25j * J - 0.25 * (Yt + (2 / np.pi) * (np.log(x) + np.log(lam / 2)) * J)
 
 
-def _ray_cross(lam: complex, r: np.ndarray, span, order: int = 0):
-    """offdiag_kernel's G or dG/dlambda from `_cross_series` on span."""
+def _series_cross(lam: complex, r: np.ndarray, span, order: int = 0):
+    """offdiag_kernel's G or dG/dv from `_cross_series` on span, times e^{i
+    lambda r}; at lambda = i kappa underflow to 0 is flagged as in bessel_k."""
     _in_span(r, span)
     la, lb = np.log(span[0]), np.log(span[1])
     # a one-point interval maps to t = 0
     scale = 2 / (lb - la) if lb > la else 0.0
     t = (np.log(r) - 0.5 * (la + lb)) * scale
-    return _complex(_clenshaw(_cross_series(lam, *span, order), t))[0] * np.exp(1j * lam * r)
+    c = _clenshaw(_cross_series(lam, *span, order), t)
+    if lam.real:
+        return _complex(c)[0] * np.exp(1j * lam * r)
+    out = c[0] * np.exp(-lam.imag * r)
+    if lam.imag * span[1] > specfun._K_UNDERFLOW_EDGE:
+        specfun._flag_k_underflow(out, lam.imag * r)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +365,16 @@ def offdiag_kernel(sp: SpectralPoint, r: np.ndarray, deriv: bool = False,
     with deriv dG/dv in the axis variable of split_block: -(r/2pi) K1(kappa r)
     on the imaginary axis, -(i r/4) H1_1(lambda r) elsewhere.
 
-    On a ray, G comes from a Chebyshev series in log r on span, an interval
-    of distances (default [min r, max r]; `layer_ops` passes [the gap, the
-    scene's diameter bound]), fitted to AMOS values once per lambda and span
-    (`_cross_series`); a distance outside span is a ValueError.  So does
-    dG/dlambda when a span is given; without one it stays on AMOS, as
-    `dt_dsep_levels` uses it.  The other axes keep their special functions,
-    as `green_free` does."""
-    if sp.axis == "ray" and not (deriv and span is None):
-        r = _check_r(r)
-        return _ray_cross(sp.lam, r, (float(r.min()), float(r.max()))
-                          if span is None else span, int(deriv))
+    Given span, an interval holding every r (`layer_ops` passes [the gap,
+    the scene's diameter bound]), on a ray or the imaginary axis it comes
+    from a Chebyshev series in log r there (`_cross_series`), and a distance
+    outside span is a ValueError; without one, or at real lambda, from the
+    special functions, as in `green_free`."""
+    r = _check_r(r)
+    if span is not None and sp.axis != "real":
+        return _series_cross(sp.lam, r, span, int(deriv))
     if not deriv:
         return green_free(sp, r)
-    r = _check_r(r)
     if sp.is_imaginary:
         return -(r / (2 * np.pi)) * specfun.bessel_k(1, sp.value * r)
     return -0.25j * r * _hankel1(1, sp, r)

@@ -21,10 +21,11 @@ At real lambda the outgoing kernel is assembled as is, which is Q(lambda + i0).
 Determinants are only ever consumed as ratios of two factorizations sharing
 the same weights, so no symmetrized weighting is needed.  `factored_pairs` is
 the one place where Q, its block-diagonal part Qtilde and the coupling
-T = Q - Qtilde are formed and factored for Xi; the traces and field kernels,
-which only apply Qtilde^{-1}, factor it block by block (`factored_blocks`).
-`dt_dsep_levels` gives T's derivative under a rigid motion of one obstacle,
-which leaves Qtilde unchanged.
+T = Q - Qtilde are formed and factored for Xi.  The derivative traces take
+Tr(Q^{-1} X) by block elimination at obstacle 0's own block (`eliminate`),
+with LUs at the obstacles' size only; the field kernels factor Qtilde block
+by block (`factored_blocks`).  `dt_dsep_levels` gives T's derivative under a
+rigid motion of one obstacle, which leaves Qtilde unchanged.
 
 The grid of every s-th node of each obstacle (s = 2, 4, ...) is embedded in
 the full one (`BoundaryGrid.embedded`): its nodes and speeds are the full
@@ -116,13 +117,12 @@ def _fill_diag(out: np.ndarray, sj: slice, A: np.ndarray, B: np.ndarray):
     out[sj, sj] = _kress_log_matrix(n) * A + (2 * np.pi / n) * B
 
 
-def _ray_spans(scene):
-    """The intervals of the ray kernels' Chebyshev expansions (unused on the
-    other axes): [0, each obstacle's diameter bound] for its diagonal block,
-    and [gap, the scene's diameter bound] for the cross blocks, the gap
-    lowered by 1e-6 relative for the rounding of node distances.  They
-    depend on the scene alone, so a sub-grid's entries stay bitwise the
-    full grid's."""
+def _spans(scene):
+    """The intervals of the kernels' Chebyshev expansions: [0, each
+    obstacle's diameter bound] for its diagonal block (on a ray), and [gap,
+    the scene's diameter bound] for the cross blocks, the gap lowered by 1e-6
+    relative for the rounding of node distances.  They depend on the scene
+    alone, so a sub-grid's entries stay bitwise the full grid's."""
     own, whole = scene.diameters
     return [(0.0, d) for d in own], (scene.gap * (1 - 1e-6), whole)
 
@@ -138,7 +138,7 @@ def _assemble(grid: BoundaryGrid, sp: SpectralPoint, deriv: str,
     keep = not d and grid.embedded(2) is not None
     out, parts, w = _empty(grid, sp), [], grid.weights
     sl = [grid.block_slice(j) for j in range(grid.scene.n_obstacles)]
-    own, cross = _ray_spans(grid.scene)
+    own, cross = _spans(grid.scene)
     # each block's values are freed before the next block's are evaluated,
     # and only the split parts' every-other-node copies are kept: holding
     # them all tripled the page faults of 16 trace_rrel and 6 field-kernel
@@ -213,11 +213,11 @@ def dt_dsep_levels(grids, sp: SpectralPoint, direction) -> list:
     _check_sp(grid, sp)
     v = sp.value if sp.is_imaginary else sp.lam
     e = np.asarray(direction, dtype=float)
-    out, w, s1 = _empty(grid, sp), grid.weights, grid.block_slice(1)
+    out, w, s1, cross = _empty(grid, sp), grid.weights, grid.block_slice(1), _spans(grid.scene)[1]
     for j in range(grid.scene.n_obstacles):
         if j != 1:
             sj = grid.block_slice(j)
-            K = offdiag_kernel(sp, grid.distances[s1, sj], deriv=True)
+            K = offdiag_kernel(sp, grid.distances[s1, sj], deriv=True, span=cross)
             diff = grid.points[s1][:, None, :] - grid.points[sj][None, :, :]
             scale = v * (diff @ e) / np.sum(diff ** 2, axis=-1)
             out[s1, sj] = K * w[sj] * scale
@@ -272,7 +272,7 @@ class LayerPair(NamedTuple):
     pivots on the obstacles' own blocks round alike.  At the energy's
     kappa_max those blocks have condition number ~5e10 (unit disks) and Xi
     is exactly 0.0; per-block LUs move log|det Qtilde| by 3e-7 and the
-    energy by 8e-8.  The traces take no determinant (`factored_blocks`)."""
+    energy by 8e-8.  The traces take no determinant (`eliminate`)."""
     fq: Factorization
     ft: Factorization
     T: np.ndarray
@@ -296,8 +296,8 @@ def factored_pairs(grid: BoundaryGrid, sp: SpectralPoint, subgrids=()) -> list:
 
 def factored_blocks(grid: BoundaryGrid, sp: SpectralPoint):
     """Q's entries at sp on grid, Q's LU and the LU of each obstacle's own
-    block: Qtilde factored block by block, for the traces and field kernels,
-    which apply Qtilde^{-1} (`solve_blocks`) but take no determinant of it."""
+    block: Qtilde factored block by block, for the field kernels, which
+    apply Qtilde^{-1} (`solve_blocks`) but take no determinant of it."""
     q = assemble_q(grid, sp).entries
     return q, factorize(q), [factorize(q[a:b, a:b]) for a, b in grid.blocks]
 
@@ -318,3 +318,25 @@ def solve(f: Factorization, rhs: np.ndarray) -> np.ndarray:
     forward error below cond(Q) eps, and leaving it out moves the traces and
     field kernels by no more than a change of BLAS thread count does."""
     return sla.lu_solve((f.lu, f.piv), rhs, check_finite=False)
+
+
+def _gemm(alpha, a: np.ndarray, b: np.ndarray, beta=0.0, c=None) -> np.ndarray:
+    """alpha a b + beta c on scipy's BLAS: a numpy product between scipy's
+    LAPACK calls wakes numpy's own thread pool, which stalls the next call."""
+    return sla.get_blas_funcs("gemm", (a, b))(alpha, a, b, beta, c)
+
+
+def eliminate(q: np.ndarray, n0: int):
+    """Q = [[A, B], [C, D]] eliminated at its first n0 rows and columns,
+    obstacle 0's own block A: W = A^{-1} B, C W and traces(x12, rest), which
+    is Tr(Q^{-1} X) = Tr(S^{-1} (x22 - x21 W - C A^{-1} x12)), S = D - C W,
+    for X = [[0, x12], [x21, x22]] and each (x21, x22) in rest: LUs of A and S."""
+    fa = factorize(q[:n0, :n0])
+    C, W = q[n0:, :n0], solve(fa, q[:n0, n0:])
+    CW = _gemm(1.0, C, W)
+    fs = factorize(q[n0:, n0:] - CW)
+
+    def traces(x12: np.ndarray, rest) -> list:
+        cv = _gemm(1.0, C, solve(fa, x12))
+        return [np.trace(solve(fs, _gemm(-1.0, x21, W, 1.0, x22 - cv))) for x21, x22 in rest]
+    return W, CW, traces

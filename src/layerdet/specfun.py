@@ -95,7 +95,11 @@ def bessel_k(n, x):
     n = _check_order(n)
     x = _check_arg(x, positive=True, name="bessel_k")
     out = _sp.k0(x) if n == 0 else (_sp.k1(x) if n == 1 else _sp.kv(n, x))
+    _flag_k_underflow(out, x)
+    return out if x.ndim else float(out)
+
+
+def _flag_k_underflow(out, x) -> None:
     if np.any((np.asarray(out) == 0.0) & (x > _K_UNDERFLOW_EDGE)):
         warnings.warn("bessel_k underflowed to 0 beyond the exponential range",
-                      RuntimeWarning, stacklevel=2)
-    return out if x.ndim else float(out)
+                      RuntimeWarning, stacklevel=3)

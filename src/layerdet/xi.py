@@ -9,8 +9,9 @@ at full size (`layer_ops.LayerPair`), so its pivots round as Q's do.  The
 derivative Xi' uses the opposite strategy: it is the trace Tr[Q^{-1} R] of
 the difference-structured R = dT - (dQtilde) Qtilde^{-1} T, which involves
 only small (cross-coupling) factors and avoids the cancellation of two
-large traces.  It takes no determinant of Qtilde, so Qtilde is factored
-block by block (`layer_ops.factored_blocks`), at the obstacles' size.
+large traces.  It takes no determinant, so the trace is taken by block
+elimination at obstacle 0's own block (`layer_ops.eliminate`), every LU and
+solve at the obstacles' size.
 
 On the imaginary axis everything is real and Im Xi(i kappa) = 0 at every
 kappa.  Xi elsewhere carries the branch fixed by continuity from there: a
@@ -36,13 +37,12 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 import numpy as np
-from scipy.linalg import get_blas_funcs
 
 from .errors import ConvergenceError, LayerDetError, SingularOperatorError
 from .geometry import BoundaryGrid, Scene
 from .kernel import SpectralPoint
-from .layer_ops import (assemble_dq, dt_dsep_levels, factored_blocks, factored_pairs,
-                        factorize, q_levels, solve, solve_blocks, split_blocks)
+from .layer_ops import (_gemm, assemble_dq, assemble_q, dt_dsep_levels, eliminate,
+                        factored_pairs, factorize, q_levels, solve, solve_blocks, split_blocks)
 
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate; the
 #: energy's kappa range and every walk's anchor end at _KAPPA_MAX_FACTOR / delta'
@@ -325,38 +325,38 @@ def xi_on_ray(scene: Scene, grid: BoundaryGrid, angle: float,
 # derivative and relative-resolvent traces
 # ---------------------------------------------------------------------------
 
-def _trace_product(U: np.ndarray, V: np.ndarray):
-    # Tr(U @ V) without forming the product
-    return np.sum(U * V.T)
-
-
 def _trace_terms(grid: BoundaryGrid, sp: SpectralPoint, both_paths: bool):
-    """Assemble Q and dQ once, factor Q and each obstacle's own block of it
-    (`factored_blocks`), and return d = Tr[Q^{-1} R], R = dT - (dQtilde)
-    Qtilde^{-1} T with exactly zero diagonal blocks, and, with both_paths,
-    the independent Tr[(dQ)(Q^{-1} - Qtilde^{-1})] = -Tr[(Qtilde^{-1} dQ)
-    (Q^{-1} T)] (else None): one N-size solve per path.  Products run on
-    scipy's BLAS: a numpy one between scipy's LAPACK calls wakes a second
-    thread pool, which contends with scipy's for the cores.
+    """Assemble Q and dQ once and return d = Tr[Q^{-1} R], R = dT - (dQtilde)
+    Qtilde^{-1} T with zero diagonal blocks, and, with both_paths, the
+    independent Tr[(dQ)(Q^{-1} - Qtilde^{-1})] = Tr[S^{-1} dS - Dtilde^{-1} dD]
+    = Tr[S^{-1} Y], Y = -C A^{-1} R12 - dC W + (C W - T_rest) Dtilde^{-1} dD
+    (else None): traces by elimination at obstacle 0's block A of Q = [[A, B],
+    [C, D]] (`layer_ops.eliminate`), with Dtilde = D - T_rest factored block
+    by block: no LU or solve at Q's size.
 
     Derivatives are in the axis variable of `assemble_dq`: on the
     imaginary axis all matrices are real and d is a kappa derivative, so
     callers apply the chain factor dlambda = i dkappa.
     """
-    q, fq, fb = factored_blocks(grid, sp)
+    q = assemble_q(grid, sp).entries
     dq = assemble_dq(grid, sp).entries
+    n0 = grid.blocks[0][1]
+    W, CW, traces = eliminate(q, n0)
+    fd = [factorize(q[a:b, a:b]) for a, b in grid.blocks[1:]]
+    # R block row by block row, the first as dB - dA W
     R = np.zeros_like(dq)
-    for f, (a, b) in zip(fb, grid.blocks):
-        for c, e in grid.blocks:
+    R[:n0, n0:] = _gemm(-1.0, dq[:n0, :n0], W, 1.0, dq[:n0, n0:])
+    for f, (a, b) in zip(fd, grid.blocks[1:]):
+        for c, d in grid.blocks:
             if c != a:
-                W = solve(f, q[a:b, c:e])
-                R[a:b, c:e] = get_blas_funcs("gemm", (W,))(-1.0, dq[a:b, a:b], W,
-                                                           1.0, dq[a:b, c:e])
-    d = np.trace(solve(fq, R))
-    if not both_paths:
-        return d, None
-    return d, -_trace_product(solve_blocks(fb, grid.blocks, dq),
-                              solve(fq, split_blocks(q, grid.blocks)[1]))
+                R[a:b, c:d] = _gemm(-1.0, dq[a:b, a:b], solve(f, q[a:b, c:d]), 1.0, dq[a:b, c:d])
+    rest = [(R[n0:, :n0], R[n0:, n0:])]
+    if both_paths:
+        blocks = [(a - n0, b - n0) for a, b in grid.blocks[1:]]
+        t_rest = split_blocks(q[n0:, n0:], blocks)[1]
+        rest.append((dq[n0:, :n0], _gemm(1.0, CW - t_rest, solve_blocks(fd, blocks, dq[n0:, n0:]))))
+    d, *alt = traces(R[:n0, n0:], rest)
+    return d, (alt[0] if both_paths else None)
 
 
 def _rrel_from_trace(d, sp: SpectralPoint) -> complex:
@@ -384,9 +384,7 @@ def trace_rrel(scene: Scene, grid: BoundaryGrid, sp: SpectralPoint,
     """Tr R_rel(lambda) = -Xi'(lambda) / (2 lambda).
 
     With both_paths=True also returns the independent evaluation through
-    S^t S = (1/2 lambda) dQ/dlambda, i.e.
-    -(1/2 lambda) Tr[(dQ/dlambda)(Q^{-1} - Qtilde^{-1})] with the inverse
-    difference in its factorized form -Qtilde^{-1} T Q^{-1}.
+    S^t S = (1/2 lambda) dQ/dlambda, -(1/2 lambda) Tr[(dQ/dlambda)(Q^{-1} - Qtilde^{-1})].
     """
     _check(scene, grid)
     if scene.n_obstacles == 1:
@@ -402,11 +400,13 @@ def _xi_dsep_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) ->
     """dXi(i kappa)/ds when obstacle 1 of a two-obstacle scene moves by s
     along the unit vector from obstacle 0's centre to obstacle 1's, on grid,
     then on each embedded sub-grid of it as `_xi_imag_levels`.  A rigid
-    motion leaves Qtilde unchanged, so dXi/ds = Tr[Q^{-1} dT/ds] exactly: one
-    LU per grid, and the trace involves only the small coupling's derivative."""
+    motion leaves Qtilde unchanged, so dXi/ds = Tr[Q^{-1} dT/ds] exactly: a
+    trace by block elimination (`layer_ops.eliminate`), two LUs at the
+    obstacles' size per grid, of the small coupling's derivative alone."""
     _check(scene, grid)
     sp = SpectralPoint.imaginary(kappa)
     axis = np.subtract(scene.obstacles[1].center, scene.obstacles[0].center)
     dts = dt_dsep_levels([grid, *subgrids], sp, axis / np.hypot(*axis))
-    return [float(np.trace(solve(factorize(m), dT)))
-            for m, dT in zip(q_levels(grid, sp, subgrids), dts)]
+    ns = [g.blocks[0][1] for g in (grid, *subgrids)]
+    return [float(eliminate(m, n)[2](dT[:n, n:], [(dT[n:, :n], dT[n:, n:])])[0])
+            for m, dT, n in zip(q_levels(grid, sp, subgrids), dts, ns)]

@@ -233,8 +233,10 @@ class TestKressSplit:
         assert np.array_equal(offdiag_kernel(sp, r, deriv=True),
                               -(r / (2 * np.pi)) * specfun.bessel_k(1, r))
         sp = SpectralPoint.ray(1.1, np.pi / 3)
-        # the order-0 ray kernel comes from its expansion in log r
-        assert offdiag_kernel(sp, r) == pytest.approx(green_free(sp, r), rel=1e-14)
+        # given an interval, the order-0 ray kernel comes from its expansion
+        # in log r there
+        assert offdiag_kernel(sp, r, span=(0.5, 2.0)) == pytest.approx(green_free(sp, r),
+                                                                       rel=1e-14)
         assert np.array_equal(offdiag_kernel(sp, r, deriv=True),
                               -0.25j * r * special.hankel1(1, sp.lam * r))
 
@@ -254,8 +256,9 @@ class TestRayExpansions:
             split_block(sp, r, speeds, span=(0.0, 2.5))
 
     def test_one_point_interval(self):
-        sp = SpectralPoint.ray(2.0, np.pi / 8)
-        assert offdiag_kernel(sp, 1.3) == pytest.approx(green_free(sp, 1.3), rel=1e-14)
+        for sp in (SpectralPoint.ray(2.0, np.pi / 8), SpectralPoint.imaginary(2.0)):
+            assert offdiag_kernel(sp, 1.3, span=(1.3, 1.3)) == pytest.approx(
+                green_free(sp, 1.3), rel=1e-14)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflow_raises(self):

@@ -28,10 +28,10 @@ def _direct_assembly(grid, sp, deriv):
     node pair on its own (the full square of each diagonal block, both
     cross blocks of each pair), and NaN on the diagonal, whose values do
     not come from the kernel.  The kernels on a ray, of Q and of its
-    derivative, come from the Chebyshev expansions on the scene's
-    intervals, as in the assembly."""
+    derivative, and the cross kernels on the imaginary axis come from the
+    Chebyshev expansions on the scene's intervals, as in the assembly."""
     v = sp.value if sp.is_imaginary else sp.lam
-    own, cross = layer_ops._ray_spans(grid.scene)
+    own, cross = layer_ops._spans(grid.scene)
     out = np.zeros((grid.size, grid.size), dtype=float if sp.is_imaginary else complex)
     for j, (a, b) in enumerate(grid.blocks):
         for k, (c, d) in enumerate(grid.blocks):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import hankel1, jv
+from scipy.special import hankel1, jv, kve
 
 from layerdet import (ConvergenceError, Curve, LayerDetError,
                       PartialWaveConfig, SingularOperatorError, SpectralPoint,
@@ -266,7 +266,7 @@ class TestRayExpansions:
         makers, centres = scene
         sc = make_scene([m(c) for m, c in zip(makers, centres)])
         grid, sp = discretize(sc, self.n), SpectralPoint.ray(np.exp(log_u), angle)
-        own, off = layer_ops._ray_spans(sc)[0], ~np.eye(self.n, dtype=bool)
+        own, off = layer_ops._spans(sc)[0], ~np.eye(self.n, dtype=bool)
         for deriv, assemble in ((False, assemble_q), (True, assemble_dq)):
             q = assemble(grid, sp).entries
             for j in range(sc.n_obstacles):
@@ -282,6 +282,51 @@ class TestRayExpansions:
                                                          grid.speeds[sj], deriv)):
                     err = np.abs(part - amos)[off].max()
                     assert err <= 1e-13 * np.abs(amos)[off].max()
+
+
+class TestImaginaryCrossSeries:
+    n = 48
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(kinds=st.lists(st.sampled_from(["circle", "ellipse", "kite"]), min_size=2,
+                          max_size=2),
+           size=st.floats(0.5, 1.5), gap=st.floats(0.1, 2.0),
+           bearing=st.floats(0.0, 2 * np.pi), u=st.floats(0.0, 1.0))
+    @example(kinds=["circle", "circle"], size=1.0, gap=0.1, bearing=0.0, u=1.0)
+    @example(kinds=["circle", "circle"], size=1.0, gap=0.1, bearing=0.0, u=0.0)
+    @example(kinds=["kite", "ellipse"], size=1.5, gap=2.0, bearing=1.0, u=0.0)
+    def test_entries_match_kve(self, kinds, size, gap, bearing, u):
+        # every cross entry of Q and dQ/dkappa, from the series in log r on
+        # the scene's span, times e^{kappa r}, within 1e-14 of AMOS's scaled
+        # kve at kappa log-uniform in [KAPPA_MIN_FACTOR / gap, 70]; the
+        # embedded level of Q stays bitwise the coarse grid's assembly
+        makers = [_curve_maker(k, size, 0.6, 0.3, [0.0] * 4) for k in kinds]
+        t = 2 * np.pi * np.arange(1024) / 1024
+        dist = gap + sum(np.max(np.hypot(*m((0.0, 0.0)).point(t).T)) for m in makers)
+        sc = make_scene([makers[0]((0.0, 0.0)),
+                         makers[1]((dist * np.cos(bearing), dist * np.sin(bearing)))])
+        kmin = kernel.KAPPA_MIN_FACTOR / sc.gap
+        kappa = max(kmin, float(np.exp(np.log(kmin) + u * (np.log(70.0) - np.log(kmin)))))
+        grid, sp = discretize(sc, self.n), SpectralPoint.imaginary(kappa)
+        r = grid.distances[:self.n, self.n:]
+        span = layer_ops._spans(sc)[1]
+        for deriv in (False, True):
+            scaled = kernel.offdiag_kernel(sp, r, deriv, span=span) * np.exp(kappa * r)
+            amos = kve(int(deriv), kappa * r) / (2 * np.pi) * (-r if deriv else 1.0)
+            assert np.all(np.abs(scaled - amos) <= 1e-14 * np.abs(amos))
+        q = assemble_q(grid, sp)
+        assert np.array_equal(embedded_q(q, grid.embedded(2)),
+                              assemble_q(discretize(sc, self.n // 2), sp).entries)
+
+    def test_underflow_flagged(self):
+        # kappa r reaches about 1230 across unit disks at gap 0.1: the far
+        # entries underflow to 0, flagged as specfun.bessel_k flags them
+        sc = make_scene([make_circle((0.0, 0.0), 1.0), make_circle((2.1, 0.0), 1.0)])
+        grid = discretize(sc, 32)
+        with pytest.warns(RuntimeWarning, match="bessel_k underflowed to 0 beyond "
+                                                "the exponential range"):
+            q = assemble_q(grid, SpectralPoint.imaginary(300.0)).entries
+        assert np.any(q[:32, 32:] == 0.0) and np.all(q[:32, 32:] >= 0.0)
 
 
 #: node counts per obstacle: halving 18, 20 or 30 turns odd or falls below
@@ -458,20 +503,31 @@ class TestTraceRrel:
             p1, p2 = trace_rrel(three_scene, grid, sp, both_paths=True)
             assert abs(p2 - p1) <= 1e-9 * abs(p1)
 
-    def test_solves_at_obstacle_block_cost(self, canonical_scene, lu_solves):
-        # Q factored at N = 2n and each obstacle's block at n; Qtilde is
-        # applied block by block, so both paths take two N-size solves and
-        # Xi' one
-        scene, n = canonical_scene, 48
-        grid = discretize(scene, n)
-        for sp in (SpectralPoint.imaginary(1.0), SpectralPoint.ray(1.0, np.pi / 8)):
-            for call, solves in ((lambda: trace_rrel(scene, grid, sp, both_paths=True), 2),
-                                 (lambda: xi_prime(scene, grid, sp), 1)):
-                lu_solves[0].clear()
-                lu_solves[1].clear()
-                call()
-                assert lu_solves[0] == {2 * n: 1, n: 2}
-                assert lu_solves[1][2 * n] == solves
+    def test_solves_at_obstacle_block_cost(self, canonical_scene, three_scene, lu_solves):
+        # block elimination at obstacle 0's own block: LUs of each obstacle's
+        # block and of the Schur complement of the first, on two disks all
+        # three at n and nothing at N = 2n, and on three obstacles the blocks
+        # at 48, 64 and 32 and the complement at 64 + 32; no solve against Q
+        n = 48
+        cases = ((canonical_scene, n, {n: 3}),
+                 (three_scene, (48, 64, 32), {48: 1, 64: 1, 32: 1, 96: 1}))
+        for scene, counts, lus in cases:
+            grid = discretize(scene, counts)
+            for sp in (SpectralPoint.imaginary(1.0), SpectralPoint.ray(1.0, np.pi / 8)):
+                for call in (lambda: trace_rrel(scene, grid, sp, both_paths=True),
+                             lambda: xi_prime(scene, grid, sp)):
+                    lu_solves[0].clear()
+                    lu_solves[1].clear()
+                    call()
+                    assert lu_solves[0] == lus
+                    assert lu_solves[1] and set(lu_solves[1]) <= set(lus)
+
+    def test_dsep_at_obstacle_block_cost(self, canonical_scene, lu_solves):
+        # dXi/ds by block elimination: two LUs at n per level, none at 2n
+        grid = discretize(canonical_scene, 64)
+        xi._xi_dsep_levels(canonical_scene, grid, 1.0, [grid.embedded(2), grid.embedded(4)])
+        assert lu_solves[0] == {64: 2, 32: 2, 16: 2}
+        assert set(lu_solves[1]) == {64, 32, 16}
 
     def test_matches_xi_prime(self, canonical_scene, canonical_grid_96):
         sp = SpectralPoint.imaginary(1.0)
