@@ -13,8 +13,8 @@ from .geometry import (BoundaryGrid, Curve, Scene, discretize,
                        distance_to_boundary, make_circle, make_ellipse,
                        make_kite, make_polar_fourier, make_scene)
 from .kernel import SpectralPoint, green_free
-from .layer_ops import (Factorization, LayerMatrix, LayerPair, assemble_dq,
-                        assemble_q, factorize, solve)
+from .layer_ops import (Factorization, LayerMatrix, assemble_dq, assemble_q,
+                        factorize, solve)
 from .oracle import PartialWaveConfig, default_l_max, xi_two_disks
 from .xi import (ShiftSample, XiSample, trace_rrel, xi_imag, xi_on_ray,
                  xi_prime, xi_real, xi_rel, xi_rel_many)

@@ -4,8 +4,9 @@ away from the obstacles.
 The resolvent-difference kernel is the boundary bilinear form
 k(x, y) = -<G(y, .), Q^{-1} G(x, .)> over the obstacle boundary; the
 relative kernel replaces Q^{-1} by Q^{-1} - Qtilde^{-1} =
--Q^{-1} T Qtilde^{-1} and is evaluated in that factorized form, Qtilde^{-1}
-block by block from the LUs of the obstacles' own blocks.  Off the
+-Q^{-1} T Qtilde^{-1} and is evaluated in that factorized form, both
+inverses from Q's block elimination (`layer_ops.Elimination`), every LU at
+the obstacles' size.  Off the
 boundary the integrands are smooth, so the plain trapezoid weights of the
 grid are spectrally accurate; points closer than a tenth of the obstacle
 gap are rejected rather than computed inaccurately.
@@ -21,7 +22,7 @@ from scipy.linalg import get_blas_funcs
 from .errors import LayerDetError
 from .geometry import BoundaryGrid, Scene, _winding_contains, distance_to_boundary
 from .kernel import SpectralPoint, green_free
-from .layer_ops import factored_blocks, solve, solve_blocks, split_blocks
+from .layer_ops import Elimination, assemble_q, block_diagonal
 
 
 @dataclass(frozen=True)
@@ -44,22 +45,17 @@ def field_point(scene: Scene, xy) -> FieldPoint:
 
 
 class FieldEvaluator:
-    """Caches the factorizations for one (scene, grid, spectral point), Q's
-    and those of its diagonal blocks; all per-point evaluations are then
-    boundary-vector solves."""
+    """Caches Q's block elimination (`layer_ops.Elimination`) and the coupling
+    T = Q - Qtilde for one (scene, grid, spectral point); all per-point
+    evaluations are then boundary-vector solves at the obstacles' size."""
 
     def __init__(self, scene: Scene, grid: BoundaryGrid, sp: SpectralPoint):
-        self.scene = scene
-        self.grid = grid
-        self.sp = sp
-        q, self._fq, self._fb = factored_blocks(grid, sp)
-        self._T = split_blocks(q, grid.blocks)[1]
-        gap = scene.gap
-        if np.isfinite(gap):
-            self._standoff = 0.1 * gap
-        else:
-            # single obstacle: fall back to a tenth of the mean boundary scale
-            self._standoff = 0.1 * float(np.sum(grid.weights)) / (2 * np.pi)
+        self.scene, self.grid, self.sp = scene, grid, sp
+        q = assemble_q(grid, sp).entries
+        self._e, self._T = Elimination(q, grid.blocks), q - block_diagonal(q, grid.blocks)
+        # a tenth of the gap; for one obstacle, of the mean boundary scale
+        self._standoff = (0.1 * scene.gap if np.isfinite(scene.gap)
+                          else 0.1 * float(np.sum(grid.weights)) / (2 * np.pi))
 
     def _check(self, *points: FieldPoint):
         for p in points:
@@ -78,7 +74,7 @@ class FieldEvaluator:
         self._check(x, y)
         gx = self._boundary_vector(x)
         gy = self._boundary_vector(y)
-        u = solve(self._fq, gx)
+        u = self._e.solve(gx)
         return complex(-np.dot(gy * self.grid.weights, u))
 
     def rel_resolvent(self, x: FieldPoint, y: FieldPoint) -> complex:
@@ -90,7 +86,7 @@ class FieldEvaluator:
             return 0j
         gx = self._boundary_vector(x)
         gy = self._boundary_vector(y)
-        v = solve_blocks(self._fb, self.grid.blocks, gx)
+        v = self._e.solve_tilde(gx)
         # T v on scipy's BLAS, from T^T's F-ordered view: no copy
-        u = solve(self._fq, get_blas_funcs("gemv", (v,))(1.0, self._T.T, v, trans=1))
+        u = self._e.solve(get_blas_funcs("gemv", (v,))(1.0, self._T.T, v, trans=1))
         return complex(np.dot(gy * self.grid.weights, u))

@@ -359,22 +359,15 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
     return A, B
 
 
-def offdiag_kernel(sp: SpectralPoint, r: np.ndarray, deriv: bool = False,
-                   span=None):
+def offdiag_kernel(sp: SpectralPoint, r: np.ndarray, deriv: bool = False, *, span):
     """Smooth cross-obstacle kernel values (no speed/weight factors): G, or
     with deriv dG/dv in the axis variable of split_block: -(r/2pi) K1(kappa r)
     on the imaginary axis, -(i r/4) H1_1(lambda r) elsewhere.
 
-    Given span, an interval holding every r (`layer_ops` passes [the gap,
-    the scene's diameter bound]), on a ray or the imaginary axis it comes
-    from a Chebyshev series in log r there (`_cross_series`), and a distance
-    outside span is a ValueError; without one, or at real lambda, from the
-    special functions, as in `green_free`."""
+    On a ray and on the imaginary axis it comes from a Chebyshev series in
+    log r on span (`_cross_series`), which must hold every r (a ValueError
+    otherwise); at real lambda from `green_free` and `_hankel1`."""
     r = _check_r(r)
-    if span is not None and sp.axis != "real":
+    if sp.axis != "real":
         return _series_cross(sp.lam, r, span, int(deriv))
-    if not deriv:
-        return green_free(sp, r)
-    if sp.is_imaginary:
-        return -(r / (2 * np.pi)) * specfun.bessel_k(1, sp.value * r)
-    return -0.25j * r * _hankel1(1, sp, r)
+    return -0.25j * r * _hankel1(1, sp, r) if deriv else green_free(sp, r)

@@ -19,12 +19,11 @@ Storage is real on the imaginary axis and complex elsewhere, for Q and for
 its derivative alike, which is taken in the axis variable (kappa or lambda).
 At real lambda the outgoing kernel is assembled as is, which is Q(lambda + i0).
 Determinants are only ever consumed as ratios of two factorizations sharing
-the same weights, so no symmetrized weighting is needed.  `factored_pairs` is
-the one place where Q, its block-diagonal part Qtilde and the coupling
-T = Q - Qtilde are formed and factored for Xi.  The derivative traces take
-Tr(Q^{-1} X) by block elimination at obstacle 0's own block (`eliminate`),
-with LUs at the obstacles' size only; the field kernels factor Qtilde block
-by block (`factored_blocks`).  `dt_dsep_levels` gives T's derivative under a
+the same weights, so no symmetrized weighting is needed.  Every LU is taken
+here: `xi_levels` factors Q and its block-diagonal part Qtilde at full size
+for Xi, and `Elimination`, Q's block elimination at obstacle 0's own block,
+makes every solve of the derivative traces and the field kernels with LUs at
+the obstacles' size only.  `dt_dsep_levels` gives T's derivative under a
 rigid motion of one obstacle, which leaves Qtilde unchanged.
 
 The grid of every s-th node of each obstacle (s = 2, 4, ...) is embedded in
@@ -225,13 +224,13 @@ def dt_dsep_levels(grids, sp: SpectralPoint, direction) -> list:
     return [out, *(_strided(out, g, grid.n_per_obstacle) for g in grids[1:])]
 
 
-def split_blocks(entries: np.ndarray, blocks):
-    """(Qtilde, T) of Q, or (dQtilde, dT) of dQ: the obstacles' own blocks
-    bitwise with exactly zero cross blocks, and the rest (zero diagonal)."""
+def block_diagonal(entries: np.ndarray, blocks) -> np.ndarray:
+    """Qtilde of Q, or dQtilde of dQ: the obstacles' own blocks bitwise,
+    with exactly zero cross blocks; T = Q - Qtilde."""
     diag = np.zeros_like(entries)
     for a, b in blocks:
         diag[a:b, a:b] = entries[a:b, a:b]
-    return diag, entries - diag
+    return diag
 
 
 def factorize(m) -> Factorization:
@@ -264,50 +263,31 @@ def factorize(m) -> Factorization:
                          float(mags.min()), float(mags.max()))
 
 
-class LayerPair(NamedTuple):
-    """Q and Qtilde factored at one spectral point, and T = Q - Qtilde.
-
-    Qtilde is factored at full N x N size on purpose, for Xi alone: Xi =
-    log|det Q| - log|det Qtilde| is exact to rounding only because both LUs'
-    pivots on the obstacles' own blocks round alike.  At the energy's
-    kappa_max those blocks have condition number ~5e10 (unit disks) and Xi
-    is exactly 0.0; per-block LUs move log|det Qtilde| by 3e-7 and the
-    energy by 8e-8.  The traces take no determinant (`eliminate`)."""
-    fq: Factorization
-    ft: Factorization
-    T: np.ndarray
-
-    def log_det_ratio(self) -> complex:
-        """Xi = log det(Q Qtilde^{-1}); off the imaginary axis the
-        imaginary part is known only modulo 2 pi."""
-        return ((self.fq.log_abs_det - self.ft.log_abs_det)
-                + 1j * (self.fq.phase - self.ft.phase))
+class XiLevel(NamedTuple):
+    """Xi = log det(Q Qtilde^{-1}) (imaginary part modulo 2 pi), the signs of
+    det Q and det Qtilde (0 if complex), the smaller pivot_min / pivot_max of
+    their LUs, and |log|det Q|| + |log|det Qtilde||, the rounding scale."""
+    xi: complex
+    signs: tuple
+    pivot_ratio: float
+    scale: float
 
 
-def factored_pairs(grid: BoundaryGrid, sp: SpectralPoint, subgrids=()) -> list:
-    """The LayerPair at sp on grid, then on each embedded sub-grid of it in
-    subgrids, all from one assembly of Q on grid (`q_levels`)."""
-    pairs = []
+def xi_levels(grid: BoundaryGrid, sp: SpectralPoint, subgrids=()) -> list:
+    """The XiLevel at sp on grid, then on each embedded sub-grid of it in
+    subgrids, from one assembly of Q on grid (`q_levels`).  Qtilde is
+    factored at full size on purpose: Xi is exact to rounding only because
+    both LUs' pivots on the obstacles' own blocks round alike.  At the
+    energy's kappa_max those blocks have condition number ~5e10 (unit disks)
+    and Xi is exactly 0.0; per-block LUs move log|det Qtilde| by 3e-7 and
+    the energy by 8e-8."""
+    out = []
     for m, g in zip(q_levels(grid, sp, subgrids), (grid, *subgrids)):
-        qt, T = split_blocks(m, g.blocks)
-        pairs.append(LayerPair(factorize(m), factorize(qt), T))
-    return pairs
-
-
-def factored_blocks(grid: BoundaryGrid, sp: SpectralPoint):
-    """Q's entries at sp on grid, Q's LU and the LU of each obstacle's own
-    block: Qtilde factored block by block, for the field kernels, which
-    apply Qtilde^{-1} (`solve_blocks`) but take no determinant of it."""
-    q = assemble_q(grid, sp).entries
-    return q, factorize(q), [factorize(q[a:b, a:b]) for a, b in grid.blocks]
-
-
-def solve_blocks(fs, blocks, rhs: np.ndarray) -> np.ndarray:
-    """Qtilde^{-1} rhs from the LUs fs of Qtilde's blocks, block row by
-    block row."""
-    out = np.empty(rhs.shape, dtype=np.result_type(fs[0].lu, rhs))
-    for f, (a, b) in zip(fs, blocks):
-        out[a:b] = solve(f, rhs[a:b])
+        fq, ft = factorize(m), factorize(block_diagonal(m, g.blocks))
+        out.append(XiLevel((fq.log_abs_det - ft.log_abs_det) + 1j * (fq.phase - ft.phase),
+                           (fq.sign, ft.sign),
+                           min(f.pivot_min / f.pivot_max for f in (fq, ft)),
+                           abs(fq.log_abs_det) + abs(ft.log_abs_det)))
     return out
 
 
@@ -326,17 +306,49 @@ def _gemm(alpha, a: np.ndarray, b: np.ndarray, beta=0.0, c=None) -> np.ndarray:
     return sla.get_blas_funcs("gemm", (a, b))(alpha, a, b, beta, c)
 
 
-def eliminate(q: np.ndarray, n0: int):
-    """Q = [[A, B], [C, D]] eliminated at its first n0 rows and columns,
-    obstacle 0's own block A: W = A^{-1} B, C W and traces(x12, rest), which
-    is Tr(Q^{-1} X) = Tr(S^{-1} (x22 - x21 W - C A^{-1} x12)), S = D - C W,
-    for X = [[0, x12], [x21, x22]] and each (x21, x22) in rest: LUs of A and S."""
-    fa = factorize(q[:n0, :n0])
-    C, W = q[n0:, :n0], solve(fa, q[:n0, n0:])
-    CW = _gemm(1.0, C, W)
-    fs = factorize(q[n0:, n0:] - CW)
+class Elimination:
+    """Q = [[A, B], [C, D]], with the obstacles' index ranges blocks,
+    eliminated at obstacle 0's own block A: the LUs of A and of the Schur
+    complement S = D - C W (none for one obstacle), W = A^{-1} B and C W.
+    The LUs of the other obstacles' own blocks are made on first use only."""
 
-    def traces(x12: np.ndarray, rest) -> list:
-        cv = _gemm(1.0, C, solve(fa, x12))
-        return [np.trace(solve(fs, _gemm(-1.0, x21, W, 1.0, x22 - cv))) for x21, x22 in rest]
-    return W, CW, traces
+    def __init__(self, q: np.ndarray, blocks):
+        self.q, self.blocks, n0 = q, blocks, blocks[0][1]
+        self._lus = [factorize(q[:n0, :n0]), *(None for _ in blocks[1:])]
+        self.W = self.solve_block(0, q[:n0, n0:])
+        self.CW = _gemm(1.0, q[n0:, :n0], self.W)
+        self.fs = factorize(q[n0:, n0:] - self.CW) if self.CW.size else None
+
+    def solve_block(self, j: int, rhs: np.ndarray) -> np.ndarray:
+        """Q_jj^{-1} rhs for obstacle j's own block Q_jj."""
+        if self._lus[j] is None:
+            a, b = self.blocks[j]
+            self._lus[j] = factorize(self.q[a:b, a:b])
+        return solve(self._lus[j], rhs)
+
+    def solve_tilde(self, rhs: np.ndarray, first: int = 0) -> np.ndarray:
+        """Qtilde^{-1} rhs block row by block row; with first = 1, Dtilde^{-1}
+        rhs for D's block-diagonal part Dtilde, rhs on obstacles 1.. only."""
+        off = self.blocks[first][0]
+        out = np.empty(rhs.shape, dtype=np.result_type(self.q, rhs))
+        for j, (a, b) in enumerate(self.blocks[first:], first):
+            out[a - off:b - off] = self.solve_block(j, rhs[a - off:b - off])
+        return out
+
+    def solve(self, v: np.ndarray) -> np.ndarray:
+        """Q^{-1} v by block back-substitution: x2 = S^{-1} (v2 - C A^{-1}
+        v1) and x1 = A^{-1} v1 - W x2."""
+        n0, v2 = self.blocks[0][1], v.reshape(v.shape[0], -1)
+        y = self.solve_block(0, v2[:n0])
+        if self.fs is None:
+            return y.reshape(v.shape)
+        x2 = solve(self.fs, _gemm(-1.0, self.q[n0:, :n0], y, 1.0, v2[n0:]))
+        return np.concatenate([_gemm(-1.0, self.W, x2, 1.0, y), x2]).reshape(v.shape)
+
+    def traces(self, X: np.ndarray, *rest) -> list:
+        """Tr(Q^{-1} X) = Tr(S^{-1} (x22 - x21 W - C A^{-1} x12)) for X =
+        [[0, x12], [x21, x22]], then with each (x21, x22) in rest instead."""
+        n0 = self.blocks[0][1]
+        cv = _gemm(1.0, self.q[n0:, :n0], self.solve_block(0, X[:n0, n0:]))
+        return [np.trace(solve(self.fs, _gemm(-1.0, x21, self.W, 1.0, x22 - cv)))
+                for x21, x22 in [(X[n0:, :n0], X[n0:, n0:]), *rest]]

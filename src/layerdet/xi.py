@@ -5,12 +5,13 @@ resolvent trace, and the relative spectral shift.
 Xi is computed as the difference of two LU log-determinants, never through
 the difference operator itself: each log-magnitude is O(1)-conditioned and
 the subtraction is exact to the rounding floor, because Qtilde is factored
-at full size (`layer_ops.LayerPair`), so its pivots round as Q's do.  The
+at full size, so its pivots round as Q's do; `layer_ops.xi_levels` takes
+both LUs, and this module none.  The
 derivative Xi' uses the opposite strategy: it is the trace Tr[Q^{-1} R] of
 the difference-structured R = dT - (dQtilde) Qtilde^{-1} T, which involves
 only small (cross-coupling) factors and avoids the cancellation of two
 large traces.  It takes no determinant, so the trace is taken by block
-elimination at obstacle 0's own block (`layer_ops.eliminate`), every LU and
+elimination at obstacle 0's own block (`layer_ops.Elimination`), every LU and
 solve at the obstacles' size.
 
 On the imaginary axis everything is real and Im Xi(i kappa) = 0 at every
@@ -25,9 +26,9 @@ branch.  A walk may evaluate each point on an embedded level of its grid
 The spectral shift -(1/pi) Im Xi(lambda + i0) is read at real lambda, from Q
 and Qtilde assembled there: the outgoing kernel is continuous up to the real
 axis, and the two are singular only where lambda^2 is an interior Dirichlet
-eigenvalue of an obstacle.  Such a point shows as a pivot ratio
-pivot_min / pivot_max below sqrt(eps); it alone is extrapolated from rays
-just above the axis instead.
+eigenvalue of an obstacle.  Such a point shows as a pivot ratio (smallest
+over largest pivot magnitude) below sqrt(eps); it alone is extrapolated
+from rays just above the axis instead.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import numpy as np
 from .errors import ConvergenceError, LayerDetError, SingularOperatorError
 from .geometry import BoundaryGrid, Scene
 from .kernel import SpectralPoint
-from .layer_ops import (_gemm, assemble_dq, assemble_q, dt_dsep_levels, eliminate,
-                        factored_pairs, factorize, q_levels, solve, solve_blocks, split_blocks)
+from .layer_ops import (Elimination, _gemm, assemble_dq, assemble_q, block_diagonal,
+                        dt_dsep_levels, q_levels, xi_levels)
 
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate; the
 #: energy's kappa range and every walk's anchor end at _KAPPA_MAX_FACTOR / delta'
@@ -81,32 +82,31 @@ def _check(scene: Scene, grid: BoundaryGrid):
         raise LayerDetError("grid was built for a different scene")
 
 
-def _imag_pairs(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids=()) -> list:
-    """`factored_pairs` at i kappa, warning when the pair on grid itself has a
+def _imag_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids=()) -> list:
+    """`xi_levels` at i kappa, warning when Q or Qtilde on grid itself has a
     negative determinant."""
     _check(scene, grid)
-    pairs = factored_pairs(grid, SpectralPoint.imaginary(kappa), subgrids)
-    if pairs[0].fq.sign < 0 or pairs[0].ft.sign < 0:
+    levels = xi_levels(grid, SpectralPoint.imaginary(kappa), subgrids)
+    if min(levels[0].signs) < 0:
         # positivity of the layer operator at imaginary wavenumber is an
         # empirical diagnostic, not a correctness assumption; fixed message
         # so the default warning filter deduplicates repeats
         warnings.warn("negative LU pivot sign for an imaginary-axis layer "
                       "matrix (grid underresolved for this kappa?)",
                       RuntimeWarning, stacklevel=3)
-    return pairs
+    return levels
 
 
 def xi_imag(scene: Scene, grid: BoundaryGrid, kappa: float) -> XiSample:
     """Xi(i kappa): real, from two real LU log-determinants, as on grid in
     `_xi_imag_levels`; disagreeing signs raise, err_est is a rounding floor."""
-    pair = _imag_pairs(scene, grid, kappa)[0]
-    fq, ft = pair.fq, pair.ft
-    if fq.sign * ft.sign <= 0:
+    level = _imag_levels(scene, grid, kappa)[0]
+    (sq, st), floor = level.signs, (level.scale + 1.0) * 8 * _EPS
+    if sq * st <= 0:
         raise LayerDetError(
             "negative determinant sign product on the imaginary axis "
-            f"(signs {fq.sign}, {ft.sign}); internal consistency violated")
-    floor = (abs(fq.log_abs_det) + abs(ft.log_abs_det) + 1.0) * 8 * _EPS
-    return XiSample(SpectralPoint.imaginary(kappa), pair.log_det_ratio(), 0, floor)
+            f"(signs {sq}, {st}); internal consistency violated")
+    return XiSample(SpectralPoint.imaginary(kappa), level.xi, 0, floor)
 
 
 def _xi_imag_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) -> list:
@@ -114,8 +114,8 @@ def _xi_imag_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) ->
     sub-grid of it (`BoundaryGrid.embedded`) from the same assembly
     (`q_levels`), so a sub-grid costs its two LUs only.  A grid on which
     the two determinants' signs disagree does not resolve kappa: nan."""
-    return [p.log_det_ratio().real if p.fq.sign * p.ft.sign > 0 else np.nan
-            for p in _imag_pairs(scene, grid, kappa, subgrids)]
+    return [v.xi.real if v.signs[0] * v.signs[1] > 0 else np.nan
+            for v in _imag_levels(scene, grid, kappa, subgrids)]
 
 
 def _multiple(raw: complex, near: complex) -> float:
@@ -132,7 +132,7 @@ class _Unwrapper:
         self.budget = budget
         self.evals = 0
         self.offset = 0
-        #: min(pivot_min / pivot_max) of Q and Qtilde at each evaluated
+        #: the smaller pivot ratio of Q and Qtilde at each evaluated
         #: point; 0.0 where the point was singular and the path deformed
         self.pivot_ratio = {}
         #: the grid and sub-grids `_eval` assembles on, Xi on the sub-grids
@@ -147,16 +147,15 @@ class _Unwrapper:
         w = z
         for attempt in range(4):
             try:
-                pairs = factored_pairs(grid, SpectralPoint.from_complex(w), subgrids)
+                levels = xi_levels(grid, SpectralPoint.from_complex(w), subgrids)
             except SingularOperatorError:
                 # lambda^2 grazing an interior Dirichlet eigenvalue: deform
                 # the path locally upward
                 w = w + 1j * max(1e-6, 1e-3 * abs(w)) * 4.0 ** attempt
                 continue
-            self.pivot_ratio[z] = 0.0 if w != z else min(
-                f.pivot_min / f.pivot_max for f in (pairs[0].fq, pairs[0].ft))
-            self._below = [p.log_det_ratio() for p in pairs[1:]]
-            return pairs[0].log_det_ratio()
+            self.pivot_ratio[z] = 0.0 if w != z else levels[0].pivot_ratio
+            self._below = [v.xi for v in levels[1:]]
+            return levels[0].xi
         raise SingularOperatorError("path deformation failed near a "
                                     f"singular spectral point {w}")
 
@@ -331,7 +330,7 @@ def _trace_terms(grid: BoundaryGrid, sp: SpectralPoint, both_paths: bool):
     independent Tr[(dQ)(Q^{-1} - Qtilde^{-1})] = Tr[S^{-1} dS - Dtilde^{-1} dD]
     = Tr[S^{-1} Y], Y = -C A^{-1} R12 - dC W + (C W - T_rest) Dtilde^{-1} dD
     (else None): traces by elimination at obstacle 0's block A of Q = [[A, B],
-    [C, D]] (`layer_ops.eliminate`), with Dtilde = D - T_rest factored block
+    [C, D]] (`layer_ops.Elimination`), with Dtilde = D - T_rest factored block
     by block: no LU or solve at Q's size.
 
     Derivatives are in the axis variable of `assemble_dq`: on the
@@ -341,22 +340,21 @@ def _trace_terms(grid: BoundaryGrid, sp: SpectralPoint, both_paths: bool):
     q = assemble_q(grid, sp).entries
     dq = assemble_dq(grid, sp).entries
     n0 = grid.blocks[0][1]
-    W, CW, traces = eliminate(q, n0)
-    fd = [factorize(q[a:b, a:b]) for a, b in grid.blocks[1:]]
+    e = Elimination(q, grid.blocks)
     # R block row by block row, the first as dB - dA W
     R = np.zeros_like(dq)
-    R[:n0, n0:] = _gemm(-1.0, dq[:n0, :n0], W, 1.0, dq[:n0, n0:])
-    for f, (a, b) in zip(fd, grid.blocks[1:]):
+    R[:n0, n0:] = _gemm(-1.0, dq[:n0, :n0], e.W, 1.0, dq[:n0, n0:])
+    for j, (a, b) in enumerate(grid.blocks[1:], 1):
         for c, d in grid.blocks:
             if c != a:
-                R[a:b, c:d] = _gemm(-1.0, dq[a:b, a:b], solve(f, q[a:b, c:d]), 1.0, dq[a:b, c:d])
-    rest = [(R[n0:, :n0], R[n0:, n0:])]
-    if both_paths:
-        blocks = [(a - n0, b - n0) for a, b in grid.blocks[1:]]
-        t_rest = split_blocks(q[n0:, n0:], blocks)[1]
-        rest.append((dq[n0:, :n0], _gemm(1.0, CW - t_rest, solve_blocks(fd, blocks, dq[n0:, n0:]))))
-    d, *alt = traces(R[:n0, n0:], rest)
-    return d, (alt[0] if both_paths else None)
+                R[a:b, c:d] = _gemm(-1.0, dq[a:b, a:b], e.solve_block(j, q[a:b, c:d]),
+                                    1.0, dq[a:b, c:d])
+    if not both_paths:
+        return e.traces(R)[0], None
+    d22 = q[n0:, n0:]
+    t_rest = d22 - block_diagonal(d22, [(a - n0, b - n0) for a, b in grid.blocks[1:]])
+    return tuple(e.traces(R, (dq[n0:, :n0], _gemm(1.0, e.CW - t_rest,
+                                                 e.solve_tilde(dq[n0:, n0:], 1)))))
 
 
 def _rrel_from_trace(d, sp: SpectralPoint) -> complex:
@@ -401,12 +399,12 @@ def _xi_dsep_levels(scene: Scene, grid: BoundaryGrid, kappa: float, subgrids) ->
     along the unit vector from obstacle 0's centre to obstacle 1's, on grid,
     then on each embedded sub-grid of it as `_xi_imag_levels`.  A rigid
     motion leaves Qtilde unchanged, so dXi/ds = Tr[Q^{-1} dT/ds] exactly: a
-    trace by block elimination (`layer_ops.eliminate`), two LUs at the
+    trace by block elimination (`layer_ops.Elimination`), two LUs at the
     obstacles' size per grid, of the small coupling's derivative alone."""
     _check(scene, grid)
     sp = SpectralPoint.imaginary(kappa)
     axis = np.subtract(scene.obstacles[1].center, scene.obstacles[0].center)
-    dts = dt_dsep_levels([grid, *subgrids], sp, axis / np.hypot(*axis))
-    ns = [g.blocks[0][1] for g in (grid, *subgrids)]
-    return [float(eliminate(m, n)[2](dT[:n, n:], [(dT[n:, :n], dT[n:, n:])])[0])
-            for m, dT, n in zip(q_levels(grid, sp, subgrids), dts, ns)]
+    grids = (grid, *subgrids)
+    dts = dt_dsep_levels(grids, sp, axis / np.hypot(*axis))
+    return [float(Elimination(m, g.blocks).traces(dT)[0])
+            for m, dT, g in zip(q_levels(grid, sp, subgrids), dts, grids)]

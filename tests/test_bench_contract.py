@@ -103,3 +103,32 @@ def test_workload_setup(seed):
         wl = cls(seed)
         wl.setup()
         assert wl.grid.scene is wl.scene and wl.scene.n_obstacles == 2
+
+
+def test_design_gates_hold_on_a_traced_solve(canonical_scene):
+    # every design gate of the workloads that have them, on the traced
+    # metrics of a small solve of each: a solve under casimir_energy, or a
+    # Bessel-K call on the sweep's cross blocks, fails here before it shows
+    # in a traced benchmark run
+    spans, workloads = _bench_module("spans"), _bench_module("workloads")
+    grid = discretize(canonical_scene, 64)
+    spec, cfg = layerdet.SmoothFunctionSpec(a=1.0, t=4.0), layerdet.QuadConfig(tol=1e-6)
+    solves = {workloads.EnergyDisks: lambda: layerdet.casimir_energy(canonical_scene, grid),
+              workloads.ShiftContour: lambda: (
+                  layerdet.xi_rel_many(canonical_scene, grid, [0.5, 1.5, 3.0]),
+                  layerdet.trace_df(canonical_scene, grid, spec, cfg))}
+    rec = spans.Recorder()
+    tracer = spans.Tracer(rec)
+    roots = {}
+    tracer.install()
+    try:
+        for cls, call in solves.items():
+            root = rec.open("bench.solve", "bench")
+            call()
+            rec.close(root)
+            roots[cls] = (root, len(rec.spans))
+    finally:
+        tracer.uninstall()
+    for cls, (root, end) in roots.items():
+        gates = cls(0).design(spans.root_metrics(rec.spans, root, end))
+        assert gates and all(ok for _, _, ok in gates), gates

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from scipy.special import iv, kv
 
-from layerdet import (Curve, FieldEvaluator, LayerDetError, SpectralPoint,
-                      discretize, field_point, make_circle, make_kite, make_scene)
+from layerdet import (Curve, FieldEvaluator, LayerDetError, SpectralPoint, assemble_q,
+                      discretize, factorize, field_point, green_free, make_circle,
+                      make_kite, make_scene, solve)
 
 
 def disk_diff_kernel_series(kappa, a, rx, ry, dtheta, nmax=60):
@@ -104,14 +105,38 @@ class TestRelResolvent:
             evaluator.rel_resolvent(x, y), rel=1e-11)
 
     def test_no_full_size_qtilde_lu(self, canonical_scene, lu_solves):
-        # Q's LU at N = 2n and one per obstacle block; the relative kernel
-        # applies Qtilde^{-1} block by block
+        # every LU at the obstacles' size n = 48, none at N = 2n: A's and the
+        # Schur complement's of Q's block elimination, with one solve for
+        # W = A^{-1} B, then D's on the relative kernel's first use; Q^{-1}
+        # takes two solves (A and S), Qtilde^{-1} one per block
         ev = FieldEvaluator(canonical_scene, discretize(canonical_scene, 48),
                             SpectralPoint.imaginary(1.0))
-        assert lu_solves[0] == {96: 1, 48: 2}
-        ev.rel_resolvent(field_point(canonical_scene, (2.0, 1.5)),
-                         field_point(canonical_scene, (-1.5, 1.0)))
-        assert lu_solves[1] == {96: 1, 48: 2}
+        assert lu_solves == ({48: 2}, {48: 1})
+        x = field_point(canonical_scene, (2.0, 1.5))
+        y = field_point(canonical_scene, (-1.5, 1.0))
+        ev.rel_resolvent(x, y)
+        assert lu_solves == ({48: 3}, {48: 5})
+        ev.resolvent_diff(x, y)
+        assert lu_solves == ({48: 3}, {48: 7})
+
+    @pytest.mark.parametrize("sp", [SpectralPoint.imaginary(1.0),
+                                    SpectralPoint.ray(1.3, np.pi / 8)], ids=["imag", "ray"])
+    def test_three_obstacles_match_full_size_formulas(self, three_scene, sp):
+        # the block elimination's Q^{-1} and per-block Qtilde^{-1} against a
+        # full-size LU of Q and a per-block solve of Qtilde
+        grid = discretize(three_scene, (48, 64, 32))
+        ev = FieldEvaluator(three_scene, grid, sp)
+        q = assemble_q(grid, sp).entries
+        fq, t = factorize(q), q.copy()
+        for a, b in grid.blocks:
+            t[a:b, a:b] = 0.0
+        pts = [field_point(three_scene, xy) for xy in ((2.0, 2.5), (-2.5, 1.0))]
+        g = [green_free(sp, np.hypot(*(grid.points - p.x).T)) for p in pts]
+        v = np.concatenate([solve(factorize(q[a:b, a:b]), g[0][a:b]) for a, b in grid.blocks])
+        diff = -np.dot(g[1] * grid.weights, solve(fq, g[0]))
+        rel = np.dot(g[1] * grid.weights, solve(fq, t @ v))
+        assert abs(ev.resolvent_diff(*pts) - diff) <= 1e-12 * abs(diff)
+        assert abs(ev.rel_resolvent(*pts) - rel) <= 1e-12 * abs(rel)
 
     def test_decays_faster_than_diff_kernel(self, canonical_scene, evaluator):
         # the relative kernel carries the gap-crossing factor on top of the

@@ -67,7 +67,7 @@ class TestGreenFree:
                 green_free(sp, r)
             for deriv in (False, True):
                 with pytest.raises(ValueError, match="finite r > 0"):
-                    offdiag_kernel(sp, r, deriv=deriv)
+                    offdiag_kernel(sp, r, deriv=deriv, span=(0.5, 2.0))
 
     def test_pointwise_decay_envelope_d2(self):
         # |G| <= C (kappa r)^{-1/2} e^{-kappa r} for kappa r >= 1, C fitted
@@ -88,7 +88,7 @@ class TestGreenFreeDLambda:
         h = 1e-6 * mod
         fd = (green_free(SpectralPoint.ray(mod + h, theta), r)
               - green_free(SpectralPoint.ray(mod - h, theta), r)) / (2 * h)
-        val = offdiag_kernel(SpectralPoint.ray(mod, theta), r, deriv=True)
+        val = -0.25j * r * special.hankel1(1, mod * np.exp(1j * theta) * r)
         assert val * np.exp(1j * theta) == pytest.approx(fd, rel=1e-8)
 
     def test_imag_axis_dkappa_vs_finite_difference(self):
@@ -96,7 +96,7 @@ class TestGreenFreeDLambda:
         kap, r, h = 0.9, 1.1, 1e-6
         fd = (green_free(SpectralPoint.imaginary(kap + h), r)
               - green_free(SpectralPoint.imaginary(kap - h), r)) / (2 * h)
-        val = offdiag_kernel(SpectralPoint.imaginary(kap), r, deriv=True)
+        val = -(r / (2 * np.pi)) * specfun.bessel_k(1, kap * r)
         assert not np.iscomplexobj(val) and val < 0
         assert val == pytest.approx(fd, rel=1e-8)
 
@@ -223,22 +223,28 @@ class TestKressSplit:
             A, B = split_block(sp, r, speeds, deriv=True)
             assert np.iscomplexobj(B) != sp.is_imaginary
             assert np.all(np.diag(A) == 0.0)
-            direct = offdiag_kernel(sp, r[i, j], deriv=True) * speeds[j]
+            x = r[i, j]
+            direct = (-(x / (2 * np.pi)) * specfun.bessel_k(1, sp.value * x) if sp.is_imaginary
+                      else -0.25j * x * special.hankel1(1, sp.lam * x)) * speeds[j]
             assert A[i, j] * L + B[i, j] == pytest.approx(direct, rel=1e-12)
 
     def test_offdiag_kernel_modes(self):
-        r = np.array([0.5, 2.0])
-        sp = SpectralPoint.imaginary(1.0)
-        assert np.array_equal(offdiag_kernel(sp, r), green_free(sp, r))
-        assert np.array_equal(offdiag_kernel(sp, r, deriv=True),
-                              -(r / (2 * np.pi)) * specfun.bessel_k(1, r))
+        r, span = np.array([0.5, 2.0]), (0.5, 2.0)
+        # on the imaginary axis and a ray the kernels come from their
+        # expansions in log r on the interval
+        for sp in (SpectralPoint.imaginary(1.0), SpectralPoint.ray(1.1, np.pi / 3)):
+            assert offdiag_kernel(sp, r, span=span) == pytest.approx(green_free(sp, r),
+                                                                     rel=1e-14)
+        assert offdiag_kernel(SpectralPoint.imaginary(1.0), r, deriv=True, span=span) \
+            == pytest.approx(-(r / (2 * np.pi)) * specfun.bessel_k(1, r), rel=1e-14)
         sp = SpectralPoint.ray(1.1, np.pi / 3)
-        # given an interval, the order-0 ray kernel comes from its expansion
-        # in log r there
-        assert offdiag_kernel(sp, r, span=(0.5, 2.0)) == pytest.approx(green_free(sp, r),
-                                                                       rel=1e-14)
-        assert np.array_equal(offdiag_kernel(sp, r, deriv=True),
-                              -0.25j * r * special.hankel1(1, sp.lam * r))
+        assert offdiag_kernel(sp, r, deriv=True, span=span) == pytest.approx(
+            -0.25j * r * special.hankel1(1, sp.lam * r), rel=1e-14)
+        # at real lambda, the real-argument Hankel functions, exactly
+        sp, x = SpectralPoint.from_complex(1.1), 1.1 * r
+        assert np.array_equal(offdiag_kernel(sp, r, span=span), green_free(sp, r))
+        assert np.array_equal(offdiag_kernel(sp, r, deriv=True, span=span),
+                              -0.25j * r * (special.j1(x) + 1j * special.y1(x)))
 
 
 class TestRayExpansions:

@@ -3,10 +3,10 @@ import pytest
 from scipy.special import i0, i1, iv, ivp, kv, kvp
 
 from layerdet import (LayerDetError, SingularOperatorError, SpectralPoint, assemble_dq,
-                      assemble_q, discretize, factorize, kernel, layer_ops, make_circle,
-                      make_kite, make_scene, solve, trace_rrel)
+                      assemble_q, discretize, factorize, green_free, kernel, layer_ops,
+                      make_circle, make_kite, make_scene, solve, specfun, trace_rrel)
 from layerdet.kernel import offdiag_kernel
-from layerdet.layer_ops import dt_dsep_levels, factored_pairs, kress_log_weights, split_blocks
+from layerdet.layer_ops import block_diagonal, dt_dsep_levels, kress_log_weights, xi_levels
 
 SPECTRAL_POINTS = (SpectralPoint.imaginary(1.0), SpectralPoint.ray(2.0, np.pi / 8))
 
@@ -44,7 +44,8 @@ def _direct_assembly(grid, sp, deriv):
             n = b - a
             np.fill_diagonal(r, 1.0)
             if sp.is_imaginary:
-                J, G = (r * i1(v * r) if deriv else i0(v * r)), offdiag_kernel(sp, r, deriv)
+                J, G = ((r * i1(v * r), -(r / (2 * np.pi)) * specfun.bessel_k(1, v * r))
+                        if deriv else (i0(v * r), green_free(sp, r)))
             else:
                 J, G = kernel._ray_split(v, r, own[j], int(deriv))
             speeds = grid.speeds[a:b]
@@ -79,9 +80,9 @@ class TestAssembly:
         scene, grid = single_disk
         sp = SpectralPoint.imaginary(1.0)
         q = assemble_q(grid, sp).entries
-        qd, t = split_blocks(q, grid.blocks)
+        qd = block_diagonal(q, grid.blocks)
         assert np.array_equal(q, qd)
-        assert np.all(t == 0.0)
+        assert np.all(q - qd == 0.0)
 
     def test_symmetry_defect(self, canonical_scene, two_disk_grid):
         q = assemble_q(two_disk_grid, SpectralPoint.imaginary(1.0)).entries
@@ -152,7 +153,8 @@ class TestAssembly:
     def test_qdiag_offblocks_zero(self, canonical_scene, two_disk_grid):
         sp = SpectralPoint.imaginary(0.7)
         q = assemble_q(two_disk_grid, sp).entries
-        qd, t = split_blocks(q, two_disk_grid.blocks)
+        qd = block_diagonal(q, two_disk_grid.blocks)
+        t = q - qd
         assert np.all(qd[:64, 64:] == 0.0)
         assert np.all(qd[64:, :64] == 0.0)
         assert np.all(t[:64, :64] == 0.0)
@@ -162,14 +164,13 @@ class TestAssembly:
     def test_qdiag_blocks_bitwise_equal_q(self, canonical_scene, two_disk_grid):
         sp = SpectralPoint.imaginary(0.7)
         q = assemble_q(two_disk_grid, sp).entries
-        qd, _ = split_blocks(q, two_disk_grid.blocks)
+        qd = block_diagonal(q, two_disk_grid.blocks)
         assert np.array_equal(q[:64, :64], qd[:64, :64])
         assert np.array_equal(q[64:, 64:], qd[64:, 64:])
 
     def test_qdiag_block_equals_single_scene(self, canonical_scene, two_disk_grid):
         sp = SpectralPoint.imaginary(0.9)
-        qd, _ = split_blocks(assemble_q(two_disk_grid, sp).entries,
-                             two_disk_grid.blocks)
+        qd = block_diagonal(assemble_q(two_disk_grid, sp).entries, two_disk_grid.blocks)
         solo = make_scene([make_circle((4.0, 0.0), 1.0)])
         solo_q = assemble_q(discretize(solo, 64), sp)
         assert np.allclose(qd[64:, 64:], solo_q.entries, atol=1e-15)
@@ -247,12 +248,12 @@ class TestAssembleDtDsep:
 
 
 class TestFactorize:
-    def test_factored_pairs_keep_a_full_size_qtilde(self, two_disk_grid, lu_solves):
+    def test_xi_levels_keep_a_full_size_qtilde(self, two_disk_grid, lu_solves):
         # Xi's path: Q and Qtilde each factored at N = 2n, whose pivots on
         # the obstacles' blocks round alike, and no solve
         for sp in SPECTRAL_POINTS:
             lu_solves[0].clear()
-            factored_pairs(two_disk_grid, sp)
+            xi_levels(two_disk_grid, sp)
             assert lu_solves[0] == {128: 2} and not lu_solves[1]
 
     def test_identity(self):

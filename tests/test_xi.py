@@ -11,8 +11,7 @@ from layerdet import (ConvergenceError, Curve, LayerDetError,
                       make_scene, trace_rrel, xi, xi_imag, xi_on_ray, xi_prime,
                       xi_real, xi_rel, xi_rel_many, xi_two_disks)
 from layerdet.kernel import split_block
-from layerdet.layer_ops import (assemble_q, dt_dsep_levels, embedded_q,
-                                factored_pairs)
+from layerdet.layer_ops import assemble_q, dt_dsep_levels, embedded_q, xi_levels
 
 
 def richardson_fd(f, x, h):
@@ -376,8 +375,8 @@ class TestEmbeddedLevels:
             refs.append(ref)
             stride *= 2
         assert grid.embedded(stride) is None
-        for pair, ref in zip(factored_pairs(grid, sp, subs)[1:], refs):
-            assert pair.log_det_ratio() == factored_pairs(ref, sp)[0].log_det_ratio()
+        for level, ref in zip(xi_levels(grid, sp, subs)[1:], refs):
+            assert level == xi_levels(ref, sp)[0]
 
     # of 64 nodes per disk: 48 per disk is no stride's grid (96 does not
     # divide 128), and 16 + 48 is half the size but not every other node
@@ -653,15 +652,15 @@ class TestXiRel:
             self, canonical_scene, canonical_grid_32, monkeypatch):
         # an exactly singular Q at a real target is reported through the
         # ray extrapolation, not as a value from a point moved off the axis
-        lam, factored_pairs = 0.9, xi.factored_pairs
+        lam, xi_levels = 0.9, xi.xi_levels
 
         def singular_at_lam(grid, sp, subgrids=()):
             if sp.axis == "real" and sp.value == lam:
                 raise SingularOperatorError("exactly singular pivot")
-            return factored_pairs(grid, sp, subgrids)
+            return xi_levels(grid, sp, subgrids)
 
         ref = xi._shift_on_rays(canonical_scene, canonical_grid_32, lam)
-        monkeypatch.setattr(xi, "factored_pairs", singular_at_lam)
+        monkeypatch.setattr(xi, "xi_levels", singular_at_lam)
         batch = xi_rel_many(canonical_scene, canonical_grid_32, [1.3, lam, 0.5])
         assert batch[1] == ref and ref.eta_used == pytest.approx(1e-3 * lam)
         assert batch[0].eta_used == batch[2].eta_used == 0
