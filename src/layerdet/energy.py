@@ -33,7 +33,7 @@ import numpy as np
 from .errors import ConvergenceError, LayerDetError, UnresolvedGridError
 from .geometry import BoundaryGrid, Scene
 from .kernel import KAPPA_MIN_FACTOR
-from .xi import (_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR, _ray_walker,
+from .xi import (_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR, _check, _walker,
                  _xi_dsep_levels, _xi_imag_levels, xi_rel_many)
 
 
@@ -43,9 +43,10 @@ class QuadConfig:
     32, ... 256 over kappa in [1e-6 / gap, 30 / (0.9 gap)] stop once the
     integral moves by <= `tol`, each node on the coarsest embedded grid whose
     estimate keeps its share of the discretization error below `tol` / 4
-    (`_Levels`); the contour's rule is the same on its two pieces.  Nodes are evaluated one after another; the
-    only parallelism is the BLAS library's threads inside each LU and solve,
-    whose count moves the energy by about 1e-12."""
+    (`_Levels`); the contour's rule is the same on its two pieces.  Nodes
+    are evaluated one after another; the only parallelism is the BLAS
+    library's threads inside each LU and solve, whose count moves the
+    energy by about 1e-12."""
 
     tol: float = 1e-8
 
@@ -340,6 +341,7 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
     discrete identity, not an approximation.  Requires t > 0 with
     2 theta < pi/2 so e^{-t lambda^2} decays on both rays.
     """
+    _check(scene, grid)
     if f.t <= 0:
         raise LayerDetError("trace_df needs t > 0; use power_trace for t = 0")
     if not 0 < theta < np.pi / 4:
@@ -363,8 +365,8 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
         # the largest node already on the branch, or from the imaginary axis
         desc = us[::-1].tolist()
         top = max(levels.value, default=None)
-        walker = _ray_walker(scene, grid, theta, desc,
-                             None if top is None else (top, levels.value[top]))
+        walker = _walker(scene, grid, desc[0] * phase,
+                         None if top is None else (top * phase, levels.value[top]))
         return levels.evaluate(desc, lambda u, g, subs:
                                walker.step(u * phase, g, subs))[::-1]
 

@@ -23,6 +23,7 @@ from .errors import LayerDetError
 from .geometry import BoundaryGrid, Scene, _winding_contains, distance_to_boundary
 from .kernel import SpectralPoint, green_free
 from .layer_ops import Elimination, assemble_q, block_diagonal
+from .xi import _check
 
 
 @dataclass(frozen=True)
@@ -50,6 +51,7 @@ class FieldEvaluator:
     evaluations are then boundary-vector solves at the obstacles' size."""
 
     def __init__(self, scene: Scene, grid: BoundaryGrid, sp: SpectralPoint):
+        _check(scene, grid)
         self.scene, self.grid, self.sp = scene, grid, sp
         q = assemble_q(grid, sp).entries
         self._e, self._T = Elimination(q, grid.blocks), q - block_diagonal(q, grid.blocks)

@@ -318,7 +318,7 @@ def _mirrored(upper_values, upper, n):
 
 
 def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
-                deriv: bool = False, span=None):
+                deriv: bool = False, *, span):
     """Vectorized (A, B) for G * speed on one curve's n equispaced nodes,
     from their n x n distance matrix r (diagonal unused), or with deriv for
     dG/dv * speed in the axis variable v (kappa on the imaginary axis,
@@ -329,10 +329,10 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
     the strict upper triangle only and mirrored.
 
     On a ray, J and H, of G or of its derivative, come from Chebyshev
-    series in r on span, an interval of distances (default [0, max r];
-    `layer_ops` passes [0, the obstacle's diameter bound]), fitted to AMOS
-    values once per lambda and span (`_split_series`); a distance outside
-    span is a ValueError.  The other axes keep their special functions."""
+    series in r on span, an interval of distances (`layer_ops` passes [0,
+    the obstacle's diameter bound]), fitted to AMOS values once per lambda
+    and span (`_split_series`); a distance outside span is a ValueError.
+    The other axes keep their special functions and ignore span."""
     n = speeds.size
     upper, L = _split_grid(n)
     x = r[upper]
@@ -342,7 +342,7 @@ def split_block(sp: SpectralPoint, r: np.ndarray, speeds: np.ndarray,
                 else (_sp.i0(v * x), _sp.k0(v * x) / (2 * np.pi)))
     elif sp.axis == "ray":
         v, c = sp.lam, 0.25j
-        J, G = _ray_split(v, x, (0.0, float(x.max())) if span is None else span, int(deriv))
+        J, G = _ray_split(v, x, span, int(deriv))
     else:
         v, c = sp.value, 0.25j
         H = _hankel1(int(deriv), sp, x)

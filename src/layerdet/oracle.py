@@ -38,6 +38,7 @@ acceptance test relies on it.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,17 +101,27 @@ class PartialWaveConfig:
     kappa: float
 
     def __post_init__(self):
-        if self.a <= 0 or self.b <= 0 or self.kappa <= 0:
-            raise ValueError("radii and kappa must be positive")
+        for name in ("a", "b", "kappa"):
+            _positive(getattr(self, name), name)
+        if not np.isfinite(self.d):
+            raise ValueError("d must be finite")
         if self.d <= self.a + self.b:
             raise LayerDetError("disks must be disjoint: d > a + b")
+        if not isinstance(self.l_max, numbers.Integral):
+            raise ValueError("l_max must be an integer")
         if self.l_max < 4:
             raise ValueError("l_max must be at least 4")
+
+
+def _positive(value: float, name: str) -> None:
+    if not (value > 0 and np.isfinite(value)):
+        raise ValueError(f"{name} must be positive and finite")
 
 
 def default_l_max(kappa: float, a: float, b: float) -> int:
     """Truncation heuristic from the super-exponential decay of the
     I_n(kappa a) / K_n(kappa d) mode couplings."""
+    _positive(kappa, "kappa")
     return int(np.ceil(8 + 3 * kappa * max(a, b)))
 
 

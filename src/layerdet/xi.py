@@ -15,13 +15,14 @@ elimination at obstacle 0's own block (`layer_ops.Elimination`), every LU and
 solve at the obstacles' size.
 
 On the imaginary axis everything is real and Im Xi(i kappa) = 0 at every
-kappa.  Xi elsewhere carries the branch fixed by continuity from there: a
-walk starts, unevaluated, at i r, r = min(|z0|, kappa_max) for its first
-point z0, and reaches z0 along the arc of modulus r and then z0's ray, or
-from a point whose value on the branch is known.  Xi is analytic and
-zero-free in the open upper half plane, so every such path gives the same
-branch.  A walk may evaluate each point on an embedded level of its grid
-(`_Unwrapper.step`), as `trace_df` does.
+kappa.  Xi elsewhere carries the branch fixed by continuity from there.
+Every walk, `trace_df`'s included, is started by `_walker`: unevaluated at
+i r, r = min(|z0|, kappa_max) for its first point z0, whence it reaches z0
+along the arc of modulus r and then z0's ray, or from a point whose value
+on the branch is known.  Xi is analytic and zero-free in the open upper
+half plane, so every such path gives the same branch.  A walk may evaluate
+each point on an embedded level of its grid (`_Unwrapper.step`), as
+`trace_df` does.
 
 The spectral shift -(1/pi) Im Xi(lambda + i0) is read at real lambda, from Q
 and Qtilde assembled there: the outgoing kernel is continuous up to the real
@@ -124,26 +125,23 @@ def _multiple(raw: complex, near: complex) -> float:
 
 
 class _Unwrapper:
-    """Continuous-branch walker along a path of spectral points, each point
-    evaluated on the walker's grid or on an embedded level of it."""
+    """Continuous-branch walker: Xi at each point it `step`s to, on the
+    2 pi multiple nearest its last point's value.  A walk may evaluate 600
+    points plus 30 for each step asked of it; start one with `_walker`."""
 
-    def __init__(self, grid: BoundaryGrid, budget: int = 600):
-        self.grid = grid
-        self.budget = budget
-        self.evals = 0
-        self.offset = 0
+    def __init__(self, grid: BoundaryGrid, last):
+        self.grid, self._last = grid, last
+        self.budget, self.evals, self.offset = 600, 0, 0
         #: the smaller pivot ratio of Q and Qtilde at each evaluated
         #: point; 0.0 where the point was singular and the path deformed
         self.pivot_ratio = {}
-        #: the grid and sub-grids `_eval` assembles on, Xi on the sub-grids
-        #: at its last point, and the walk's last point and value
-        self._level, self._below, self._last = (grid, ()), [], None
 
-    def _eval(self, z: complex) -> complex:
+    def _eval(self, z: complex, grid: BoundaryGrid, subgrids=()) -> list:
+        # Xi at z on grid, then on each embedded sub-grid of it
         if self.evals >= self.budget:
-            raise ConvergenceError("phase-unwrapping budget exceeded")
+            raise ConvergenceError(f"phase-unwrapping budget of {self.budget} "
+                                   "evaluations exceeded")
         self.evals += 1
-        grid, subgrids = self._level
         w = z
         for attempt in range(4):
             try:
@@ -154,37 +152,26 @@ class _Unwrapper:
                 w = w + 1j * max(1e-6, 1e-3 * abs(w)) * 4.0 ** attempt
                 continue
             self.pivot_ratio[z] = 0.0 if w != z else levels[0].pivot_ratio
-            self._below = [v.xi for v in levels[1:]]
-            return levels[0].xi
+            return [v.xi for v in levels]
         raise SingularOperatorError("path deformation failed near a "
                                     f"singular spectral point {w}")
-
-    def walk(self, path, start: complex = 0j) -> list:
-        """Xi at path[1:] on the walker's grid.  path[0] is an anchor where
-        Xi = start is known, by default a point of the imaginary axis, where
-        Im Xi = 0, so it is not evaluated; every later point keeps Im within
-        pi/2 of its predecessor by absorbing 2 pi multiples and bisecting
-        oversized steps, the first one against the anchor.  `step` goes on
-        from path[-1]."""
-        self._last = (path[0], start)
-        return [self.step(z)[0] for z in path[1:]]
 
     def step(self, z: complex, grid: BoundaryGrid | None = None,
              subgrids=()) -> list:
         """Xi at z on grid (the walker's by default), the walk's next point,
         then on each embedded sub-grid of grid in subgrids from the same
-        assembly, on the 2 pi multiple nearest the value on grid.  A step to
-        the walk's last point, a retry there on a finer grid, takes the
-        multiple nearest the value there; bisection midpoints are evaluated
-        on grid alone."""
-        self._level = (self.grid if grid is None else grid, subgrids)
-        raw = self._eval(z)
-        below, self._level = self._below, (self._level[0], ())
-        self._last = self._step(self._last, z, raw, 0)
+        assembly, on the 2 pi multiple nearest the value on grid.  A step
+        whose Im moves by more than pi/2 is bisected, its midpoints
+        evaluated on grid alone.  A step to the walk's last point, a retry
+        there on a finer grid, takes the multiple nearest the value there."""
+        self.budget += 30
+        grid = self.grid if grid is None else grid
+        raw, *below = self._eval(z, grid, subgrids)
+        self._last = self._step(self._last, z, raw, grid, 0)
         v = self._last[1]
         return [v, *(b + 2j * np.pi * _multiple(b, v) for b in below)]
 
-    def _step(self, prev, z: complex, raw: complex, depth: int):
+    def _step(self, prev, z: complex, raw: complex, grid: BoundaryGrid, depth: int):
         prev_z, prev_val = prev
         m = _multiple(raw, prev_val)
         val = raw + 2j * np.pi * m
@@ -192,35 +179,28 @@ class _Unwrapper:
             if depth > 48 or z == prev_z:
                 raise ConvergenceError("unwrapping step cannot be refined further")
             mid = 0.5 * (prev_z + z)
-            prev = self._step(prev, mid, self._eval(mid), depth + 1)
-            return self._step(prev, z, raw, depth + 1)
+            prev = self._step(prev, mid, self._eval(mid, grid)[0], grid, depth + 1)
+            return self._step(prev, z, raw, grid, depth + 1)
         self.offset += int(m)
         return z, val
 
 
-def _from_axis(scene: Scene, points) -> list:
-    """points led in from the imaginary axis: the anchor i r, the arc of
-    modulus r = min(|z0|, kappa_max) down to z0 = points[0] in _ARC_STEPS
-    equal angle steps and, when r < |z0|, out along z0's ray in steps of at
-    most a factor 2."""
-    z0 = complex(points[0])
-    r = min(abs(z0), _KAPPA_MAX_FACTOR / (_DELTA_PRIME_FRACTION * scene.gap))
-    arc = r * np.exp(1j * np.linspace(0.5 * np.pi, np.angle(z0), _ARC_STEPS + 1)[1:-1])
-    out = np.geomspace(r, abs(z0), int(np.ceil(np.log2(abs(z0) / r))) + 1)[:-1]
-    return [1j * r, *arc, *(out * np.exp(1j * np.angle(z0))), *points]
-
-
-def _ray_walker(scene: Scene, grid: BoundaryGrid, angle: float, us,
-                anchor=None) -> _Unwrapper:
-    """A walker ready to `step` down the ray u e^{i angle} through the
-    moduli us, in descending order: from anchor = (u, Xi(u e^{i angle})), a
-    point of the ray already on the branch, or else led in from the
-    imaginary axis to us[0] (`_from_axis`) on grid."""
-    walker = _Unwrapper(grid, budget=120 + 30 * len(us))
+def _walker(scene: Scene, grid: BoundaryGrid, z0: complex, anchor=None) -> _Unwrapper:
+    """A walker on grid ready to `step` to z0: from anchor = (z, Xi(z)), a
+    point already on the branch, or else from i r, r = min(|z0|, kappa_max),
+    where Im Xi = 0, unevaluated, stepped along the arc of modulus r toward
+    z0 in _ARC_STEPS equal angle steps and, when r < |z0|, out along z0's
+    ray in steps of at most a factor 2."""
+    lead = []
     if anchor is None:
-        walker.walk(_from_axis(scene, [us[0] * np.exp(1j * angle)])[:-1])
-    else:
-        walker.walk([anchor[0] * np.exp(1j * angle)], start=anchor[1])
+        z0 = complex(z0)
+        r = min(abs(z0), _KAPPA_MAX_FACTOR / (_DELTA_PRIME_FRACTION * scene.gap))
+        arc = r * np.exp(1j * np.linspace(0.5 * np.pi, np.angle(z0), _ARC_STEPS + 1)[1:-1])
+        out = np.geomspace(r, abs(z0), int(np.ceil(np.log2(abs(z0) / r))) + 1)[:-1]
+        anchor, lead = (1j * r, 0j), [*arc, *(out * np.exp(1j * np.angle(z0)))]
+    walker = _Unwrapper(grid, anchor)
+    for z in lead:
+        walker.step(z)
     return walker
 
 
@@ -242,8 +222,8 @@ def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
     sp = SpectralPoint.from_complex(target)
     if scene.n_obstacles == 1:
         return XiSample(sp, 0.0 + 0.0j, 0, 0.0)
-    walker = _Unwrapper(grid)
-    val = walker.walk(_from_axis(scene, [target]))[-1]
+    walker = _walker(scene, grid, target)
+    val = walker.step(target)[0]
     floor = (abs(val.real) + 1.0) * 16 * _EPS
     return XiSample(sp, val, walker.offset, floor)
 
@@ -261,8 +241,9 @@ def _shift_on_rays(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
     8 eta0 gives the same extrapolation one octave up, whose error is 8
     times this one's: err_est is their difference over 7."""
     eta0 = _ETA_REL * lam
-    path = _from_axis(scene, [lam + k * 1j * eta0 for k in (8, 4, 2, 1)])
-    f8, f4, f2, f1 = (-v.imag / np.pi for v in _Unwrapper(grid).walk(path)[-4:])
+    path = [lam + k * 1j * eta0 for k in (8, 4, 2, 1)]
+    walker = _walker(scene, grid, path[0])
+    f8, f4, f2, f1 = (-walker.step(z)[0].imag / np.pi for z in path)
     rich = _richardson(f4, f2, f1)
     err = abs(_richardson(f8, f4, f2) - rich) / 7.0
     return ShiftSample(lam, float(rich), eta0, float(err + 64 * _EPS))
@@ -287,8 +268,8 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid,
     if scene.n_obstacles == 1 or not lams.size:
         return [ShiftSample(float(l), 0.0, 0.0, 0.0) for l in lams]
     desc = np.sort(lams)[::-1]
-    walker = _Unwrapper(grid, budget=80 + 30 * lams.size)
-    vals = dict(zip(desc, walker.walk(_from_axis(scene, desc))[-lams.size:]))
+    walker = _walker(scene, grid, desc[0])
+    vals = {lam: walker.step(lam)[0] for lam in desc}
     out = []
     for lam in lams:
         ratio = walker.pivot_ratio[lam]
@@ -314,9 +295,9 @@ def xi_on_ray(scene: Scene, grid: BoundaryGrid, angle: float,
         return np.zeros(u.size, dtype=complex)
     order = np.argsort(u)[::-1]
     phase = np.exp(1j * angle)
-    path = _from_axis(scene, [u[idx] * phase for idx in order])
+    walker = _walker(scene, grid, u[order[0]] * phase)
     out = np.empty(u.size, dtype=complex)
-    out[order] = _Unwrapper(grid, budget=120 + 30 * u.size).walk(path)[-u.size:]
+    out[order] = [walker.step(u[idx] * phase)[0] for idx in order]
     return out
 
 

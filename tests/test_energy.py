@@ -231,6 +231,14 @@ class TestTraceDf:
             trace_df(canonical_scene, canonical_grid_64,
                      SmoothFunctionSpec(a=1.0, t=1.0), theta=0.9)
 
+    def test_rejects_grid_of_another_scene(self, canonical_scene, q_assemblies):
+        # a grid of the disks 3 apart would give their trace over the
+        # canonical pair's range of |lambda|
+        other = discretize(disk_pair(3.0), 32)
+        with pytest.raises(LayerDetError, match="grid was built for a different scene"):
+            trace_df(canonical_scene, other, SmoothFunctionSpec(a=1.0, t=1.0))
+        assert q_assemblies[0] == 0
+
     def test_function_family_values(self):
         f = SmoothFunctionSpec(a=1.0, t=2.0)
         lam = 0.7

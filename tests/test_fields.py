@@ -189,6 +189,11 @@ class TestRelResolvent:
         assert 0.05 * abs(full) < abs(box_sum) < 20 * abs(full)
 
 
+def test_evaluator_rejects_grid_of_another_scene(canonical_scene, single_disk):
+    with pytest.raises(LayerDetError, match="grid was built for a different scene"):
+        FieldEvaluator(canonical_scene, single_disk[1], SpectralPoint.imaginary(1.0))
+
+
 class TestFieldPoint:
     def test_boundary_samples_cached(self, monkeypatch):
         # the distance search's samples and the winding polygon are the

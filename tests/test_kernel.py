@@ -125,7 +125,7 @@ class TestKressSplit:
         curve = make_circle((0, 0), 1.0)
         sp = SpectralPoint.ray(1.5, np.pi / 4)
         t, r, speeds = _nodes(curve, 64)
-        A, _ = split_block(sp, r, speeds)
+        A, _ = split_block(sp, r, speeds, span=(0.0, r.max()))
         i, j = 3, 12
         expect = -jv(0, sp.lam * r[i, j]) / (4 * np.pi) * speeds[j]
         assert A[i, j] == pytest.approx(expect, rel=1e-14)
@@ -134,7 +134,7 @@ class TestKressSplit:
         curve = make_kite((0, 0), 1.0)
         sp = SpectralPoint.imaginary(1.0)
         t, r, speeds = _nodes(curve, 64)
-        A, B = split_block(sp, r, speeds)
+        A, B = split_block(sp, r, speeds, span=(0.0, r.max()))
         assert np.diag(A) == pytest.approx(-speeds / (4 * np.pi), rel=1e-14)
         assert np.all(np.isfinite(np.diag(B)))
 
@@ -144,7 +144,7 @@ class TestKressSplit:
         t, r, speeds = _nodes(curve, 64)
         i = 10
         for sp in (SpectralPoint.imaginary(1.3), SpectralPoint.ray(2.0, np.pi / 5)):
-            A, B = split_block(sp, r, speeds)
+            A, B = split_block(sp, r, speeds, span=(0.0, r.max()))
             for j in ((i - m) % 64 for m in (1, 5, 15, 32)):
                 direct = green_free(sp, r[i, j]) * speeds[j]
                 recon = A[i, j] * np.log(4 * np.sin((t[i] - t[j]) / 2) ** 2) + B[i, j]
@@ -154,7 +154,7 @@ class TestKressSplit:
         curve = make_circle((0, 0), 1.0)
         sp = SpectralPoint.imaginary(1.0)
         _, r, speeds = _nodes(curve, 16)
-        A, B = split_block(sp, r, speeds)
+        A, B = split_block(sp, r, speeds, span=(0.0, r.max()))
         assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
 
     def test_split_block_matches_scalar(self):
@@ -166,7 +166,7 @@ class TestKressSplit:
         t, r, speeds = _nodes(curve, 16)
         delta = 1e-5
         for sp in (SpectralPoint.imaginary(0.8), SpectralPoint.ray(1.1, np.pi / 3)):
-            A, B = split_block(sp, r, speeds)
+            A, B = split_block(sp, r, speeds, span=(0.0, r.max()))
             for i, j in ((3, 11), (15, 2)):
                 a, b = _split_direct(sp, curve, t[i], t[j])
                 assert A[i, j] == pytest.approx(a, rel=1e-12)
@@ -205,7 +205,7 @@ class TestKressSplit:
             for deriv in (False, True):
                 sizes.clear()
                 kernel._split_series.cache_clear()
-                split_block(sp, r, speeds, deriv=deriv)
+                split_block(sp, r, speeds, deriv=deriv, span=(0.0, r.max()))
                 if sp.is_imaginary:
                     assert sizes == [n * (n - 1) // 2] * 2
                 else:
@@ -220,7 +220,7 @@ class TestKressSplit:
         # the derivative is in the axis variable: kappa (real) on the
         # imaginary axis, lambda on a ray
         for sp in (SpectralPoint.imaginary(0.8), SpectralPoint.ray(1.1, np.pi / 3)):
-            A, B = split_block(sp, r, speeds, deriv=True)
+            A, B = split_block(sp, r, speeds, deriv=True, span=(0.0, r.max()))
             assert np.iscomplexobj(B) != sp.is_imaginary
             assert np.all(np.diag(A) == 0.0)
             x = r[i, j]
@@ -272,4 +272,4 @@ class TestRayExpansions:
         sp = SpectralPoint.ray(1000.0, 1.5)
         _, r, speeds = _nodes(make_circle((0, 0), 1.0), 16)
         with pytest.raises(LayerDetError, match="not finite"):
-            split_block(sp, r, speeds)
+            split_block(sp, r, speeds, span=(0.0, r.max()))

@@ -59,9 +59,30 @@ class TestPartialWave:
         b = xi_two_disks(PartialWaveConfig(30, 0.5, 1.0, 4.0, 0.7))
         assert a == b
 
+    @pytest.mark.parametrize("field, args", [
+        ("a", (40, np.nan, 1.0, 4.0, 1.0)),
+        ("b", (40, 1.0, np.inf, 4.0, 1.0)),
+        ("d", (40, 1.0, 1.0, np.inf, 1.0)),
+        ("d", (40, 1.0, 1.0, np.nan, 1.0)),
+        ("kappa", (40, 1.0, 1.0, 4.0, np.inf)),
+        ("kappa", (40, 1.0, 1.0, 4.0, np.nan)),
+        ("kappa", (40, 1.0, 1.0, 4.0, -1.0)),
+        ("l_max", (10.5, 1.0, 1.0, 4.0, 1.0)),
+        ("l_max", (10.0, 1.0, 1.0, 4.0, 1.0)),
+    ], ids=["a_nan", "b_inf", "d_inf", "d_nan", "kappa_inf", "kappa_nan",
+            "kappa_negative", "l_max_fraction", "l_max_float"])
+    def test_config_refuses_bad_fields(self, field, args):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            PartialWaveConfig(*args)
+
     def test_default_l_max(self):
         assert default_l_max(1.0, 1.0, 1.0) == 11
         assert default_l_max(0.1, 1.0, 0.5) >= 8
+
+    @pytest.mark.parametrize("kappa", [-1.0, 0.0, np.nan, np.inf])
+    def test_default_l_max_refuses_bad_kappa(self, kappa):
+        with pytest.raises(ValueError, match="^kappa must be positive and finite"):
+            default_l_max(kappa, 1.0, 1.0)
 
     def test_decay_envelope_at_high_kappa(self):
         # oracle values consistent with the exponential bound

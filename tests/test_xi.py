@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -210,16 +212,16 @@ class TestRandomScenes:
             ray = xi_on_ray(sc, grid, np.pi / 8, [lam, 0.5 * lam])
             real = xi_real(sc, grid, lam).xi
         assert len(walks.seen) == 2
-        for path, vals in walks.seen:
+        for walker, path, vals in walks.seen:
             assert path[0].real == 0 and path[0].imag > 0
             # Im Xi = 0 at the anchor, which is not evaluated
+            assert path[0] not in walker.pivot_ratio
             arc = np.imag([0, *vals[:xi._ARC_STEPS]])
             assert np.all(np.abs(np.diff(arc)) <= np.pi / 8)
 
-        ref = xi._Unwrapper(grid).walk([*_descent(lam * phase, sc.gap),
-                                        0.5 * lam * phase])
+        ref = _walked(grid, [*_descent(lam * phase, sc.gap), 0.5 * lam * phase])
         assert np.allclose(np.imag(ref[-2:]), ray.imag, rtol=0, atol=1e-10)
-        ref = xi._Unwrapper(grid).walk(_descent(lam + 1e-3j * lam, sc.gap))
+        ref = _walked(grid, _descent(lam + 1e-3j * lam, sc.gap))
         assert abs(ref[-1].imag - real.imag) <= 1e-10
 
 
@@ -400,18 +402,33 @@ def _descent(target, gap):
     return [*(far * (abs(target) / far) ** u * np.exp(1j * ang))[:-1], target]
 
 
+def _walked(grid, path):
+    """Xi at path[1:] by one walk on grid from path[0], a point of the
+    imaginary axis, where Im Xi = 0, not evaluated."""
+    walker = xi._walker(None, grid, path[1], anchor=(path[0], 0j))
+    return [walker.step(z)[0] for z in path[1:]]
+
+
 class _recorded_walks(pytest.MonkeyPatch):
-    """Context in which every walk's path and values are kept in .seen."""
+    """Context in which every walk is kept in .seen as (walker, path,
+    values): the path from the walk's start, values at path[1:]."""
 
     def __enter__(self):
-        self.seen, walk = [], xi._Unwrapper.walk
+        self.seen, init, step = [], xi._Unwrapper.__init__, xi._Unwrapper.step
 
-        def recorded(walker, path):
-            vals = walk(walker, path)
-            self.seen.append((list(path), vals))
+        def recorded_init(walker, grid, last):
+            init(walker, grid, last)
+            self.seen.append((walker, [last[0]], []))
+
+        def recorded_step(walker, z, *args):
+            vals = step(walker, z, *args)
+            _, path, values = next(w for w in self.seen if w[0] is walker)
+            path.append(z)
+            values.append(vals[0])
             return vals
 
-        self.setattr(xi._Unwrapper, "walk", recorded)
+        self.setattr(xi._Unwrapper, "__init__", recorded_init)
+        self.setattr(xi._Unwrapper, "step", recorded_step)
         return self
 
     def __exit__(self, *exc):
@@ -719,32 +736,45 @@ class TestWalkerPaths:
         # down to quarter steps, four distinct points in all
         calls = []
 
-        def stub(walker, z):
+        def stub(walker, z, grid, subgrids=()):
             calls.append(z)
-            return 4j * z.real
+            return [4j * z.real]
 
         monkeypatch.setattr(xi._Unwrapper, "_eval", stub)
-        vals = xi._Unwrapper(None).walk([1j, 1 + 1j])
-        assert vals == [4j]
+        walker = xi._walker(None, None, 1 + 1j, anchor=(1j, 0j))
+        assert walker.step(1 + 1j) == [4j]
         assert len(calls) == len(set(calls)) == 4
 
-    def test_first_step_held_to_the_axis_branch(self, monkeypatch):
+    def test_budget_bounds_the_evaluations(self, monkeypatch):
+        # Im Xi = (pi/3) Re z: a step of 2^k units, k >= 1, leaves a phase
+        # residual of 2 pi/3 after absorbing 2 pi multiples, so the step
+        # from 1j to 1024 + 1j bisects down to 1024 unit steps, more than
+        # the 600 + 30 evaluations a walk of one step may make
+        monkeypatch.setattr(xi, "xi_levels", lambda grid, sp, subgrids=(): [
+            SimpleNamespace(xi=1j * np.pi / 3 * sp.lam.real, pivot_ratio=1.0)])
+        walker = xi._walker(None, None, 1024 + 1j, anchor=(1j, 0j))
+        with pytest.raises(ConvergenceError, match="budget of 630 evaluations exceeded"):
+            walker.step(1024 + 1j)
+        assert walker.evals == 630
+
+    def test_first_step_held_to_the_axis_branch(self, canonical_scene,
+                                                canonical_grid_32, monkeypatch):
         # Im Xi = pi next to the axis contradicts Im Xi = 0 on it (as a
-        # negative determinant sign product there would): the walker
-        # bisects toward the anchor and raises rather than start on the
-        # Im Xi = pi branch
-        monkeypatch.setattr(xi._Unwrapper, "_eval", lambda walker, z: np.pi * 1j)
+        # negative determinant sign product there would): the walk's first
+        # arc step bisects toward its start on the axis and raises rather
+        # than start on the Im Xi = pi branch
+        monkeypatch.setattr(xi._Unwrapper, "_eval",
+                            lambda walker, z, grid, subgrids=(): [np.pi * 1j])
         with pytest.raises(ConvergenceError, match="refined"):
-            xi._Unwrapper(None).walk([1j, 1 + 1j])
+            xi_real(canonical_scene, canonical_grid_32, 0.7)
 
     def test_below_kappa_min(self, canonical_scene, canonical_grid_32):
         # lambda below kappa_min = 1e-6 / gap: the walk stays off the axis,
         # where the real assembly would refuse kappa < kappa_min
         lam = 1e-8
         val = xi_real(canonical_scene, canonical_grid_32, lam).xi
-        ref = xi._Unwrapper(canonical_grid_32).walk(
-            _descent(lam + 1e-3j * lam, canonical_scene.gap))[-1]
-        assert abs(val.imag - ref.imag) <= 1e-10
+        ref = _walked(canonical_grid_32, _descent(lam + 1e-3j * lam, canonical_scene.gap))
+        assert abs(val.imag - ref[-1].imag) <= 1e-10
 
     def test_far_target_meets_the_axis_at_kappa_max(self):
         # u = 45 / (0.9 gap sin(pi/8)), trace_df's u_max for a small t on a
@@ -757,9 +787,10 @@ class TestWalkerPaths:
         with walks:
             vals = xi_on_ray(sc, grid, np.pi / 8, [u, 0.5 * u])
         assert np.all(np.isfinite(vals))
-        (path, _), = walks.seen
+        (walker, path, _), = walks.seen
         kappa_max = 30.0 / (0.9 * sc.gap)
         assert path[0] == pytest.approx(1j * kappa_max, rel=1e-15)
+        assert path[0] not in walker.pivot_ratio
         assert max(abs(np.array(path))) == pytest.approx(u, rel=1e-15)
 
     @pytest.mark.parametrize("eta", [0.0, -1e-3, np.nan], ids=["xi_real_zero",
