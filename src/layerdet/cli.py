@@ -18,6 +18,7 @@ import sys
 from typing import Sequence
 
 import numpy as np
+from scipy.special import iv, jv, yv
 
 from . import specfun
 from .energy import (QuadConfig, SmoothFunctionSpec, casimir_energy,
@@ -258,15 +259,14 @@ def _canonical():
 
 
 def _wronskian():
-    # J/Y and I/K Wronskians, each relative to its exact value
+    # J/Y and I/K Wronskians, each relative to its exact value; K is the
+    # library's checked bessel_k, J, Y and I come from scipy.special
     worst = 0.0
     for n in range(0, 51, 5):
         for x in (0.1, 1.0, 10.0, 100.0):
-            wjy = specfun.bessel_j(n + 1, x) * specfun.bessel_y(n, x) \
-                - specfun.bessel_j(n, x) * specfun.bessel_y(n + 1, x) \
-                - 2.0 / (np.pi * x)
-            wik = specfun.bessel_i(n, x) * specfun.bessel_k(n + 1, x) \
-                + specfun.bessel_i(n + 1, x) * specfun.bessel_k(n, x) - 1.0 / x
+            wjy = jv(n + 1, x) * yv(n, x) - jv(n, x) * yv(n + 1, x) - 2.0 / (np.pi * x)
+            wik = iv(n, x) * specfun.bessel_k(n + 1, x) \
+                + iv(n + 1, x) * specfun.bessel_k(n, x) - 1.0 / x
             worst = max(worst, abs(wjy) / (2.0 / (np.pi * x)), abs(wik) / (1.0 / x))
     return worst
 

@@ -73,6 +73,8 @@ def test_counter_and_tracer_on_a_small_solve(canonical_scene):
     assert m["layer_ops.assemble_calls"] == counter.count
     assert m["xi.walker_evals"] > 0
     assert m["fields.kernel_evals"] == 2
+    # shift_contour's design gate counts these: keep it on a live function
+    assert m["specfun.bessel_k_calls"] > 0
     after = _bindings(spans)
     assert after.keys() == before.keys()
     assert all(after[k] is v for k, v in before.items())

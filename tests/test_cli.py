@@ -150,9 +150,10 @@ class TestCmdXi:
         assert len(rows) == 3
         assert all(len(r.split(",")) == 5 for r in rows)
 
-    def test_emit_plot(self, tmp_path):
-        out = tmp_path / "xi.csv"
-        rc = main(["xi", "--scene", KITE, "--n", "64", "--kappa-count", "3",
+    @pytest.mark.parametrize("command", ["xi", "shift"])
+    def test_emit_plot(self, tmp_path, command):
+        out = tmp_path / f"{command}.csv"
+        rc = main([command, "--scene", KITE, "--n", "64", "--kappa-count", "3",
                    "--kappa-min", "0.5", "--kappa-max", "2.0",
                    "--output", str(out), "--emit-plot"])
         assert rc == 0

@@ -9,7 +9,9 @@ from layerdet import (ConvergenceError, LayerDetError, PartialWaveConfig, QuadCo
                       casimir_energy, casimir_force, default_l_max, discretize,
                       make_circle, make_ellipse, make_scene, power_trace, trace_df,
                       xi_imag, xi_on_ray, xi_two_disks)
+from layerdet.energy import _Levels
 from layerdet.kernel import KAPPA_MIN_FACTOR
+from layerdet.layer_ops import XiLevel
 from layerdet.xi import _DELTA_PRIME_FRACTION, _xi_dsep_levels
 
 
@@ -77,6 +79,24 @@ class TestCasimirEnergy:
         with pytest.raises(LayerDetError, match="not finite"):
             casimir_energy(scene, discretize(scene, 64))
         assert q_assemblies[0] <= 17
+
+    def test_disagreeing_signs_raise(self, canonical_scene, canonical_grid_64,
+                                     monkeypatch):
+        # det Q and det Qtilde of opposite signs at every kappa
+        kappas = []
+
+        def xi_levels(grid, sp, subgrids=()):
+            kappas.append(sp.value)
+            return [XiLevel(0.5 + 0j, (1.0, -1.0), 1.0, 1.0)] * (1 + len(subgrids))
+
+        monkeypatch.setattr("layerdet.xi.xi_levels", xi_levels)
+        with pytest.raises(LayerDetError, match=r"\(signs 1\.0, -1\.0\)"):
+            xi_imag(canonical_scene, canonical_grid_64, 1.0)
+        kappas.clear()
+        with pytest.raises(LayerDetError) as info:
+            casimir_energy(canonical_scene, canonical_grid_64)
+        assert len(kappas) == 1
+        assert str(info.value).endswith(f"on the imaginary axis at kappa = {kappas[0]}")
 
     def test_tail_honesty(self, canonical_scene, canonical_grid_64, energy_gap2):
         # the integral over the next half of kappa_max, by a 32-node Gauss
@@ -156,6 +176,31 @@ class TestDiscretizationError:
         msg = str(info.value)
         assert f"{nodes} nodes at kappa in {kappas}" in msg
         assert f"grid of ({n}, {n}) nodes per obstacle" in msg
+
+    def test_later_node_refines_one_stride(self, canonical_scene):
+        # v(x) on a grid is 1 from need[x] nodes per obstacle up, else 2, so
+        # a node resolves on stride s once the grid at 2 s has need[x]
+        # nodes.  The first level's nodes resolve on every grid, down to
+        # the coarsest stride 4 of n = 128; the later node fails on its
+        # neighbours' stride 4 and settles at 2, at one more sample
+        need, calls = {1.0: 16, 3.0: 16, 2.0: 32}, []
+
+        def sample(x, g, subgrids):
+            calls.append((x, g.n_per_obstacle[0], [h.n_per_obstacle[0] for h in subgrids]))
+            return [1.0 if h.n_per_obstacle[0] >= need[x] else 2.0 for h in (g, *subgrids)]
+
+        levels = _Levels(discretize(canonical_scene, 128), np.array([1.0, 3.0]),
+                         lambda x: 1.0, 1e-8)
+        assert levels.evaluate([1.0, 3.0], sample).tolist() == [1.0, 1.0]
+        assert levels.evaluate([2.0], sample).tolist() == [1.0]
+        assert levels.level == {1.0: 4, 3.0: 4, 2.0: 2}
+        assert calls == [(1.0, 128, [64, 32, 16]), (3.0, 128, [64, 32, 16]),
+                         (2.0, 32, [16]), (2.0, 64, [32])]
+        assert levels.disc[2.0] == 0.0 and not levels.unresolved
+        # nothing unresolved: the nested rule's own failure, unqualified
+        err = levels.failure("spectral quadrature did not converge")
+        assert type(err) is ConvergenceError
+        assert str(err) == "spectral quadrature did not converge"
 
     def test_exact_zero_has_no_error(self, single_disk):
         scene, grid = single_disk

@@ -36,6 +36,19 @@ class TestLogBesselSequences:
                 assert li[n] == pytest.approx(float(mp.log(mp.besseli(n, x))),
                                               rel=1e-12)
 
+    def test_small_argument_vs_mpmath(self):
+        # at x = 1e-9 I_n's downward recurrence rescales, and K's sequence
+        # of order 0 alone returns before its recurrence
+        x, nmax = 1e-9, 40
+        with mp.workdps(50):
+            ref_i = np.array([float(mp.log(mp.besseli(n, x))) for n in range(nmax + 1)])
+            ref_k = np.array([float(mp.log(mp.besselk(n, x))) for n in range(nmax + 1)])
+        for ours, ref in ((log_bessel_i_seq(nmax, x), ref_i),
+                          (log_bessel_k_seq(nmax, x), ref_k),
+                          (log_bessel_k_seq(0, x), ref_k[:1])):
+            assert ours.shape == ref.shape
+            assert np.all(np.abs(ours - ref) <= 1e-13 * (1 + np.abs(ref)))
+
 
 class TestPartialWave:
     def test_config_validation(self):
