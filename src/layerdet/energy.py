@@ -3,23 +3,24 @@ power traces, and smoothed relative traces over a sector contour.
 
 Every integral goes through one driver, `_nested_cc`: nested
 Clenshaw-Curtis rules in the logarithm of the integration variable on one
-or two pieces, each level evaluating only its new nodes, until
-|I_n - I_{n/2}| <= tol: the contour's quad_err; on the imaginary axis
-quad_err adds a bound on the omitted segment (0, kappa_min).  The
-imaginary-axis integrals use one piece over [kappa_min, kappa_max], the
-contour and the real-axis Birman-Krein cross-check two split at 1 / gap
-(`_log_pieces`; all ends proportional to inverse gap, so scene rescaling
-maps every node onto its scaled counterpart).  The integrand
-decays like C e^{-delta' kappa} beyond the gap scale and the truncated tail
-is bounded by fitting C on the last decade of samples with the
-conservative rate delta' = 0.9 * gap.
+or two pieces, seeded by a 5-node rule, each level evaluating only its new
+nodes, until |I_n - I_{n/2}| <= tol from n = 32 on: the contour's
+quad_err; on the imaginary axis quad_err adds a bound on the omitted
+segment (0, kappa_min).  The imaginary-axis integrals use one piece over
+[kappa_min, kappa_max], the contour and the real-axis Birman-Krein
+cross-check two split at 1 / gap (`_log_pieces`; all ends proportional to
+inverse gap, so scene rescaling maps every node onto its scaled
+counterpart).  The integrand decays like C e^{-delta' kappa} beyond the
+gap scale and the truncated tail is bounded by fitting C on the last
+decade of samples with the conservative rate delta' = 0.9 * gap.
 
 The caller's grid is the finest level of every integral, on the imaginary
-axis and on the contour alike (`_Levels`): each node is evaluated on the
-coarsest embedded sub-grid (every 2nd, 4th, ... node) whose own estimate
-|v_m - v_{m/2}| resolves it, and disc_err integrates those estimates.  The
-contour's nodes are walked down its ray one level at a time, each later
-level's walk from the largest node already on the branch.
+axis and on the contour alike (`_Levels`): only the seed rule's nodes are
+assembled on it, and each node is evaluated on the coarsest embedded
+sub-grid (every 2nd, 4th, ... node) whose own estimates |v_m - v_{m/2}|
+resolve it; disc_err integrates those estimates.  The contour's nodes
+are walked down its ray one level at a time, each later level's walk from
+the largest node already on the branch.
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ from .xi import (_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR, _check, _walker,
 
 @dataclass(frozen=True)
 class QuadConfig:
-    """Spectral-quadrature tolerance: nested Clenshaw-Curtis levels n = 16,
-    32, ... 256 over kappa in [1e-6 / gap, 30 / (0.9 gap)] stop once the
-    integral moves by <= `tol`, each node on the coarsest embedded grid whose
-    estimate keeps its share of the discretization error below `tol` / 4
-    (`_Levels`); the contour's rule is the same on its two pieces.  Nodes
-    are evaluated one after another; the only parallelism is the BLAS
-    library's threads inside each LU and solve, whose count moves the
-    energy by about 1e-12."""
+    """Spectral-quadrature tolerance: nested Clenshaw-Curtis levels n = 4,
+    8, ... 256 over kappa in [1e-6 / gap, 30 / (0.9 gap)] stop from n = 32
+    on once the integral moves by <= `tol`, each node on the coarsest
+    embedded grid whose estimates keep its share of the discretization
+    error below `tol` / 4 (`_Levels`); the contour's rule is the same on
+    its two pieces.  Nodes are evaluated one after another; the only
+    parallelism is the BLAS library's threads inside each LU and solve,
+    whose count moves the energy by about 1e-12."""
 
     tol: float = 1e-8
 
@@ -129,15 +130,15 @@ def _nested_cc(edges: Sequence[float], evaluate: Callable[[np.ndarray], np.ndarr
                fail: Callable[[str], Exception] = ConvergenceError):
     """Integral of weight(x) * evaluate(x) from edges[0] to edges[-1], one
     log-mapped piece between consecutive edges, each with n + 1 nodes, n
-    doubling from 16 (past 256 it raises fail(message), a ConvergenceError
-    by default).
+    doubling from 4 and tested from 32 on (past 256 it raises
+    fail(message), a ConvergenceError by default).
 
     evaluate maps an array of abscissae to samples along its last axis
     (leading axes integrate independently and converge together); each
     level calls it once, on that level's new nodes.  Returns (value, err,
     nodes, samples): err = |I_n - I_{n/2}|, the last level's nodes sorted.
     """
-    n, edges = 16, np.asarray(edges, dtype=float)
+    n, edges = 4, np.asarray(edges, dtype=float)
     x, w = _pieces_rule(edges, n)
     vals = _eval_unique(evaluate, x)
     cur = np.sum(vals * w * weight(x), axis=(-2, -1))
@@ -149,7 +150,8 @@ def _nested_cc(edges: Sequence[float], evaluate: Callable[[np.ndarray], np.ndarr
                          _eval_unique(evaluate, x[:, 1::2]), axis=-1)
         prev, cur = cur, np.sum(vals * w * weight(x), axis=(-2, -1))
         err = np.abs(cur - prev)
-        if np.all(err <= tol):
+        # the levels below 16 only seed the embedded grids (`_Levels`)
+        if n >= 32 and np.all(err <= tol):
             break
         if n >= 256:
             raise fail(f"spectral quadrature did not converge: "
@@ -197,14 +199,16 @@ class _Levels:
     grid is the finest level.  A node is resolved on the grid of every
     s-th node when d_s = |v_s - v_2s| x |weight| log(edges[-1] / edges[0])
     <= tol / 4: the log-mapped rule then keeps the integrated
-    discretization error below tol / 4.  The first level's nodes are
+    discretization error below tol / 4.  The seed rule's nodes are
     assembled on grid, and each records the coarsest stride resolving it;
     every later node is assembled on the finer of its two neighbours'
-    grids and moves one stride finer, at one more assembly, only while its
-    own estimate fails.  `disc_err` sums weight |weight| d_s over the
-    nodes.  A node whose estimate fails on grid itself stays there,
-    unresolved, and `failure` blames those nodes when the nested rule does
-    not converge.  var names the integration variable in messages."""
+    strides s and moves one stride finer, at one more assembly, only while
+    its own estimate fails.  Where d_s and d_2s both resolve it, it records
+    2 s, keeping v_s and d_s, so its neighbours start coarser.  `disc_err`
+    sums weight |weight| d_s over the nodes.  A node whose estimate fails
+    on grid itself stays there, unresolved, and `failure` blames those
+    nodes when the nested rule does not converge.  var names the
+    integration variable in messages."""
 
     def __init__(self, grid: BoundaryGrid, edges, weight: Callable, tol: float,
                  var: str = "kappa"):
@@ -235,12 +239,14 @@ class _Levels:
             i = np.searchsorted(known, x)
             s = min(self.level[k] for k in known[max(i - 1, 0):i + 1].tolist())
             while True:
-                vals = sample(x, grid.embedded(s),
-                              [grid.embedded(2 * s)] if strides else [])
+                subs = (grid.embedded(2 * s), grid.embedded(4 * s))
+                vals = sample(x, grid.embedded(s), [g for g in subs if g is not None])
                 v, ds = vals[0], _spread(vals)
                 if s == 1 or self._resolved(x, ds[0]):
                     break
                 s //= 2
+            if len(ds) > 1 and all(self._resolved(x, d) for d in ds):
+                s *= 2
         if np.isnan(v):
             raise LayerDetError("negative determinant sign product on the "
                                 f"imaginary axis at kappa = {x}")

@@ -134,3 +134,23 @@ def test_design_gates_hold_on_a_traced_solve(canonical_scene):
     for cls, (root, end) in roots.items():
         gates = cls(0).design(spans.root_metrics(rec.spans, root, end))
         assert gates and all(ok for _, _, ok in gates), gates
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_workload_xi_evals(seed):
+    # each workload's Q assemblies per solution, counted as bench/run.py
+    # counts them, are the recorded xi_evals: a quadrature or level policy
+    # that adds evaluations fails here before it shows in a benchmark run
+    run, workloads = _bench_module("run"), _bench_module("workloads")
+    counts = {}
+    counter = run.QCounter(layer_ops)
+    try:
+        for name, cls in workloads.WORKLOADS.items():
+            wl = cls(seed)
+            wl.setup()
+            counter.count = 0
+            wl.solve()
+            counts[name] = counter.count
+    finally:
+        counter.close()
+    assert counts == {"energy_disks": 65, "shift_contour": 151, "derivative_fields": 26}
