@@ -15,12 +15,12 @@ gap scale and the truncated tail is bounded by fitting C on the last
 decade of samples with the conservative rate delta' = 0.9 * gap.
 
 The caller's grid is the finest level of every integral, on the imaginary
-axis and on the contour alike (`_Levels`): only the seed rule's nodes are
-assembled on it, and each node is evaluated on the coarsest embedded
-sub-grid (every 2nd, 4th, ... node) whose own estimates |v_m - v_{m/2}|
-resolve it; disc_err integrates those estimates.  The contour's nodes
-are walked down its ray one level at a time, each later level's walk from
-the largest node already on the branch.
+axis and on the contour alike (`_Levels`): each node is evaluated on the
+coarsest embedded sub-grid (every 2nd, 4th, ... node) whose own estimates
+|v_m - v_{m/2}| resolve it, starting coarse and climbing toward the
+caller's grid only while they fail; disc_err integrates those estimates.
+The contour's nodes are walked down its ray one level at a time, each later
+level's walk from the largest node already on the branch.
 """
 
 from __future__ import annotations
@@ -199,16 +199,17 @@ class _Levels:
     grid is the finest level.  A node is resolved on the grid of every
     s-th node when d_s = |v_s - v_2s| x |weight| log(edges[-1] / edges[0])
     <= tol / 4: the log-mapped rule then keeps the integrated
-    discretization error below tol / 4.  The seed rule's nodes are
-    assembled on grid, and each records the coarsest stride resolving it;
-    every later node is assembled on the finer of its two neighbours'
-    strides s and moves one stride finer, at one more assembly, only while
-    its own estimate fails.  Where d_s and d_2s both resolve it, it records
-    2 s, keeping v_s and d_s, so its neighbours start coarser.  `disc_err`
-    sums weight |weight| d_s over the nodes.  A node whose estimate fails
-    on grid itself stays there, unresolved, and `failure` blames those
-    nodes when the nested rule does not converge.  var names the
-    integration variable in messages."""
+    discretization error below tol / 4.  A seed node, with no known
+    neighbour, starts on the coarsest stride whose sub-grids at 2 s and
+    4 s exist (grid itself when it has fewer than two strides); every
+    later node starts on the finer of its two neighbours' strides.  Each
+    is assembled on its stride s with those sub-grids and moves one stride
+    finer, at one more assembly, only while its own estimate fails.  Where
+    d_s and d_2s both resolve it, it records 2 s, keeping v_s and d_s, so
+    its neighbours start coarser.  `disc_err` sums weight |weight| d_s over
+    the nodes.  A node whose estimate fails on grid itself stays there,
+    unresolved, and `failure` blames those nodes when the nested rule does
+    not converge.  var names the integration variable in messages."""
 
     def __init__(self, grid: BoundaryGrid, edges, weight: Callable, tol: float,
                  var: str = "kappa"):
@@ -229,24 +230,20 @@ class _Levels:
 
     def _node(self, x, known, sample):
         grid, strides = self.grid, self.strides
-        if not known.size:
-            vals = sample(x, grid, [grid.embedded(2 * s) for s in strides])
-            v, ds = vals[0], _spread(vals)
-            n_ok = next((i for i, d in enumerate(ds) if not self._resolved(x, d)),
-                        len(ds))
-            s = strides[max(n_ok, 1) - 1] if strides else 1
-        else:
+        if known.size:
             i = np.searchsorted(known, x)
             s = min(self.level[k] for k in known[max(i - 1, 0):i + 1].tolist())
-            while True:
-                subs = (grid.embedded(2 * s), grid.embedded(4 * s))
-                vals = sample(x, grid.embedded(s), [g for g in subs if g is not None])
-                v, ds = vals[0], _spread(vals)
-                if s == 1 or self._resolved(x, ds[0]):
-                    break
-                s //= 2
-            if len(ds) > 1 and all(self._resolved(x, d) for d in ds):
-                s *= 2
+        else:
+            s = strides[-2] if len(strides) > 1 else 1
+        while True:
+            subs = (grid.embedded(2 * s), grid.embedded(4 * s))
+            vals = sample(x, grid.embedded(s), [g for g in subs if g is not None])
+            v, ds = vals[0], _spread(vals)
+            if s == 1 or self._resolved(x, ds[0]):
+                break
+            s //= 2
+        if len(ds) > 1 and all(self._resolved(x, d) for d in ds):
+            s *= 2
         if np.isnan(v):
             raise LayerDetError("negative determinant sign product on the "
                                 f"imaginary axis at kappa = {x}")

@@ -240,14 +240,15 @@ def factorize(m) -> Factorization:
         raise ValueError("factorize needs a square matrix")
     lu, piv = sla.lu_factor(a, check_finite=False)
     d = np.diag(lu)
-    zero = np.flatnonzero(d == 0)
+    mags = np.abs(d)
+    zero = np.flatnonzero(mags == 0)
     if zero.size:
         raise SingularOperatorError(
             f"exactly singular pivot at index {zero[0]} "
             "(lambda^2 at or near an interior Dirichlet eigenvalue?)",
             pivot_index=int(zero[0]))
     parity = int(np.count_nonzero(piv != np.arange(piv.size)) % 2)
-    log_abs = float(np.sum(np.log(np.abs(d))))
+    log_abs = float(np.sum(np.log(mags)))
     if not np.isfinite(log_abs):    # no path deformation cures an overflow
         raise LayerDetError(f"log|det| = {log_abs} is not finite: an entry "
                             "overflowed (kappa too large for the obstacles?)")
@@ -258,7 +259,6 @@ def factorize(m) -> Factorization:
         neg = int(np.count_nonzero(d < 0)) + parity
         sign = -1.0 if neg % 2 else 1.0
         phase = 0.0 if sign > 0 else np.pi
-    mags = np.abs(d)
     return Factorization(lu, piv, log_abs, phase, sign,
                          float(mags.min()), float(mags.max()))
 

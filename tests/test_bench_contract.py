@@ -154,3 +154,14 @@ def test_workload_xi_evals(seed):
     finally:
         counter.close()
     assert counts == {"energy_disks": 65, "shift_contour": 151, "derivative_fields": 26}
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_energy_disks_levels(seed, q_assemblies):
+    # energy_disks' Q assemblies by matrix size: no node of the n = 128
+    # grid is assembled on it, the seeds included; a level policy that
+    # starts nodes on the caller's grid fails here at the same xi_evals
+    wl = _bench_module("workloads").EnergyDisks(seed)
+    wl.setup()
+    wl.solve()
+    assert q_assemblies[1] == {128: 17, 64: 48}

@@ -125,7 +125,8 @@ class TestCasimirEnergy:
 class TestDiscretizationError:
     # each node is evaluated on the coarsest embedded grid whose estimate
     # |v_m - v_{m/2}| resolves it; disc_err integrates those estimates
-    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("n", [64, 128, 256, (128, 256)],
+                             ids=["64", "128", "256", "128x256"])
     def test_error_terms_cover_the_oracle(self, canonical_scene, n,
                                           partial_wave_energy):
         energy = casimir_energy(canonical_scene, discretize(canonical_scene, n))
@@ -166,14 +167,23 @@ class TestDiscretizationError:
         assert casimir_force(canonical_scene, grid).disc_err is None
 
     @pytest.mark.parametrize("n, counts", [(64, {128: 17, 64: 48}),
-                                           (128, {256: 5, 128: 12, 64: 48})],
-                             ids=["64", "128"])
+                                           (128, {128: 17, 64: 48}),
+                                           (256, {128: 17, 64: 48}),
+                                           ((128, 256), {192: 16, 96: 49})],
+                             ids=["64", "128", "256", "128x256"])
     def test_levelled_assemblies(self, canonical_scene, n, counts, q_assemblies):
-        # Q assemblies by matrix size: the seed rule's 5 nodes on the
-        # caller's grid, every other node on the grid its own estimates
-        # resolve, down to a quarter of it
+        # Q assemblies by matrix size: the seeds start on the coarsest
+        # stride with two estimates, 64 nodes per disk from n = 64 up, and
+        # every node settles on the grid its own estimates resolve
         casimir_energy(canonical_scene, discretize(canonical_scene, n))
         assert q_assemblies[1] == counts
+
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_finer_grids_assemble_the_same_energy(self, canonical_scene, energy_gap2, n):
+        # from n = 64 up no node reaches the caller's grid, so the energy is
+        # bitwise the n = 64 one
+        energy = casimir_energy(canonical_scene, discretize(canonical_scene, n))
+        assert energy.value == energy_gap2.value
 
     @pytest.mark.filterwarnings("ignore:negative LU pivot")
     @pytest.mark.parametrize("sep, n, nodes, kappas", [(2.5, 128, 18, "[7.072, 20.52]")])
@@ -212,10 +222,11 @@ class TestDiscretizationError:
     def test_later_node_refines_one_stride(self, canonical_scene):
         # v(x) on a grid is 1 from need[x] nodes per obstacle up, else 2, so
         # a node resolves on stride s once the grid at 2 s has need[x]
-        # nodes.  The seeds resolve on every grid, down to the coarsest
-        # stride 4 of n = 128; the later node fails on its neighbours'
-        # stride 4 and settles at 2, at one more sample, whose estimate at
-        # 4 is the one that already failed
+        # nodes.  The seeds start on stride 2 of n = 128, the coarsest with
+        # sub-grids at 4 and 8, and both estimates resolve them there: they
+        # record stride 4.  The later node fails on its neighbours' stride
+        # 4 and settles at 2, at one more sample, whose estimate at 4 is the
+        # one that already failed
         need, calls = {1.0: 16, 3.0: 16, 2.0: 32}, []
 
         def sample(x, g, subgrids):
@@ -227,7 +238,7 @@ class TestDiscretizationError:
         assert levels.evaluate([1.0, 3.0], sample).tolist() == [1.0, 1.0]
         assert levels.evaluate([2.0], sample).tolist() == [1.0]
         assert levels.level == {1.0: 4, 3.0: 4, 2.0: 2}
-        assert calls == [(1.0, 128, [64, 32, 16]), (3.0, 128, [64, 32, 16]),
+        assert calls == [(1.0, 64, [32, 16]), (3.0, 64, [32, 16]),
                          (2.0, 32, [16]), (2.0, 64, [32, 16])]
         assert levels.disc[2.0] == 0.0 and not levels.unresolved
         # nothing unresolved: the nested rule's own failure, unqualified
@@ -236,10 +247,11 @@ class TestDiscretizationError:
         assert str(err) == "spectral quadrature did not converge"
 
     def test_later_node_records_what_its_estimates_show(self, canonical_scene):
-        # seeds that need 64 nodes per obstacle stay on stride 1; the later
-        # node between them differs by 1e-10 per halving, so both its
-        # estimates at 2 and 4 resolve it: it records stride 2, with the
-        # value and estimate of stride 1, from one sample
+        # seeds that need 64 nodes per obstacle fail on their starting
+        # stride 2 and climb once to stride 1; the later node between them
+        # differs by 1e-10 per halving, so both its estimates at 2 and 4
+        # resolve it: it records stride 2, with the value and estimate of
+        # stride 1, from one sample
         calls = []
 
         def sample(x, g, subgrids):
@@ -252,11 +264,36 @@ class TestDiscretizationError:
         levels = _Levels(discretize(canonical_scene, 128), np.array([1.0, 3.0]),
                          lambda x: 1.0, 1e-8)
         levels.evaluate([1.0, 3.0], sample)
+        assert calls == [(1.0, [64, 32, 16]), (1.0, [128, 64, 32]),
+                         (3.0, [64, 32, 16]), (3.0, [128, 64, 32])]
         assert levels.evaluate([2.0], sample).tolist() == [1.0 + 1e-10]
         assert levels.level == {1.0: 1, 3.0: 1, 2.0: 2}
-        assert calls[2:] == [(2.0, [128, 64, 32])]
+        assert calls[4:] == [(2.0, [128, 64, 32])]
         assert levels.disc[2.0] == (1.0 + 2e-10) - (1.0 + 1e-10)
         assert not levels.unresolved
+
+    def test_unresolved_seed_climbs_to_the_callers_grid(self, canonical_scene):
+        # a seed that no grid of n = 256 resolves starts on stride 4, the
+        # coarsest with sub-grids at 8 and 16, and climbs one stride per
+        # sample to the caller's grid, where `failure` names it
+        calls = []
+
+        def sample(x, g, subgrids):
+            ns = [h.n_per_obstacle[0] for h in (g, *subgrids)]
+            calls.append(ns)
+            return [float(m) for m in ns]
+
+        levels = _Levels(discretize(canonical_scene, 256), np.array([1.0, 3.0]),
+                         lambda x: 1.0, 1e-8)
+        assert levels.evaluate([2.0], sample).tolist() == [256.0]
+        assert calls == [[64, 32, 16], [128, 64, 32], [256, 128, 64]]
+        assert levels.level == {2.0: 1} and levels.unresolved == {2.0: 128.0}
+        err = levels.failure("spectral quadrature did not converge")
+        assert type(err) is UnresolvedGridError
+        assert str(err) == (
+            "spectral quadrature did not converge, while 1 nodes at kappa in "
+            "[2, 2] are not resolved on the grid of (256, 256) nodes per "
+            "obstacle: |v_n - v_n/2| up to 1.280e+02 at kappa = 2")
 
     def test_exact_zero_has_no_error(self, single_disk):
         scene, grid = single_disk

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 from scipy.special import i0, i1, iv, ivp, kv, kvp
 
 from layerdet import (LayerDetError, SingularOperatorError, SpectralPoint, assemble_dq,
@@ -290,6 +291,26 @@ class TestFactorize:
         with pytest.raises(SingularOperatorError) as exc:
             factorize(a)
         assert exc.value.pivot_index is not None
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_fields_from_the_pivots(self, dtype):
+        # every field is a reduction of diag(U) and the row swaps, bitwise
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((30, 30)).astype(dtype)
+        if dtype is complex:
+            a += 1j * rng.standard_normal((30, 30))
+        f = factorize(a)
+        lu, piv = sla.lu_factor(a, check_finite=False)
+        d, swaps = np.diag(lu), np.count_nonzero(piv != np.arange(30)) % 2
+        assert np.array_equal(f.lu, lu) and np.array_equal(f.piv, piv)
+        assert f.log_abs_det == float(np.sum(np.log(np.abs(d))))
+        assert (f.pivot_min, f.pivot_max) == (np.abs(d).min(), np.abs(d).max())
+        if dtype is float:
+            assert f.sign == (-1.0) ** (np.count_nonzero(d < 0) + swaps)
+            assert f.phase == (0.0 if f.sign > 0 else np.pi)
+        else:
+            assert f.sign == 0.0
+            assert f.phase == float(np.sum(np.angle(d)) + np.pi * swaps)
 
     def test_complex_phase(self):
         a = np.diag([1j, 2.0])
