@@ -4,7 +4,8 @@ power traces, and smoothed relative traces over a sector contour.
 Every integral goes through one driver, `_nested_cc`: nested
 Clenshaw-Curtis rules in the logarithm of the integration variable on one
 or two pieces, seeded by a 5-node rule, each level evaluating only its new
-nodes, until |I_n - I_{n/2}| <= tol from n = 32 on: the contour's
+nodes, until from n = 32 on d_n = |I_n - I_{n/2}| stops growing and the
+ratio estimate d_n^2 / d_{n/2} <= tol: that estimate is the contour's
 quad_err; on the imaginary axis quad_err adds a bound on the omitted
 segment (0, kappa_min).  The imaginary-axis integrals use one piece over
 [kappa_min, kappa_max], the contour and the real-axis Birman-Krein
@@ -42,12 +43,13 @@ from .xi import (_DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR, _check, _walker,
 class QuadConfig:
     """Spectral-quadrature tolerance: nested Clenshaw-Curtis levels n = 4,
     8, ... 256 over kappa in [1e-6 / gap, 30 / (0.9 gap)] stop from n = 32
-    on once the integral moves by <= `tol`, each node on the coarsest
-    embedded grid whose estimates keep its share of the discretization
-    error below `tol` / 4 (`_Levels`); the contour's rule is the same on
-    its two pieces.  Nodes are evaluated one after another; the only
-    parallelism is the BLAS library's threads inside each LU and solve,
-    whose count moves the energy by about 1e-12."""
+    on once the ratio estimate d_n^2 / d_{n/2} of the level differences
+    d_n = |I_n - I_{n/2}| is <= `tol` and d_n has not grown (`_nested_cc`),
+    each node on the coarsest embedded grid whose estimates keep its share
+    of the discretization error below `tol` / 4 (`_Levels`); the contour's
+    rule is the same on its two pieces.  Nodes are evaluated one after
+    another; the only parallelism is the BLAS library's threads inside
+    each LU and solve, whose count moves the energy by about 1e-12."""
 
     tol: float = 1e-8
 
@@ -58,9 +60,11 @@ class QuadConfig:
 
 @dataclass(frozen=True)
 class EnergyResult:
-    """An integral with its error terms: quad_err of the spectral rule,
-    tail_bound of the truncated range and disc_err of the boundary grids,
-    None where no embedded sub-grid could estimate it."""
+    """An integral with its error terms: quad_err of the spectral rule (the
+    ratio estimate d_n^2 / d_{n/2} of its last level, plus on the imaginary
+    axis a bound on the omitted (0, kappa_min)), tail_bound of the
+    truncated range and disc_err of the boundary grids, None where no
+    embedded sub-grid could estimate it."""
     value: float
     quad_err: float
     tail_bound: float
@@ -133,15 +137,22 @@ def _nested_cc(edges: Sequence[float], evaluate: Callable[[np.ndarray], np.ndarr
     doubling from 4 and tested from 32 on (past 256 it raises
     fail(message), a ConvergenceError by default).
 
+    The rule stops at the first level where d_n = |I_n - I_{n/2}| has not
+    grown and the ratio estimate e_n = d_n^2 / d_{n/2} (d_n where d_{n/2}
+    = 0) is <= tol: doubling n converges faster than geometrically, so e_n
+    still over-reports the error, where d_n alone over-reports it by the
+    whole level-to-level ratio.
+
     evaluate maps an array of abscissae to samples along its last axis
     (leading axes integrate independently and converge together); each
     level calls it once, on that level's new nodes.  Returns (value, err,
-    nodes, samples): err = |I_n - I_{n/2}|, the last level's nodes sorted.
+    nodes, samples, weights): err = e_n, the last level's nodes sorted and
+    their weights, the shared end points' two weights summed.
     """
     n, edges = 4, np.asarray(edges, dtype=float)
     x, w = _pieces_rule(edges, n)
     vals = _eval_unique(evaluate, x)
-    cur = np.sum(vals * w * weight(x), axis=(-2, -1))
+    cur, d = np.sum(vals * w * weight(x), axis=(-2, -1)), None
     while True:
         n *= 2
         x, w = _pieces_rule(edges, n)
@@ -149,15 +160,19 @@ def _nested_cc(edges: Sequence[float], evaluate: Callable[[np.ndarray], np.ndarr
         vals = np.insert(vals, np.arange(1, n // 2 + 1),
                          _eval_unique(evaluate, x[:, 1::2]), axis=-1)
         prev, cur = cur, np.sum(vals * w * weight(x), axis=(-2, -1))
-        err = np.abs(cur - prev)
+        d_prev, d = d, np.abs(cur - prev)
         # the levels below 16 only seed the embedded grids (`_Levels`)
-        if n >= 32 and np.all(err <= tol):
-            break
+        if n >= 32:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                err = np.where(d_prev > 0, d ** 2 / d_prev, d)
+            if np.all((d <= d_prev) & (err <= tol)):
+                break
         if n >= 256:
             raise fail(f"spectral quadrature did not converge: "
-                       f"|delta| = {np.max(err):.3e} at n = {n}")
-    nodes, first = np.unique(x.ravel(), return_index=True)
-    return cur, err, nodes, vals.reshape(vals.shape[:-2] + (-1,))[..., first]
+                       f"|delta| = {np.max(d):.3e} at n = {n}")
+    nodes, first, inv = np.unique(x.ravel(), return_index=True, return_inverse=True)
+    return (cur, err, nodes, vals.reshape(vals.shape[:-2] + (-1,))[..., first],
+            np.bincount(inv.ravel(), w.ravel()))
 
 
 def _log_pieces(gap: float, top: float) -> np.ndarray:
@@ -265,14 +280,12 @@ class _Levels:
             f"{self.grid.n_per_obstacle} nodes per obstacle: |v_n - v_n/2| "
             f"up to {self.unresolved[worst]:.3e} at {self.var} = {worst:.4g}")
 
-    def disc_err(self, nodes: np.ndarray) -> float | None:
-        """The final rule's weight times |weight| d_s summed over its nodes
-        (sorted), None where grid has no embedded sub-grid."""
+    def disc_err(self, nodes: np.ndarray, w: np.ndarray) -> float | None:
+        """The final rule's weight w times |weight| d_s summed over its nodes
+        (sorted, as `_nested_cc` returns both), None where grid has no
+        embedded sub-grid."""
         if not self.strides:
             return None
-        x, w = _pieces_rule(self.edges, (nodes.size - 1) // (self.edges.size - 1))
-        # pieces share their end points: one weight per distinct node
-        w = np.bincount(np.unique(x.ravel(), return_inverse=True)[1], w.ravel())
         d = np.array([self.disc[k] for k in nodes.tolist()])
         return float(np.sum(w * np.abs(self.weight(nodes)) * d))
 
@@ -291,8 +304,8 @@ def _xi_imag_weighted(scene: Scene, grid: BoundaryGrid, sample: Callable,
     def evaluate(ks):
         return levels.evaluate(ks.tolist(), lambda k, g, subs: sample(scene, g, k, subs))
 
-    value, err, nodes, vals = _nested_cc(levels.edges, evaluate, weight, cfg.tol,
-                                         levels.failure)
+    value, err, nodes, vals, w = _nested_cc(levels.edges, evaluate, weight, cfg.tol,
+                                            levels.failure)
     near_zero = kmin * max(abs(weight(kmin)), abs(weight(2.0 * kmin))) * \
         np.max(np.abs(vals[nodes <= 2.0 * kmin]))
     tail = _fit_tail(nodes, vals, kmax, dprime)
@@ -303,7 +316,7 @@ def _xi_imag_weighted(scene: Scene, grid: BoundaryGrid, sample: Callable,
     return EnergyResult(float(value), float(err + near_zero),
                         float(abs(weight(kmax)) * max(tail, noise_tail)),
                         tuple(zip(nodes.tolist(), vals.tolist())),
-                        levels.disc_err(nodes))
+                        levels.disc_err(nodes, w))
 
 
 def casimir_energy(scene: Scene, grid: BoundaryGrid,
@@ -373,23 +386,23 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
         return levels.evaluate(desc, lambda u, g, subs:
                                walker.step(u * phase, g, subs))[::-1]
 
-    value, delta, nodes, xis = _nested_cc(edges, evaluate, weight, cfg.tol,
-                                          levels.failure)
+    value, err, nodes, xis, w = _nested_cc(edges, evaluate, weight, cfg.tol,
+                                           levels.failure)
     # tail: |f'| * C e^{-delta' u sin(theta)} beyond u_max
     fmax = abs(f.f_prime(u_max * phase))
     tail = fmax * _fit_tail(nodes, xis, u_max, dprime * np.sin(theta)) / np.pi
-    disc = levels.disc_err(nodes)
-    return EnergyResult(float(value.imag) / np.pi, float(delta) / np.pi, tail,
+    disc = levels.disc_err(nodes, w)
+    return EnergyResult(float(value.imag) / np.pi, float(err) / np.pi, tail,
                         tuple(zip(nodes.tolist(), xis.tolist())),
                         None if disc is None else disc / np.pi)
 
 
-def birman_krein_trace(scene: Scene, grid: BoundaryGrid,
-                       f: SmoothFunctionSpec) -> float:
+def birman_krein_trace(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
+                       cfg: QuadConfig = QuadConfig()) -> float:
     """Real-axis evaluation -integral f'(lambda) xi_rel(lambda) d lambda,
     the classical representation used to cross-check trace_df: `_nested_cc`
-    at the default tol over `_log_pieces` up to L, e^{-t L^2} = e^{-45},
-    each level's new nodes one `xi_rel_many` walk."""
+    at cfg.tol over `_log_pieces` up to L, e^{-t L^2} = e^{-45}, each
+    level's new nodes one `xi_rel_many` walk."""
     if scene.n_obstacles == 1:
         return 0.0
     if f.t <= 0:
@@ -399,7 +412,7 @@ def birman_krein_trace(scene: Scene, grid: BoundaryGrid,
         return np.array([s.xi_rel for s in xi_rel_many(scene, grid, lams)])
 
     value = _nested_cc(_log_pieces(scene.gap, np.sqrt(45.0 / f.t)), evaluate,
-                       f.f_prime, QuadConfig().tol)[0]
+                       f.f_prime, cfg.tol)[0]
     return -float(value)
 
 

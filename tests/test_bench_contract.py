@@ -153,7 +153,7 @@ def test_workload_xi_evals(seed):
             counts[name] = counter.count
     finally:
         counter.close()
-    assert counts == {"energy_disks": 65, "shift_contour": 151, "derivative_fields": 26}
+    assert counts == {"energy_disks": 65, "shift_contour": 87, "derivative_fields": 26}
 
 
 @pytest.mark.parametrize("seed", [0, 7])

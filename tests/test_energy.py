@@ -11,7 +11,7 @@ from layerdet import (ConvergenceError, LayerDetError, PartialWaveConfig, QuadCo
                       casimir_energy, casimir_force, default_l_max, discretize,
                       make_circle, make_ellipse, make_scene, power_trace, trace_df,
                       xi_imag, xi_on_ray, xi_two_disks)
-from layerdet.energy import _Levels
+from layerdet.energy import _Levels, _nested_cc, _pieces_rule
 from layerdet.kernel import KAPPA_MIN_FACTOR
 from layerdet.layer_ops import XiLevel
 from layerdet.xi import _DELTA_PRIME_FRACTION, _xi_dsep_levels
@@ -300,6 +300,104 @@ class TestDiscretizationError:
         assert casimir_energy(scene, grid).disc_err == 0.0
 
 
+def cc_levels(edges, f):
+    """I_n of the log-mapped rule for n = 4, 8, ... 256, summed as
+    `_nested_cc` sums them."""
+    levels = {}
+    for n in 2 ** np.arange(2, 9):
+        x, w = _pieces_rule(np.asarray(edges, dtype=float), int(n))
+        levels[int(n)] = np.sum(f(x) * w, axis=(-2, -1))
+    return levels
+
+
+def first_stop(levels, tol):
+    """The first n >= 32 where d_n = |I_n - I_{n/2}| has not grown and
+    d_n^2 / d_{n/2} <= tol, None if no level to 256 qualifies."""
+    d = {n: abs(levels[n] - levels[n // 2]) for n in levels if n > 4}
+    for n in (32, 64, 128, 256):
+        if d[n] <= d[n // 2] and (d[n] ** 2 / d[n // 2] if d[n // 2] else d[n]) <= tol:
+            return n
+    return None
+
+
+def rippled(x):
+    """e^{-x} with a ripple of 1e-7 that no level up to 256 resolves."""
+    return np.exp(-x) + 1e-7 * np.sin(1e4 * x)
+
+
+class TestStoppingRule:
+    # the nested rule on analytic integrands: it stops on the ratio estimate
+    # d_n^2 / d_{n/2} once d_n has stopped growing
+
+    @staticmethod
+    def integrate(edges, f, tol):
+        """_nested_cc's result and the number of abscissae it evaluated."""
+        calls = []
+
+        def evaluate(x):
+            calls.append(x.size)
+            return f(x)
+
+        return _nested_cc(edges, evaluate, lambda x: 1.0, tol), sum(calls)
+
+    def test_smooth_piece_stops_on_the_ratio_estimate(self):
+        edges, tol = [1e-3, 10.0], 1e-10
+        exact = np.exp(-1e-3) - np.exp(-10.0)
+        levels = cc_levels(edges, lambda x: np.exp(-x))
+        (value, err, nodes, _, w), evals = self.integrate(edges, lambda x: np.exp(-x), tol)
+        # d_32 = 5.7e-7 alone would ask for n = 64; e_32 = 5.9e-11 passes
+        assert first_stop(levels, tol) == 32 and abs(levels[32] - levels[16]) > tol
+        assert evals == nodes.size == 33 and value == levels[32]
+        assert err >= abs(value - exact)
+        assert np.sum(w * np.exp(-nodes)) == pytest.approx(value, rel=1e-14)
+
+    def test_unresolved_ripple_never_stops(self):
+        # a ripple of 1e-7 that no level resolves keeps d_n from falling
+        # toward the tolerance: every level's estimate fails up to the cap
+        calls = []
+
+        def f(x):
+            calls.append(x.size)
+            return rippled(x)
+
+        assert first_stop(cc_levels([1.0, 2.0], rippled), 1e-10) is None
+        with pytest.raises(LayerDetError, match="did not converge: .* at n = 256"):
+            _nested_cc([1.0, 2.0], f, lambda x: 1.0, 1e-10, LayerDetError)
+        assert sum(calls) == 257
+
+    def test_a_grown_difference_does_not_stop(self):
+        # at a loose tolerance e_32 = 1.1e-6 passes, but d_32 = 1.3e-8 grew
+        # from d_16 = 1.5e-10 as the ripple appeared: the rule goes on to
+        # n = 64, where d_n falls
+        levels, tol = cc_levels([1.0, 2.0], rippled), 2e-6
+        d16, d32 = abs(levels[16] - levels[8]), abs(levels[32] - levels[16])
+        assert d32 > d16 and d32 ** 2 / d16 <= tol
+        exact = np.exp(-1.0) - np.exp(-2.0) + 1e-7 * (np.cos(1e4) - np.cos(2e4)) / 1e4
+        (value, err, nodes, _, _), evals = self.integrate([1.0, 2.0], rippled, tol)
+        assert first_stop(levels, tol) == 64
+        assert evals == nodes.size == 65 and value == levels[64]
+        assert err >= abs(value - exact)
+
+    def test_two_pieces_stop_on_the_summed_estimate(self):
+        # e^{-x} on [1e-3, 1], plus an oscillation on [1, 20] that needs
+        # one more level: the rule stops when the sum's estimate passes
+        def g(x):
+            return np.exp(-x) * (1.0 + np.where(x > 1.0, np.sin(3.0 * (x - 1.0)), 0.0))
+
+        edges, tol = [1e-3, 1.0, 20.0], 1e-10
+        exact = np.exp(-1e-3) - np.exp(-20.0) + \
+            np.exp(-1.0) * (3.0 - np.exp(-19.0) * (np.sin(57.0) + 3.0 * np.cos(57.0))) / 10.0
+        assert first_stop(cc_levels(edges[:2], g), tol) == 32
+        assert self.integrate(edges[:2], g, tol)[1] == 33
+        levels = cc_levels(edges, g)
+        (value, err, nodes, _, w), evals = self.integrate(edges, g, tol)
+        assert first_stop(levels, tol) == 64
+        # the shared end point is evaluated once and carries both weights
+        assert evals == nodes.size == 129 and value == levels[64]
+        assert np.sum(w * g(nodes)) == pytest.approx(value, rel=1e-14)
+        assert err >= abs(value - exact)
+
+
 class TestPowerTrace:
     def test_half_equals_casimir(self, canonical_scene, canonical_grid_64,
                                  energy_gap2):
@@ -355,6 +453,13 @@ class TestMalformedInputs:
         assert q_assemblies[0] == 0
 
 
+@pytest.fixture(scope="module")
+def canonical_contour(canonical_scene, canonical_grid_96):
+    """trace_df of a = 1, t = 4 at tol 1e-9 on the canonical disks, n = 96."""
+    return trace_df(canonical_scene, canonical_grid_96,
+                    SmoothFunctionSpec(a=1.0, t=4.0), QuadConfig(tol=1e-9))
+
+
 class TestTraceDf:
     def test_single_obstacle_zero(self, single_disk):
         scene, grid = single_disk
@@ -392,17 +497,24 @@ class TestTraceDf:
     def test_levelled_assemblies(self, canonical_scene, canonical_grid_96,
                                  q_assemblies):
         # the arc's 3 nodes and the seed rule's 9 at 96 nodes per disk, the
-        # 120 later nodes at 48, resolved there by their own estimates
+        # 56 later nodes at 48, resolved there by their own estimates
         trace_df(canonical_scene, canonical_grid_96,
                  SmoothFunctionSpec(a=1.0, t=4.0), QuadConfig(tol=1e-9))
-        assert q_assemblies[1] == {192: 12, 96: 120}
+        assert q_assemblies[1] == {192: 12, 96: 56}
 
-    def test_error_terms_cover_the_unlevelled_value(self, canonical_scene,
-                                                    canonical_grid_96):
-        td = trace_df(canonical_scene, canonical_grid_96,
-                      SmoothFunctionSpec(a=1.0, t=4.0), QuadConfig(tol=1e-9))
+    def test_error_terms_cover_the_unlevelled_value(self, canonical_contour):
+        td = canonical_contour
         assert td.disc_err > 0
         assert abs(td.value - self.UNLEVELLED_96) <= td.quad_err + td.disc_err
+
+    def test_quad_err_covers_a_tighter_rule(self, canonical_scene, canonical_grid_96,
+                                            canonical_contour):
+        # the ratio estimate stops the contour at n = 32 of each piece; the
+        # rule at tol 1e-13 goes one level further
+        tight = trace_df(canonical_scene, canonical_grid_96,
+                         SmoothFunctionSpec(a=1.0, t=4.0), QuadConfig(tol=1e-13))
+        assert len(canonical_contour.samples) == 65 and len(tight.samples) == 129
+        assert abs(canonical_contour.value - tight.value) <= canonical_contour.quad_err
 
     def test_no_sub_grid_no_estimate(self, canonical_scene, q_assemblies):
         # as for the energy: every node on the caller's grid, on the branch
@@ -425,11 +537,13 @@ class TestTraceDf:
         ("canonical_scene", 96, 64.0, 1e-6)], ids=["disks", "kite+circle", "disks-t64"])
     def test_birman_krein_cross_check(self, request, scene, n, t, rel):
         # -integral f' xi_rel on the real axis and the contour integral on
-        # the ray are one trace (modified Birman-Krein), from separate walks
+        # the ray are one trace (modified Birman-Krein), from separate walks;
+        # each integral is asked for well below the compared digits
         scene = request.getfixturevalue(scene)
         grid, spec = discretize(scene, n), SmoothFunctionSpec(a=1.0, t=t)
-        td = trace_df(scene, grid, spec, QuadConfig(tol=1e-9))
-        bk = birman_krein_trace(scene, grid, spec)
+        cfg = QuadConfig(tol=1e-12)
+        td = trace_df(scene, grid, spec, cfg)
+        bk = birman_krein_trace(scene, grid, spec, cfg)
         assert bk == pytest.approx(td.value, rel=rel, abs=0)
 
     def test_continuity_to_power_trace(self, canonical_scene, canonical_grid_64):
@@ -485,6 +599,16 @@ class TestForce:
     def test_one_q_assembly_per_sample(self, canonical_scene, q_assemblies):
         force = casimir_force(canonical_scene, discretize(canonical_scene, 32))
         assert q_assemblies[0] == len(force.samples)
+
+    def test_quad_err_covers_a_tighter_rule(self, canonical_scene, q_assemblies):
+        # the ratio estimate stops at n = 64, where |I_64 - I_32| = 4.9e-8
+        # would have asked for n = 128; the rule at tol 1e-13 goes there
+        grid = discretize(canonical_scene, 64)
+        force = casimir_force(canonical_scene, grid)
+        assert q_assemblies[0] == len(force.samples) == 65
+        tight = casimir_force(canonical_scene, grid, QuadConfig(tol=1e-13))
+        assert len(tight.samples) == 129
+        assert abs(force.value - tight.value) <= force.quad_err + force.disc_err
 
     @pytest.mark.parametrize("kappa", [0.3, 2.0, 5.0, 8.0, 12.0])
     def test_xi_dsep_vs_partial_wave(self, canonical_scene, kappa):
