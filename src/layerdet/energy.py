@@ -397,12 +397,13 @@ def trace_df(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
                         None if disc is None else disc / np.pi)
 
 
-def birman_krein_trace(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
-                       cfg: QuadConfig = QuadConfig()) -> float:
+def birman_krein_trace(scene: Scene, grid: BoundaryGrid,
+                       f: SmoothFunctionSpec) -> float:
     """Real-axis evaluation -integral f'(lambda) xi_rel(lambda) d lambda,
     the classical representation used to cross-check trace_df: `_nested_cc`
-    at cfg.tol over `_log_pieces` up to L, e^{-t L^2} = e^{-45}, each
-    level's new nodes one `xi_rel_many` walk."""
+    over `_log_pieces` up to L, e^{-t L^2} = e^{-45}, each level's new
+    nodes one `xi_rel_many` walk.  The rule's tolerance is fixed at 1e-12,
+    well below any trace_df it checks."""
     if scene.n_obstacles == 1:
         return 0.0
     if f.t <= 0:
@@ -412,7 +413,7 @@ def birman_krein_trace(scene: Scene, grid: BoundaryGrid, f: SmoothFunctionSpec,
         return np.array([s.xi_rel for s in xi_rel_many(scene, grid, lams)])
 
     value = _nested_cc(_log_pieces(scene.gap, np.sqrt(45.0 / f.t)), evaluate,
-                       f.f_prime, cfg.tol)[0]
+                       f.f_prime, 1e-12)[0]
     return -float(value)
 
 
