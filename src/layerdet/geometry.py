@@ -329,8 +329,9 @@ class BoundaryGrid:
 
     weights are the full surface weights (2pi/n_j) * |x'(t)|; blocks maps
     obstacle j to its half-open index range in the assembled matrices.
-    Arrays that depend on the grid alone, such as `distances`, are built on
-    first use and cached on the grid.
+    Arrays that depend on the grid alone, such as `distances` and each
+    block's distinct distances (`distinct`), are built on first use and
+    cached on the grid.
     """
 
     scene: Scene
@@ -357,6 +358,35 @@ class BoundaryGrid:
         r = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
         r.setflags(write=False)
         return r
+
+    @cached_property
+    def _distinct(self) -> dict:
+        return {}
+
+    def distinct(self, j: int, k: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Block (j, k) of `distances` as its sorted distinct values and an
+        index into them, read-only and built once per block: every kernel is
+        a function of the distance alone, so each assembly evaluates it on
+        the values and gathers with the index.  For j = k the values are
+        those of the strict upper triangle and the diagonal points one past
+        the last value; block (k, j) is the transpose of block (j, k).
+        Circles repeat their distances: a unit disk's triangle holds 549
+        distinct values among 8128 at n = 128 (`kernel` lists the others)."""
+        if (j, k) not in self._distinct:
+            a, b = sorted((j, k))
+            r = self.distances[self.block_slice(a), self.block_slice(b)]
+            if a == b:
+                upper = np.triu_indices(r.shape[0], 1)
+                values, inv = np.unique(r[upper], return_inverse=True)
+                index = np.full(r.shape, values.size)
+                index[upper] = index.T[upper] = inv
+            else:
+                values, index = np.unique(r, return_inverse=True)
+                index = index.reshape(r.shape)
+            for x in (values, index):
+                x.setflags(write=False)
+            self._distinct[a, b], self._distinct[b, a] = (values, index), (values, index.T)
+        return self._distinct[j, k]
 
     @cached_property
     def _embedded(self) -> dict:

@@ -27,9 +27,33 @@ def default_kappa_range(scene):
     return KAPPA_MIN_FACTOR / scene.gap, 30.0 / (_DELTA_PRIME_FRACTION * scene.gap)
 
 
+def _with_rule_errs(fn, *args):
+    """fn(*args) and the estimate e_n of each spectral rule it ran
+    (`_nested_cc`'s err): on the imaginary axis quad_err adds near_zero to
+    it, which alone would cover an estimate that under-reports."""
+    errs = []
+
+    def recorded(*a, **kw):
+        out = _nested_cc(*a, **kw)
+        errs.append(float(out[1]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(energy_module, "_nested_cc", recorded)
+        return fn(*args), errs
+
+
 @pytest.fixture(scope="module")
-def energy_gap2(canonical_scene, canonical_grid_64):
-    return casimir_energy(canonical_scene, canonical_grid_64)
+def energy_and_rule_err(canonical_scene, canonical_grid_64):
+    """The canonical energy at n = 64 and its rule's e_64 (1.1e-12; near_zero
+    is 2.8e-7)."""
+    energy, (err,) = _with_rule_errs(casimir_energy, canonical_scene, canonical_grid_64)
+    return energy, err
+
+
+@pytest.fixture(scope="module")
+def energy_gap2(energy_and_rule_err):
+    return energy_and_rule_err[0]
 
 
 class TestCasimirEnergy:
@@ -63,16 +87,18 @@ class TestCasimirEnergy:
 
     def test_evaluation_count_and_oracle_error(self, canonical_scene,
                                                canonical_grid_64, q_assemblies,
-                                               partial_wave_energy):
+                                               partial_wave_energy, energy_and_rule_err):
         # nested Clenshaw-Curtis levels 16, 32, 64 and at most 128
         energy = casimir_energy(canonical_scene, canonical_grid_64)
         assert q_assemblies[0] <= 129
-        # (1/pi) * integral of the partial-wave Xi over the same kappa range
+        # (1/pi) * integral of the partial-wave Xi over the same kappa range,
+        # within the rule's own estimate (8.2e-15 against 1.1e-12)
         oracle = partial_wave_energy(2.0 + canonical_scene.gap,
                                      default_kappa_range(canonical_scene))
         true_err = abs(energy.value - oracle)
         assert true_err <= 1e-8
-        assert energy.quad_err >= true_err
+        assert energy.value == energy_and_rule_err[0].value
+        assert true_err <= energy_and_rule_err[1] <= energy.quad_err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_xi_fails_in_first_level(self, q_assemblies):
@@ -112,15 +138,18 @@ class TestCasimirEnergy:
         assert abs(extension) <= energy_gap2.tail_bound
 
     def test_quadrature_self_consistency(self, canonical_scene, canonical_grid_64,
-                                         energy_gap2):
-        # an independent 96-node Gauss rule in log kappa on the same samples
-        # of xi_imag agrees within quad_err
+                                         energy_and_rule_err):
+        # an independent 96-node Gauss rule in log kappa on xi_imag at the
+        # full grid agrees within the rule's own estimate plus disc_err, the
+        # coarser grids' share of the energy's samples (6.7e-14 against
+        # 7.7e-11)
+        energy, rule_err = energy_and_rule_err
         lo, hi = np.log(default_kappa_range(canonical_scene))
         x, w = leggauss(96)
         kappas = np.exp(0.5 * (hi - lo) * x + 0.5 * (hi + lo))
         xi = [xi_imag(canonical_scene, canonical_grid_64, k).xi.real for k in kappas]
         gauss = 0.5 * (hi - lo) * np.dot(w, kappas * np.array(xi)) / np.pi
-        assert abs(gauss - energy_gap2.value) <= energy_gap2.quad_err
+        assert abs(gauss - energy.value) <= rule_err + energy.disc_err
 
 
 class TestDiscretizationError:
@@ -557,8 +586,17 @@ class TestTraceDf:
 
 
 @pytest.fixture(scope="module")
-def force_48(canonical_scene):
-    return casimir_force(canonical_scene, discretize(canonical_scene, 48))
+def force_48_and_rule_err(canonical_scene):
+    """The canonical force at n = 48 and its rule's e_64 (2.4e-11; near_zero
+    is 3.6e-8)."""
+    force, (err,) = _with_rule_errs(casimir_force, canonical_scene,
+                                    discretize(canonical_scene, 48))
+    return force, err
+
+
+@pytest.fixture(scope="module")
+def force_48(force_48_and_rule_err):
+    return force_48_and_rule_err[0]
 
 
 def circle_ellipse(r, a, b, rot, sep, bearing, shift=(0.0, 0.0), phi=0.0,
@@ -577,13 +615,15 @@ def circle_ellipse(r, a, b, rot, sep, bearing, shift=(0.0, 0.0), phi=0.0,
 
 
 class TestForce:
-    def test_attractive_and_richardson(self, force_48, canonical_force_reference):
+    def test_attractive_and_richardson(self, force_48_and_rule_err, canonical_force_reference):
         # exact in the separation: the Richardson difference in d of the
-        # partial-wave energy over the same kappa range is within quad_err
-        assert force_48.value < 0  # attraction pulls the obstacles together
-        diff = abs(force_48.value - canonical_force_reference)
+        # partial-wave energy over the same kappa range is within the rule's
+        # own estimate plus disc_err (1.3e-13 against 2.4e-11 + 5.4e-12)
+        force, rule_err = force_48_and_rule_err
+        assert force.value < 0  # attraction pulls the obstacles together
+        diff = abs(force.value - canonical_force_reference)
         assert diff <= 1e-9
-        assert diff <= force_48.quad_err
+        assert diff <= rule_err + force.disc_err <= force.quad_err
 
     def test_mirror_symmetry(self, canonical_scene, force_48):
         # swapping the two obstacles must flip nothing in the scalar force
@@ -600,28 +640,19 @@ class TestForce:
         force = casimir_force(canonical_scene, discretize(canonical_scene, 32))
         assert q_assemblies[0] == len(force.samples)
 
-    def test_rule_estimate_covers_a_tighter_rule(self, canonical_scene, q_assemblies,
-                                                 monkeypatch):
+    def test_rule_estimate_covers_a_tighter_rule(self, canonical_scene, q_assemblies):
         # the ratio estimate stops at n = 64, where |I_64 - I_32| = 4.9e-8
         # would have asked for n = 128; the rule at tol 1e-13 goes there.
         # quad_err adds near_zero (3.6e-8 here) to the rule's estimate and
         # disc_err is 9.4e-11, either of which would hide an estimate that
         # under-reports; both rules sample the shared nodes alike (to 1e-15),
         # so their difference (5e-13) is checked against e_64 alone
-        errs = []
-
-        def recorded(*args, **kwargs):
-            out = _nested_cc(*args, **kwargs)
-            errs.append(float(out[1]))
-            return out
-
-        monkeypatch.setattr(energy_module, "_nested_cc", recorded)
         grid = discretize(canonical_scene, 64)
-        force = casimir_force(canonical_scene, grid)
+        force, (err,) = _with_rule_errs(casimir_force, canonical_scene, grid)
         assert q_assemblies[0] == len(force.samples) == 65
         tight = casimir_force(canonical_scene, grid, QuadConfig(tol=1e-13))
         assert len(tight.samples) == 129
-        assert abs(force.value - tight.value) <= errs[0]
+        assert abs(force.value - tight.value) <= err
 
     @pytest.mark.parametrize("kappa", [0.3, 2.0, 5.0, 8.0, 12.0])
     def test_xi_dsep_vs_partial_wave(self, canonical_scene, kappa):

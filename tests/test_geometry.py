@@ -201,6 +201,29 @@ class TestDiscretize:
         assert np.array_equal(g1.points, g2.points)
         assert np.array_equal(g1.weights, g2.weights)
 
+    def test_distinct_distances(self, canonical_grid_64, mixed_scene, three_scene):
+        # every block of the distances from its sorted distinct values and
+        # index, bitwise off the diagonal and 0 on it, built once per block,
+        # read-only, and block (k, j) the transpose of block (j, k)
+        grids = (canonical_grid_64, discretize(mixed_scene, (48, 64)),
+                 discretize(three_scene, (48, 64, 32)),
+                 discretize(mixed_scene, 128).embedded(2))
+        for grid in grids:
+            nb = grid.scene.n_obstacles
+            for j in range(nb):
+                for k in range(nb):
+                    values, index = grid.distinct(j, k)
+                    block = grid.distances[grid.block_slice(j), grid.block_slice(k)]
+                    # the diagonal of the distances is 0
+                    assert np.array_equal(np.append(values, 0)[index], block)
+                    assert j != k or np.all(np.diag(index) == values.size)
+                    assert np.all(np.diff(values) > 0)
+                    assert not values.flags.writeable and not index.flags.writeable
+                    again = grid.distinct(j, k)
+                    assert again[0] is values and again[1] is index
+                    back = grid.distinct(k, j)
+                    assert back[0] is values and np.array_equal(back[1], index.T)
+
 
 class TestInvariance:
     def _rigid(self, angle, shift):

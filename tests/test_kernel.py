@@ -6,7 +6,8 @@ import pytest
 from scipy import special
 from scipy.special import i0, jv
 
-from layerdet import LayerDetError, SpectralPoint, green_free, make_circle, make_kite
+from layerdet import (LayerDetError, SpectralPoint, discretize, green_free, make_circle,
+                      make_kite, make_scene)
 from layerdet import kernel, specfun
 from layerdet.kernel import offdiag_kernel, split_block
 
@@ -102,11 +103,10 @@ class TestGreenFreeDLambda:
 
 
 def _nodes(curve, n):
-    """n equispaced nodes of a curve: parameters, distance matrix, speeds."""
-    t = 2 * np.pi * np.arange(n) / n
-    p = curve.point(t)
-    r = np.hypot(p[:, 0][:, None] - p[:, 0][None, :], p[:, 1][:, None] - p[:, 1][None, :])
-    return t, r, curve.speed(t)
+    """n equispaced nodes of a curve: parameters, distance matrix, speeds,
+    and the distances' (values, index) pair that split_block takes."""
+    grid = discretize(make_scene([curve]), n)
+    return grid.t, grid.distances, grid.speeds, grid.distinct(0, 0)
 
 
 def _split_direct(sp, curve, t, s):
@@ -124,8 +124,8 @@ class TestKressSplit:
         # the 64-node pair nearest (t, s) = (0.3, 1.2)
         curve = make_circle((0, 0), 1.0)
         sp = SpectralPoint.ray(1.5, np.pi / 4)
-        t, r, speeds = _nodes(curve, 64)
-        A, _ = split_block(sp, r, speeds, span=(0.0, r.max()))
+        t, r, speeds, dist = _nodes(curve, 64)
+        A, _ = split_block(sp, dist, speeds, span=(0.0, r.max()))
         i, j = 3, 12
         expect = -jv(0, sp.lam * r[i, j]) / (4 * np.pi) * speeds[j]
         assert A[i, j] == pytest.approx(expect, rel=1e-14)
@@ -133,18 +133,18 @@ class TestKressSplit:
     def test_A_diagonal_value(self):
         curve = make_kite((0, 0), 1.0)
         sp = SpectralPoint.imaginary(1.0)
-        t, r, speeds = _nodes(curve, 64)
-        A, B = split_block(sp, r, speeds, span=(0.0, r.max()))
+        t, r, speeds, dist = _nodes(curve, 64)
+        A, B = split_block(sp, dist, speeds, span=(0.0, r.max()))
         assert np.diag(A) == pytest.approx(-speeds / (4 * np.pi), rel=1e-14)
         assert np.all(np.isfinite(np.diag(B)))
 
     def test_reconstruction_off_diagonal(self):
         # node offsets 1, 5, 15, 32 of 64 put t - s at 0.098, 0.49, 1.47, pi
         curve = make_kite((0, 0), 1.0)
-        t, r, speeds = _nodes(curve, 64)
+        t, r, speeds, dist = _nodes(curve, 64)
         i = 10
         for sp in (SpectralPoint.imaginary(1.3), SpectralPoint.ray(2.0, np.pi / 5)):
-            A, B = split_block(sp, r, speeds, span=(0.0, r.max()))
+            A, B = split_block(sp, dist, speeds, span=(0.0, r.max()))
             for j in ((i - m) % 64 for m in (1, 5, 15, 32)):
                 direct = green_free(sp, r[i, j]) * speeds[j]
                 recon = A[i, j] * np.log(4 * np.sin((t[i] - t[j]) / 2) ** 2) + B[i, j]
@@ -153,8 +153,8 @@ class TestKressSplit:
     def test_B_finite_on_diagonal(self):
         curve = make_circle((0, 0), 1.0)
         sp = SpectralPoint.imaginary(1.0)
-        _, r, speeds = _nodes(curve, 16)
-        A, B = split_block(sp, r, speeds, span=(0.0, r.max()))
+        _, r, speeds, dist = _nodes(curve, 16)
+        A, B = split_block(sp, dist, speeds, span=(0.0, r.max()))
         assert np.all(np.isfinite(A)) and np.all(np.isfinite(B))
 
     def test_split_block_matches_scalar(self):
@@ -163,10 +163,10 @@ class TestKressSplit:
         # s -> t of the direct B, whose one-sided values at s = t +- delta
         # average to the limit within O(delta^2)
         curve = make_kite((0, 0), 1.0)
-        t, r, speeds = _nodes(curve, 16)
+        t, r, speeds, dist = _nodes(curve, 16)
         delta = 1e-5
         for sp in (SpectralPoint.imaginary(0.8), SpectralPoint.ray(1.1, np.pi / 3)):
-            A, B = split_block(sp, r, speeds, span=(0.0, r.max()))
+            A, B = split_block(sp, dist, speeds, span=(0.0, r.max()))
             for i, j in ((3, 11), (15, 2)):
                 a, b = _split_direct(sp, curve, t[i], t[j])
                 assert A[i, j] == pytest.approx(a, rel=1e-12)
@@ -182,11 +182,10 @@ class TestKressSplit:
                 assert B[i, i] == pytest.approx(limit, rel=1e-8)
 
     def test_bessel_on_one_triangle(self, monkeypatch):
-        # every special-function call of a diagonal block sees the
-        # n (n - 1) / 2 node pairs of one triangle, not the n^2 square; a
-        # block on a ray, of Q or of its derivative, sees only the d + 1
-        # Chebyshev points of its expansions in the distance, fewer than
-        # either
+        # every special-function call of a diagonal block sees the distinct
+        # distances of one triangle's n (n - 1) / 2 node pairs, not the n^2
+        # square; a block on a ray, of Q or of its derivative, sees only the
+        # d + 1 Chebyshev points of its expansions in the distance
         sizes = []
 
         def counted(fn):
@@ -200,27 +199,28 @@ class TestKressSplit:
                                                "hankel1", "hankel1e")})
         monkeypatch.setattr(kernel, "_sp", spec)
         n = 48
-        _, r, speeds = _nodes(make_kite((0, 0), 1.0), n)
+        _, r, speeds, dist = _nodes(make_kite((0, 0), 1.0), n)
+        assert dist[0].size <= n * (n - 1) // 2
         for sp in (SpectralPoint.imaginary(0.8), SpectralPoint.ray(1.1, np.pi / 3)):
             for deriv in (False, True):
                 sizes.clear()
                 kernel._split_series.cache_clear()
-                split_block(sp, r, speeds, deriv=deriv, span=(0.0, r.max()))
+                split_block(sp, dist, speeds, deriv=deriv, span=(0.0, r.max()))
                 if sp.is_imaginary:
-                    assert sizes == [n * (n - 1) // 2] * 2
+                    assert sizes == [dist[0].size] * 2
                 else:
                     d = kernel._degree(sp.lam, 0.0, r.max())
                     assert sizes == [d + 1] * 2 and d + 1 < n * (n - 1) // 2
 
     def test_derivative_split_reconstruction(self):
         curve = make_kite((0, 0), 1.0)
-        t, r, speeds = _nodes(curve, 16)
+        t, r, speeds, dist = _nodes(curve, 16)
         i, j = 2, 9
         L = np.log(4 * np.sin((t[i] - t[j]) / 2) ** 2)
         # the derivative is in the axis variable: kappa (real) on the
         # imaginary axis, lambda on a ray
         for sp in (SpectralPoint.imaginary(0.8), SpectralPoint.ray(1.1, np.pi / 3)):
-            A, B = split_block(sp, r, speeds, deriv=True, span=(0.0, r.max()))
+            A, B = split_block(sp, dist, speeds, deriv=True, span=(0.0, r.max()))
             assert np.iscomplexobj(B) != sp.is_imaginary
             assert np.all(np.diag(A) == 0.0)
             x = r[i, j]
@@ -250,16 +250,15 @@ class TestKressSplit:
 class TestRayExpansions:
     def test_rejects_distances_outside_the_interval(self):
         sp = SpectralPoint.ray(2.0, np.pi / 8)
-        _, r, speeds = _nodes(make_circle((0, 0), 1.0), 16)
+        _, r, speeds, (values, index) = _nodes(make_circle((0, 0), 1.0), 16)
         with pytest.raises(ValueError, match="outside the expansion interval"):
-            split_block(sp, r, speeds, span=(0.0, 1.5))
+            split_block(sp, (values, index), speeds, span=(0.0, 1.5))
         with pytest.raises(ValueError, match="outside the expansion interval"):
             offdiag_kernel(sp, np.array([1.0, 3.0]), span=(1.0, 2.0))
         with pytest.raises(ValueError, match="outside the expansion interval"):
             offdiag_kernel(sp, np.array([0.5, 1.5]), span=(1.0, 2.0))
-        r[0, 1] = r[1, 0] = np.nan
         with pytest.raises(ValueError, match="outside the expansion interval"):
-            split_block(sp, r, speeds, span=(0.0, 2.5))
+            split_block(sp, (np.append(values[1:], np.nan), index), speeds, span=(0.0, 2.5))
 
     def test_one_point_interval(self):
         for sp in (SpectralPoint.ray(2.0, np.pi / 8), SpectralPoint.imaginary(2.0)):
@@ -270,6 +269,6 @@ class TestRayExpansions:
     def test_overflow_raises(self):
         # Im(lambda) r near 1400 passes J0's overflow on the diagonal block
         sp = SpectralPoint.ray(1000.0, 1.5)
-        _, r, speeds = _nodes(make_circle((0, 0), 1.0), 16)
+        _, r, speeds, dist = _nodes(make_circle((0, 0), 1.0), 16)
         with pytest.raises(LayerDetError, match="not finite"):
-            split_block(sp, r, speeds, span=(0.0, r.max()))
+            split_block(sp, dist, speeds, span=(0.0, r.max()))

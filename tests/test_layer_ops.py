@@ -1,12 +1,16 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy import special
 from scipy.special import i0, i1, iv, ivp, kv, kvp
 
 from layerdet import (LayerDetError, SingularOperatorError, SpectralPoint, assemble_dq,
                       assemble_q, discretize, factorize, green_free, kernel, layer_ops,
-                      make_circle, make_kite, make_scene, solve, specfun, trace_rrel)
-from layerdet.kernel import offdiag_kernel
+                      make_circle, make_ellipse, make_kite, make_polar_fourier, make_scene,
+                      solve, specfun, trace_rrel)
+from layerdet.kernel import offdiag_kernel, split_block
 from layerdet.layer_ops import block_diagonal, dt_dsep_levels, kress_log_weights, xi_levels
 
 SPECTRAL_POINTS = (SpectralPoint.imaginary(1.0), SpectralPoint.ray(2.0, np.pi / 8))
@@ -22,6 +26,16 @@ def unequal_grids(mixed_scene, three_scene):
     """Kite + circle at unequal node counts, and three obstacles (three
     pairs, rectangular cross blocks)."""
     return discretize(mixed_scene, (48, 64)), discretize(three_scene, (48, 64, 32))
+
+
+@pytest.fixture(scope="module")
+def no_repeat_grid():
+    """A polar-Fourier curve beside a rotated ellipse, whose node distances
+    hardly repeat: 2016 of the curve's 2016 triangle distances are
+    distinct, 864 of the ellipse's 1128, and all 3072 across."""
+    return discretize(make_scene([make_polar_fourier((0.0, 0.0), [1.0, 0.15, 0.05],
+                                                     [0.1, -0.04]),
+                                  make_ellipse((3.5, 0.3), 1.0, 0.6, 0.4)]), (64, 48))
 
 
 def _direct_assembly(grid, sp, deriv):
@@ -107,11 +121,12 @@ class TestAssembly:
                     else:
                         assert np.linalg.norm(s - s.T) <= 1e-12 * np.linalg.norm(s)
 
-    def test_kernel_values_equal_direct_evaluation(self, unequal_grids):
-        # each kernel value is evaluated once per unordered node pair and
-        # mirrored; every entry stays bitwise what evaluating each ordered
-        # pair separately gives, with unequal weights and rectangular blocks
-        for grid in unequal_grids:
+    def test_kernel_values_equal_direct_evaluation(self, unequal_grids, no_repeat_grid):
+        # each kernel value is evaluated once per distinct distance of a
+        # block and gathered; every entry stays bitwise what evaluating each
+        # ordered pair separately gives, with unequal weights and rectangular
+        # blocks, and on a scene whose distances hardly repeat
+        for grid in (*unequal_grids, no_repeat_grid):
             for sp in SPECTRAL_POINTS:
                 for deriv, assemble in ((False, assemble_q), (True, assemble_dq)):
                     q = assemble(grid, sp).entries
@@ -122,24 +137,57 @@ class TestAssembly:
                     assert np.abs(s - s.T).max() <= 1e-14 * np.abs(s).max()
 
     def test_one_kernel_call_per_obstacle_pair(self, monkeypatch, unequal_grids):
-        calls = [0]
+        # one split_block call per obstacle and one offdiag_kernel call per
+        # obstacle pair and assembly, the counts the benchmark reports
+        calls = {"offdiag": 0, "split": 0}
 
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return offdiag_kernel(*args, **kwargs)
+        def counted(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(layer_ops, "offdiag_kernel", counted)
+        monkeypatch.setattr(layer_ops, "offdiag_kernel", counted("offdiag", offdiag_kernel))
+        monkeypatch.setattr(layer_ops, "split_block", counted("split", split_block))
         for grid in unequal_grids:
             nb = grid.scene.n_obstacles
             for sp in SPECTRAL_POINTS:
                 for assemble in (assemble_q, assemble_dq):
-                    calls[0] = 0
+                    calls.update(offdiag=0, split=0)
                     assemble(grid, sp)
-                    assert calls[0] == nb * (nb - 1) // 2
+                    assert calls == {"offdiag": nb * (nb - 1) // 2, "split": nb}
                 # dT/ds: only the pairs with obstacle 1
-                calls[0] = 0
+                calls.update(offdiag=0, split=0)
                 dt_dsep_levels([grid], sp, (1.0, 0.0))
-                assert calls[0] == nb - 1
+                assert calls == {"offdiag": nb - 1, "split": 0}
+
+    def test_kernels_see_each_distinct_distance_once(self, monkeypatch, two_disk_grid):
+        # on the canonical disks at n = 64 the special functions of each
+        # block (i0/k0 on the imaginary axis, j0/y0 at real lambda) and the
+        # cross block's Clenshaw sum see exactly its distinct distances: 230
+        # and 341 among each triangle's 2016, 1978 among the 4096 across
+        sizes = {}
+
+        def counted(name, fn):
+            def wrapped(*args):
+                sizes.setdefault(name, []).append(np.size(args[-1]))
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(kernel, "_sp", SimpleNamespace(
+            kve=special.kve, **{name: counted(name, getattr(special, name))
+                                for name in ("i0", "k0", "j0", "y0")}))
+        monkeypatch.setattr(kernel, "_clenshaw", counted("clenshaw", kernel._clenshaw))
+        grid = two_disk_grid
+        own = [grid.distinct(j, j)[0].size for j in range(2)]
+        cross = grid.distinct(0, 1)[0].size
+        assert (own, cross) == ([230, 341], 1978)
+        sizes.clear()
+        assemble_q(grid, SpectralPoint.imaginary(1.3))
+        assert sizes == {"i0": own, "k0": own, "clenshaw": [cross]}
+        sizes.clear()
+        assemble_q(grid, SpectralPoint.from_complex(1.3))
+        assert sizes == {"j0": [own[0], cross, own[1]], "y0": [own[0], cross, own[1]]}
 
     def test_circle_eigenvalues(self):
         scene = make_scene([make_circle((0, 0), 1.0)])

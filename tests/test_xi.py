@@ -245,7 +245,7 @@ def _amos_split(sp, r, speeds, deriv):
     r = r + np.eye(speeds.size)
     J = -(r * jv(1, sp.lam * r)) if deriv else jv(0, sp.lam * r)
     A = -(J / (4 * np.pi)) * speeds
-    return A, _amos_kernel(sp, r, deriv) * speeds - A * kernel._split_grid(speeds.size)[1]
+    return A, _amos_kernel(sp, r, deriv) * speeds - A * kernel._split_grid(speeds.size)
 
 
 class TestRayExpansions:
@@ -277,7 +277,7 @@ class TestRayExpansions:
                     if k != j:
                         amos = _amos_kernel(sp, grid.distances[sj, sk], deriv) * grid.weights[sk]
                         assert np.all(np.abs(q[sj, sk] - amos) <= 1e-13 * np.abs(amos))
-                parts = split_block(sp, grid.distances[sj, sj], grid.speeds[sj], deriv,
+                parts = split_block(sp, grid.distinct(j, j), grid.speeds[sj], deriv,
                                     span=own[j])
                 for part, amos in zip(parts, _amos_split(sp, grid.distances[sj, sj],
                                                          grid.speeds[sj], deriv)):
