@@ -27,9 +27,10 @@ each point on an embedded level of its grid (`_Unwrapper.step`), as
 The spectral shift -(1/pi) Im Xi(lambda + i0) is read at real lambda, from Q
 and Qtilde assembled there: the outgoing kernel is continuous up to the real
 axis, and the two are singular only where lambda^2 is an interior Dirichlet
-eigenvalue of an obstacle.  Such a point shows as a pivot ratio (smallest
-over largest pivot magnitude) below sqrt(eps); it alone is extrapolated
-from rays just above the axis instead.
+eigenvalue of an obstacle.  Such a point is flagged: its pivot ratio (the
+smaller over Q and Qtilde of smallest over largest pivot magnitude) is below
+sqrt(eps).  Xi is analytic across it, so it is read from direct values at
+its real-axis neighbours on the same walk.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ from .layer_ops import (Elimination, _gemm, assemble_dq, assemble_q, block_diago
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate; the
 #: energy's kappa range and every walk's anchor end at _KAPPA_MAX_FACTOR / delta'
 _DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR = 0.9, 30.0
-#: angle steps of a walk's arc from the imaginary axis; eta / lambda of
-#: the spectral shift's ray fallback
-_ARC_STEPS, _ETA_REL = 4, 1e-3
+#: angle steps of a walk's arc from the imaginary axis; `xi_real`'s default
+#: eta / lambda; h / lambda0 of the neighbours lambda0 +- h, 2h, 4h that read a
+#: flagged real lambda0
+_ARC_STEPS, _ETA_REL, _H_REL = 4, 1e-3, 3e-5
 
 #: rounding-floor scale for err_est fields; a real-axis Q or Qtilde whose
 #: pivot ratio falls below _PIVOT_RATIO_MIN is taken as singular
@@ -69,9 +71,9 @@ class XiSample:
 
 @dataclass(frozen=True)
 class ShiftSample:
-    """xi_rel at lam.  eta_used is 0 for a value read directly at real lam,
-    and the lowest ray offset 1e-3 lam where an interior Dirichlet
-    eigenvalue forced the ray extrapolation."""
+    """xi_rel at lam, read at real lam or, where lam is flagged (an interior
+    Dirichlet eigenvalue), from its real-axis neighbours.  eta_used is
+    always 0; it stays because the CLI's CSV header names it."""
     lam: float
     xi_rel: float
     eta_used: float
@@ -163,10 +165,14 @@ class _Unwrapper:
         assembly, on the 2 pi multiple nearest the value on grid.  A step
         whose Im moves by more than pi/2 is bisected, its midpoints
         evaluated on grid alone.  A step to the walk's last point, a retry
-        there on a finer grid, takes the multiple nearest the value there."""
+        there on a finer grid, takes the multiple nearest the value there.
+        At a flagged real z, whose phase is rounding, the raw values return
+        and the walk stays at its last point."""
         self.budget += 30
         grid = self.grid if grid is None else grid
         raw, *below = self._eval(z, grid, subgrids)
+        if z.imag == 0 and self.pivot_ratio[z] < _PIVOT_RATIO_MIN:
+            return [raw, *below]
         self._last = self._step(self._last, z, raw, grid, 0)
         v = self._last[1]
         return [v, *(b + 2j * np.pi * _multiple(b, v) for b in below)]
@@ -228,27 +234,6 @@ def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
     return XiSample(sp, val, walker.offset, floor)
 
 
-def _richardson(f4, f2, f1):
-    # f at eta = 4, 2, 1 (any unit) extrapolated to eta -> 0, error O(eta^3)
-    g2, g1 = 2 * f2 - f4, 2 * f1 - f2
-    return (4 * g1 - g2) / 3.0
-
-
-def _shift_on_rays(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
-    """xi_rel(lambda) where Q(lambda) is singular to working precision:
-    Richardson-extrapolated to eta -> 0 from the rays at eta in {4, 2, 1} *
-    eta0, eta0 = 1e-3 lambda, walked from the imaginary axis.  The ray at
-    8 eta0 gives the same extrapolation one octave up, whose error is 8
-    times this one's: err_est is their difference over 7."""
-    eta0 = _ETA_REL * lam
-    path = [lam + k * 1j * eta0 for k in (8, 4, 2, 1)]
-    walker = _walker(scene, grid, path[0])
-    f8, f4, f2, f1 = (-walker.step(z)[0].imag / np.pi for z in path)
-    rich = _richardson(f4, f2, f1)
-    err = abs(_richardson(f8, f4, f2) - rich) / 7.0
-    return ShiftSample(lam, float(rich), eta0, float(err + 64 * _EPS))
-
-
 def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
     """Relative spectral shift xi_rel(lambda) = -(1/pi) Im Xi(lambda + i0):
     `xi_rel_many` at one point."""
@@ -259,9 +244,12 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid,
                 lams: Sequence[float]) -> List[ShiftSample]:
     """xi_rel(lambda) = -(1/pi) Im Xi(lambda + i0) on a lambda grid, from Q
     assembled at real lambda: one walk from the imaginary axis along the arc
-    to the largest lambda, then down the real axis.  A point whose pivot
-    ratio is below sqrt(eps), or which is exactly singular, sits at an
-    interior Dirichlet eigenvalue; it alone falls back to `_shift_on_rays`."""
+    to the largest lambda, then down the real axis.  A flagged lambda0 (pivot
+    ratio below sqrt(eps), or exactly singular) is an interior Dirichlet
+    eigenvalue: the walk goes on to the direct values f at lambda0 + 4h, 2h,
+    h, -h, -2h, -4h, h = 3e-5 lambda0, and it is read as R(h) = [4 (f(h) +
+    f(-h)) - (f(2h) + f(-2h))] / 6, f(lambda0) to O(h^4).  Its err_est is
+    |R(2h) - R(h)| plus twice the neighbours' largest rounding floor."""
     _check(scene, grid)
     lams = np.asarray(list(lams), dtype=float)
     _positive(lams, "lambda grid")
@@ -269,17 +257,22 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid,
         return [ShiftSample(float(l), 0.0, 0.0, 0.0) for l in lams]
     desc = np.sort(lams)[::-1]
     walker = _walker(scene, grid, desc[0])
-    vals = {lam: walker.step(lam)[0] for lam in desc}
-    out = []
-    for lam in lams:
-        ratio = walker.pivot_ratio[lam]
-        if ratio < _PIVOT_RATIO_MIN:
-            out.append(_shift_on_rays(scene, grid, float(lam)))
-        else:
-            val = vals[lam]
-            out.append(ShiftSample(float(lam), float(-val.imag / np.pi), 0.0,
-                                   float((abs(val) + 1.0) * 16 * _EPS / ratio)))
-    return out
+    out = {}
+    for lam in desc:
+        val, ratio = walker.step(lam)[0], walker.pivot_ratio[lam]
+        if ratio >= _PIVOT_RATIO_MIN:
+            out[lam] = ShiftSample(float(lam), float(-val.imag / np.pi), 0.0,
+                                   float((abs(val) + 1.0) * 16 * _EPS / ratio))
+            continue
+        f, floor = {}, 0.0
+        for k in (4, 2, 1, -1, -2, -4):
+            z = lam + k * _H_REL * lam
+            val = walker.step(z)[0]
+            f[k] = -val.imag / np.pi
+            floor = max(floor, (abs(val) + 1.0) * 16 * _EPS / walker.pivot_ratio[z])
+        r1, r2 = ((4 * (f[k] + f[-k]) - (f[2 * k] + f[-2 * k])) / 6 for k in (1, 2))
+        out[lam] = ShiftSample(float(lam), float(r1), 0.0, float(abs(r2 - r1) + 2 * floor))
+    return [out[lam] for lam in lams]
 
 
 def xi_on_ray(scene: Scene, grid: BoundaryGrid, angle: float,

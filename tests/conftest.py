@@ -4,6 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 from numpy.polynomial.legendre import leggauss
+from scipy import special
 
 from layerdet import (PartialWaveConfig, default_l_max, discretize, layer_ops,
                       make_circle, make_ellipse, make_kite, make_scene, xi_two_disks)
@@ -93,6 +94,14 @@ def three_scene():
 
 
 @pytest.fixture(scope="session")
+def three_disks():
+    """Radii 1, 0.8, 0.6 at (0, 0), (4, 0), (1, 3.5), as (centre, radius)
+    pairs, and their scene."""
+    disks = [((0.0, 0.0), 1.0), ((4.0, 0.0), 0.8), ((1.0, 3.5), 0.6)]
+    return disks, make_scene([make_circle(c, a) for c, a in disks])
+
+
+@pytest.fixture(scope="session")
 def far_scene():
     """Two unit disks, centres 12 apart: gap 10 (weak coupling)."""
     return make_scene([make_circle((0.0, 0.0), 1.0), make_circle((12.0, 0.0), 1.0)])
@@ -127,3 +136,38 @@ def canonical_force_reference(canonical_scene):
     e = {s: _partial_wave_energy(4.0 + s, kappa_range) for s in (-h, -h / 2, h / 2, h)}
     d1, d2 = (e[h] - e[-h]) / (2 * h), (e[h / 2] - e[-h / 2]) / h
     return -(4 * d2 - d1) / 3
+
+
+def _tmatrix_xi(disks, lam, L):
+    """Xi(lam) = log det(I + B) at real lam for disks [(centre, radius), ...],
+    on the principal branch: B_ij = sqrt(T_i) U_ij sqrt(T_j) for i != j,
+    T_i = diag(J_m(lam a_i) / H1_m(lam a_i)), (U_ij)_mn = H1_{m-n}(lam |c_j -
+    c_i|) e^{i (m-n) phi_ij}, phi_ij the angle of c_j - c_i, m = -L..L (the
+    T-matrix form of Emig, Graham, Jaffe & Kardar, PRL 99, 170403, 2007)."""
+    m = np.arange(-L, L + 1)
+    dm = np.subtract.outer(m, m)
+    roots = [np.sqrt(special.jv(m, lam * a) / special.hankel1(m, lam * a)) for _, a in disks]
+    B = np.zeros((len(disks), m.size, len(disks), m.size), dtype=complex)
+    for i, (ci, _) in enumerate(disks):
+        for j, (cj, _) in enumerate(disks):
+            if i != j:
+                dx, dy = np.subtract(cj, ci)
+                u = special.hankel1(dm, lam * np.hypot(dx, dy)) * np.exp(1j * dm * np.arctan2(dy, dx))
+                B[i, :, j, :] = roots[i][:, None] * u * roots[j][None, :]
+    size = len(disks) * m.size
+    sign, logabs = np.linalg.slogdet(np.eye(size) + B.reshape(size, size))
+    return complex(logabs, np.angle(sign))
+
+
+@pytest.fixture(scope="session")
+def tmatrix_xi_rel():
+    """xi_rel(lam) = -(1/pi) Im Xi(lam) of disks from `_tmatrix_xi`, at L =
+    ceil(8 + 3 lam max a_i), certified as `xi_two_disks` is: it raises when
+    the value at L + 4 differs by more than 1e-13."""
+    def xi_rel(disks, lam):
+        L = int(np.ceil(8 + 3 * lam * max(a for _, a in disks)))
+        val, richer = (-_tmatrix_xi(disks, lam, l).imag / np.pi for l in (L, L + 4))
+        if abs(val - richer) > 1e-13:
+            raise AssertionError(f"T-matrix truncation not converged at L = {L}")
+        return val
+    return xi_rel

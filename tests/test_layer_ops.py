@@ -135,6 +135,24 @@ class TestAssembly:
                     assert np.array_equal(q[off], direct[off])
                     s = q / grid.weights[None, :]
                     assert np.abs(s - s.T).max() <= 1e-14 * np.abs(s).max()
+        # the no-repeat curves' cross block at n = 96 and 128 has 9216 and
+        # 16384 distinct distances, evaluated as one array; chunks of 1000
+        # round as per-pair evaluation does.  From 16384 entries numpy takes
+        # a complex product on a ray in place, which rounds differently
+        _, cross = layer_ops._spans(no_repeat_grid.scene)
+        for n in (96, 128):
+            r = discretize(no_repeat_grid.scene, n).distinct(0, 1)[0]
+            assert r.size == n * n
+            for sp in (*SPECTRAL_POINTS, SpectralPoint.from_complex(1.7)):
+                for deriv in (False, True):
+                    whole = offdiag_kernel(sp, r, deriv, span=cross)
+                    chunks = np.concatenate([offdiag_kernel(sp, r[i:i + 1000], deriv,
+                                                            span=cross)
+                                             for i in range(0, r.size, 1000)])
+                    if n == 128 and sp.axis == "ray":
+                        assert np.all(np.abs(whole - chunks) <= 4e-16 * np.abs(chunks))
+                    else:
+                        assert np.array_equal(whole, chunks)
 
     def test_one_kernel_call_per_obstacle_pair(self, monkeypatch, unequal_grids):
         # one split_block call per obstacle and one offdiag_kernel call per

@@ -228,6 +228,8 @@ class TestRandomScenes:
 #: trace_df's u_max at t = 1 and its default theta = pi/8 for gaps up to 2:
 #: sqrt(45 / (t cos(2 theta))), below 45 / (0.9 gap sin(theta))
 RAY_U_MAX = float(np.sqrt(45.0 / np.cos(np.pi / 4)))
+#: the canonical disks as (centre, radius) pairs, for the T-matrix reference
+CANONICAL_DISKS = [((0.0, 0.0), 1.0), ((4.0, 0.0), 1.0)]
 
 CLOSE_DISKS = ([_curve_maker("circle", 1.0, 1.0, 0.0, [0.0] * 4)] * 2,
                [(0.0, 0.0), (2.1, 0.0)])
@@ -614,7 +616,7 @@ class TestXiRel:
     def test_near_interior_eigenvalue(self, canonical_scene, canonical_grid_64):
         # lambda^2 at the first interior Dirichlet eigenvalue of a unit disk
         # (lambda = j_{0,1}): the representation degenerates but xi_rel is
-        # continuous; the eta offset plus extrapolation must survive it
+        # continuous; the reading from the real-axis neighbours must survive it
         from scipy.special import jn_zeros
 
         lam = float(jn_zeros(0, 1)[0])
@@ -635,15 +637,16 @@ class TestXiRel:
     @pytest.mark.parametrize("order", [0, 1], ids=["j01", "j11"])
     def test_interior_eigenvalue_falls_back_to_rays(
             self, canonical_scene, canonical_grid_64, order):
-        # at a unit disk's Dirichlet eigenvalue Q(lambda) is singular to
-        # working precision and the direct value is off by ~1e-2; the guard
-        # takes the ray extrapolation, which matches the direct values a
-        # little way off the eigenvalue on either side
+        # (named for the ray fallback this replaced) at a unit disk's
+        # Dirichlet eigenvalue Q(lambda) is singular to working precision and
+        # the direct value is off by ~1e-2; the point is read from direct
+        # values on the real axis around it (eta_used 0), and matches the
+        # direct values a little way off the eigenvalue on either side
         from scipy.special import jn_zeros
 
         lam = float(jn_zeros(order, 1)[0])
         s = xi_rel(canonical_scene, canonical_grid_64, lam)
-        assert s.eta_used > 0
+        assert s.eta_used == 0
         sides = xi_rel_many(canonical_scene, canonical_grid_64,
                             [lam - 1e-5, lam + 1e-5])
         assert all(side.eta_used == 0 for side in sides)
@@ -651,24 +654,63 @@ class TestXiRel:
 
     @pytest.mark.parametrize("order", [0, 1], ids=["j01", "j11"])
     def test_ray_fallback_err_est_tracks_its_error(
-            self, canonical_scene, canonical_grid_64, order):
-        # err_est is the Richardson value's own error, not the first-order
-        # value's: within 1-100x of its distance to the direct values just
-        # off the eigenvalue (it was 100-200x with the first-order error)
+            self, canonical_scene, canonical_grid_128, tmatrix_xi_rel, order):
+        # (named for the ray fallback this replaced) against the T-matrix
+        # value: within err_est, and err_est at most 1e-12 from n = 64 on;
+        # at n = 32 the grid's own error near the eigenvalue (5e-13 to
+        # 1.2e-12) dominates, and the value is within 2e-12.  j_{1,1} is a
+        # double eigenvalue of each disk (m = +-1)
         from scipy.special import jn_zeros
 
         lam = float(jn_zeros(order, 1)[0])
-        s = xi_rel(canonical_scene, canonical_grid_64, lam)
-        sides = xi_rel_many(canonical_scene, canonical_grid_64,
-                            [lam - 1e-5, lam + 1e-5])
-        err = abs(s.xi_rel - 0.5 * (sides[0].xi_rel + sides[1].xi_rel))
-        assert s.eta_used > 0
-        assert err <= s.err_est <= 100 * err
+        ref = tmatrix_xi_rel(CANONICAL_DISKS, lam)
+        for n in (32, 64, 128):
+            grid = canonical_grid_128 if n == 128 else discretize(canonical_scene, n)
+            s = xi_rel(canonical_scene, grid, lam)
+            err = abs(s.xi_rel - ref)
+            assert s.eta_used == 0 and err <= s.err_est
+            assert (err <= 2e-12) if n == 32 else (s.err_est <= 1e-12)
+
+    def test_interior_eigenvalue_inside_a_sweep(self, canonical_scene, canonical_grid_128,
+                                                tmatrix_xi_rel):
+        # j_{1,1} added to a 15-point sweep: the other points stay bitwise the
+        # sweep without it, and it is within its err_est of the T-matrix value
+        from scipy.special import jn_zeros
+
+        lams, lam = list(np.linspace(0.5, 8.0, 15)), float(jn_zeros(1, 1)[0])
+        plain = xi_rel_many(canonical_scene, canonical_grid_128, lams)
+        *rest, s = xi_rel_many(canonical_scene, canonical_grid_128, [*lams, lam])
+        assert rest == plain
+        assert abs(s.xi_rel - tmatrix_xi_rel(CANONICAL_DISKS, lam)) <= s.err_est <= 1e-12
+
+    def test_three_disks_interior_eigenvalues(self, three_disks, tmatrix_xi_rel):
+        # j_{0,1} / a and j_{1,1} / a of each of three disks, in one sweep
+        from scipy.special import jn_zeros
+
+        disks, scene = three_disks
+        lams = [float(jn_zeros(order, 1)[0]) / a for _, a in disks for order in (0, 1)]
+        for lam, s in zip(lams, xi_rel_many(scene, discretize(scene, 64), lams)):
+            assert s.eta_used == 0
+            assert abs(s.xi_rel - tmatrix_xi_rel(disks, lam)) <= s.err_est <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("which", ["canonical", "three"])
+    def test_sweep_meets_tmatrix_reference(self, canonical_scene, three_disks,
+                                           tmatrix_xi_rel, which, n):
+        # direct real-axis values on 16 points of [0.5, 8], away from the
+        # interior Dirichlet eigenvalues, within their err_est of the
+        # T-matrix values (4.4e-15 and 5.7e-15 at worst)
+        disks, scene = ((CANONICAL_DISKS, canonical_scene) if which == "canonical"
+                        else three_disks)
+        lams = np.linspace(0.5, 8.0, 16)
+        for lam, s in zip(lams, xi_rel_many(scene, discretize(scene, n), lams)):
+            assert abs(s.xi_rel - tmatrix_xi_rel(disks, lam)) <= s.err_est
 
     def test_singular_real_target_falls_back_to_rays(
             self, canonical_scene, canonical_grid_32, monkeypatch):
-        # an exactly singular Q at a real target is reported through the
-        # ray extrapolation, not as a value from a point moved off the axis
+        # (named for the ray fallback this replaced) an exactly singular Q at
+        # a real target is read from its real-axis neighbours, not reported
+        # as a value from a point moved off the axis
         lam, xi_levels = 0.9, xi.xi_levels
 
         def singular_at_lam(grid, sp, subgrids=()):
@@ -676,16 +718,17 @@ class TestXiRel:
                 raise SingularOperatorError("exactly singular pivot")
             return xi_levels(grid, sp, subgrids)
 
-        ref = xi._shift_on_rays(canonical_scene, canonical_grid_32, lam)
+        direct = xi_rel_many(canonical_scene, canonical_grid_32, [1.3, lam, 0.5])
         monkeypatch.setattr(xi, "xi_levels", singular_at_lam)
         batch = xi_rel_many(canonical_scene, canonical_grid_32, [1.3, lam, 0.5])
-        assert batch[1] == ref and ref.eta_used == pytest.approx(1e-3 * lam)
-        assert batch[0].eta_used == batch[2].eta_used == 0
+        assert abs(batch[1].xi_rel - direct[1].xi_rel) <= batch[1].err_est
+        assert batch[1].eta_used == 0
+        assert batch[0] == direct[0] and batch[2] == direct[2]
 
     def test_direct_value_converged_to_its_err_est(self, canonical_scene,
                                                    canonical_grid_64):
-        # the direct value is the same at n = 64 and n = 128 to 1e-12, where
-        # the ray extrapolation is ~1e-8 off, and err_est covers the change
+        # the direct value is the same at n = 64 and n = 128 to 1e-12, and
+        # err_est covers the change
         lam = 2.0
         a = xi_rel(canonical_scene, canonical_grid_64, lam)
         b = xi_rel(canonical_scene, discretize(canonical_scene, 128), lam)
@@ -712,6 +755,11 @@ class TestXiOnRay:
 @pytest.fixture(scope="module")
 def canonical_grid_32(canonical_scene):
     return discretize(canonical_scene, 32)
+
+
+@pytest.fixture(scope="module")
+def canonical_grid_128(canonical_scene):
+    return discretize(canonical_scene, 128)
 
 
 class TestWalkerPaths:
