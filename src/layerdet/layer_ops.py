@@ -28,11 +28,14 @@ its derivative alike, which is taken in the axis variable (kappa or lambda).
 At real lambda the outgoing kernel is assembled as is, which is Q(lambda + i0).
 Determinants are only ever consumed as ratios of two factorizations sharing
 the same weights, so no symmetrized weighting is needed.  Every LU is taken
-here: `xi_levels` factors Q and its block-diagonal part Qtilde at full size
-for Xi, and `Elimination`, Q's block elimination at obstacle 0's own block,
-makes every solve of the derivative traces and the field kernels with LUs at
-the obstacles' size only.  `dt_dsep_levels` gives T's derivative under a
-rigid motion of one obstacle, which leaves Qtilde unchanged.
+here, and only on the imaginary axis at the full size N: there `xi_levels`
+factors Q and its block-diagonal part Qtilde at full size for Xi, so that
+both round alike on the obstacles' ill-conditioned own blocks.  Elsewhere
+Xi, and on every axis each solve of the derivative traces and the field
+kernels, comes from `Elimination`, Q's block elimination at obstacle 0's own
+block, with LUs at the obstacles' size only.  `dt_dsep_levels` gives T's
+derivative under a rigid motion of one obstacle, which leaves Qtilde
+unchanged.
 
 The grid of every s-th node of each obstacle (s = 2, 4, ...) is embedded in
 the full one (`BoundaryGrid.embedded`): its nodes and speeds are the full
@@ -242,27 +245,35 @@ def block_diagonal(entries: np.ndarray, blocks) -> np.ndarray:
     return diag
 
 
+@lru_cache(maxsize=8)
+def _getrf(dtype: np.dtype):
+    # the LAPACK routine `sla.lu_factor` calls, looked up once per dtype
+    return sla.get_lapack_funcs("getrf", dtype=dtype)
+
+
 def factorize(m) -> Factorization:
-    """Partial-pivoting LU exposing log|det| and the determinant phase/sign."""
+    """Partial-pivoting LU exposing log|det| and the determinant phase/sign:
+    LAPACK's getrf, as `sla.lu_factor` calls it."""
     a = m.entries if isinstance(m, LayerMatrix) else np.asarray(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("factorize needs a square matrix")
-    lu, piv = sla.lu_factor(a, check_finite=False)
+    lu, piv, info = _getrf(a.dtype)(a)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of getrf")
+    if info > 0:
+        raise SingularOperatorError(
+            f"exactly singular pivot at index {info - 1} "
+            "(lambda^2 at or near an interior Dirichlet eigenvalue?)",
+            pivot_index=info - 1)
     d = np.diag(lu)
     mags = np.abs(d)
-    zero = np.flatnonzero(mags == 0)
-    if zero.size:
-        raise SingularOperatorError(
-            f"exactly singular pivot at index {zero[0]} "
-            "(lambda^2 at or near an interior Dirichlet eigenvalue?)",
-            pivot_index=int(zero[0]))
     parity = int(np.count_nonzero(piv != np.arange(piv.size)) % 2)
-    log_abs = float(np.sum(np.log(mags)))
+    log_abs = float(np.log(mags).sum())
     if not np.isfinite(log_abs):    # no path deformation cures an overflow
         raise LayerDetError(f"log|det| = {log_abs} is not finite: an entry "
                             "overflowed (kappa too large for the obstacles?)")
     if np.iscomplexobj(lu):
-        phase = float(np.sum(np.angle(d)) + np.pi * parity)
+        phase = float(np.angle(d).sum() + np.pi * parity)
         sign = 0.0
     else:
         neg = int(np.count_nonzero(d < 0)) + parity
@@ -274,8 +285,9 @@ def factorize(m) -> Factorization:
 
 class XiLevel(NamedTuple):
     """Xi = log det(Q Qtilde^{-1}) (imaginary part modulo 2 pi), the signs of
-    det Q and det Qtilde (0 if complex), the smaller pivot_min / pivot_max of
-    their LUs, and |log|det Q|| + |log|det Qtilde||, the rounding scale."""
+    det Q and det Qtilde (0 if complex), the smallest pivot_min / pivot_max
+    of the LUs it was read from, and the rounding scale |log|det Q|| +
+    |log|det Qtilde||, each log|det| a sum over those LUs."""
     xi: complex
     signs: tuple
     pivot_ratio: float
@@ -284,19 +296,38 @@ class XiLevel(NamedTuple):
 
 def xi_levels(grid: BoundaryGrid, sp: SpectralPoint, subgrids=()) -> list:
     """The XiLevel at sp on grid, then on each embedded sub-grid of it in
-    subgrids, from one assembly of Q on grid (`q_levels`).  Qtilde is
-    factored at full size on purpose: Xi is exact to rounding only because
-    both LUs' pivots on the obstacles' own blocks round alike.  At the
-    energy's kappa_max those blocks have condition number ~5e10 (unit disks)
-    and Xi is exactly 0.0; per-block LUs move log|det Qtilde| by 3e-7 and
-    the energy by 8e-8."""
+    subgrids, from one assembly of Q on grid (`q_levels`).
+
+    On the imaginary axis Qtilde is factored at full size on purpose: Xi is
+    exact to rounding only because both LUs' pivots on the obstacles' own
+    blocks round alike.  At the energy's kappa_max those blocks have
+    condition number ~5e10 (unit disks) and Xi is exactly 0.0; per-block
+    LUs move log|det Qtilde| by 3e-7 and the energy by 8e-8.
+
+    Elsewhere the blocks are far better conditioned and no LU is taken at
+    full size: det Q / det Qtilde = det S / prod_{j>=1} det Q_jj for Q's
+    block elimination at obstacle 0's own block A, S = D - C A^{-1} B
+    (`Elimination`), det A cancelling exactly.  The pivot ratio is the
+    smallest over the LUs of A, S and each Q_jj, which are singular
+    wherever Q or Qtilde is.  A grid of one obstacle gives exactly 0."""
     out = []
     for m, g in zip(q_levels(grid, sp, subgrids), (grid, *subgrids)):
-        fq, ft = factorize(m), factorize(block_diagonal(m, g.blocks))
-        out.append(XiLevel((fq.log_abs_det - ft.log_abs_det) + 1j * (fq.phase - ft.phase),
-                           (fq.sign, ft.sign),
-                           min(f.pivot_min / f.pivot_max for f in (fq, ft)),
-                           abs(fq.log_abs_det) + abs(ft.log_abs_det)))
+        if sp.is_imaginary:
+            fq, ft = factorize(m), factorize(block_diagonal(m, g.blocks))
+            out.append(XiLevel((fq.log_abs_det - ft.log_abs_det) + 1j * (fq.phase - ft.phase),
+                               (fq.sign, ft.sign),
+                               min(f.pivot_min / f.pivot_max for f in (fq, ft)),
+                               abs(fq.log_abs_det) + abs(ft.log_abs_det)))
+            continue
+        e = Elimination(m, g.blocks)
+        fs = [] if e.fs is None else [e.fs]
+        own = [e.lu(j) for j in range(1, len(g.blocks))]
+        ls, lo = sum(f.log_abs_det for f in fs), sum(f.log_abs_det for f in own)
+        la = e.lu(0).log_abs_det
+        out.append(XiLevel((ls - lo) + 1j * (sum(f.phase for f in fs) - sum(f.phase for f in own)),
+                           (0.0, 0.0),
+                           min(f.pivot_min / f.pivot_max for f in (e.lu(0), *fs, *own)),
+                           abs(la + ls) + abs(la + lo)))
     return out
 
 
@@ -328,12 +359,16 @@ class Elimination:
         self.CW = _gemm(1.0, q[n0:, :n0], self.W)
         self.fs = factorize(q[n0:, n0:] - self.CW) if self.CW.size else None
 
-    def solve_block(self, j: int, rhs: np.ndarray) -> np.ndarray:
-        """Q_jj^{-1} rhs for obstacle j's own block Q_jj."""
+    def lu(self, j: int) -> Factorization:
+        """The LU of obstacle j's own block Q_jj."""
         if self._lus[j] is None:
             a, b = self.blocks[j]
             self._lus[j] = factorize(self.q[a:b, a:b])
-        return solve(self._lus[j], rhs)
+        return self._lus[j]
+
+    def solve_block(self, j: int, rhs: np.ndarray) -> np.ndarray:
+        """Q_jj^{-1} rhs for obstacle j's own block Q_jj."""
+        return solve(self.lu(j), rhs)
 
     def solve_tilde(self, rhs: np.ndarray, first: int = 0) -> np.ndarray:
         """Qtilde^{-1} rhs block row by block row; with first = 1, Dtilde^{-1}

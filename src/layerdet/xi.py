@@ -2,17 +2,20 @@
 derivatives in lambda and in the obstacles' separation, the relative
 resolvent trace, and the relative spectral shift.
 
-Xi is computed as the difference of two LU log-determinants, never through
-the difference operator itself: each log-magnitude is O(1)-conditioned and
-the subtraction is exact to the rounding floor, because Qtilde is factored
-at full size, so its pivots round as Q's do; `layer_ops.xi_levels` takes
-both LUs, and this module none.  The
-derivative Xi' uses the opposite strategy: it is the trace Tr[Q^{-1} R] of
-the difference-structured R = dT - (dQtilde) Qtilde^{-1} T, which involves
-only small (cross-coupling) factors and avoids the cancellation of two
-large traces.  It takes no determinant, so the trace is taken by block
-elimination at obstacle 0's own block (`layer_ops.Elimination`), every LU and
-solve at the obstacles' size.
+Xi is computed as a difference of LU log-determinants, never through the
+difference operator itself; `layer_ops.xi_levels` takes every LU, and this
+module none.  On the imaginary axis these are Q's and Qtilde's at full size:
+the obstacles' own blocks are ill-conditioned at large kappa, and the
+subtraction is exact to the rounding floor only because Qtilde's pivots
+round as Q's do.  Elsewhere those blocks are well conditioned, and Xi = log
+det S - sum_{j>=1} log det Q_jj from the LUs of Q's block elimination at
+obstacle 0's own block (S its Schur complement), all at the obstacles'
+size.  The derivative Xi' uses the opposite strategy: it is the trace
+Tr[Q^{-1} R] of the difference-structured R = dT - (dQtilde) Qtilde^{-1} T,
+which involves only small (cross-coupling) factors and avoids the
+cancellation of two large traces.  It takes no determinant, so the trace is
+taken by block elimination at obstacle 0's own block
+(`layer_ops.Elimination`), every LU and solve at the obstacles' size.
 
 On the imaginary axis everything is real and Im Xi(i kappa) = 0 at every
 kappa.  Xi elsewhere carries the branch fixed by continuity from there.
@@ -25,12 +28,13 @@ each point on an embedded level of its grid (`_Unwrapper.step`), as
 `trace_df` does.
 
 The spectral shift -(1/pi) Im Xi(lambda + i0) is read at real lambda, from Q
-and Qtilde assembled there: the outgoing kernel is continuous up to the real
-axis, and the two are singular only where lambda^2 is an interior Dirichlet
-eigenvalue of an obstacle.  Such a point is flagged: its pivot ratio (the
-smaller over Q and Qtilde of smallest over largest pivot magnitude) is below
-sqrt(eps).  Xi is analytic across it, so it is read from direct values at
-its real-axis neighbours on the same walk.
+assembled there: the outgoing kernel is continuous up to the real axis, and
+Q and Qtilde are singular only where lambda^2 is an interior Dirichlet
+eigenvalue of an obstacle, and so then is an LU of the elimination.  Such a
+point is flagged: its pivot ratio (the smallest over those LUs of smallest
+over largest pivot magnitude) is below sqrt(eps).  Xi is analytic across
+it, so it is read from direct values at its real-axis neighbours on the same
+walk.
 """
 
 from __future__ import annotations
@@ -55,8 +59,8 @@ _DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR = 0.9, 30.0
 #: flagged real lambda0
 _ARC_STEPS, _ETA_REL, _H_REL = 4, 1e-3, 3e-5
 
-#: rounding-floor scale for err_est fields; a real-axis Q or Qtilde whose
-#: pivot ratio falls below _PIVOT_RATIO_MIN is taken as singular
+#: rounding-floor scale for err_est fields; a real-axis point whose
+#: `XiLevel.pivot_ratio` falls below _PIVOT_RATIO_MIN is taken as singular
 _EPS = np.finfo(float).eps
 _PIVOT_RATIO_MIN = np.sqrt(_EPS)
 
@@ -134,8 +138,8 @@ class _Unwrapper:
     def __init__(self, grid: BoundaryGrid, last):
         self.grid, self._last = grid, last
         self.budget, self.evals, self.offset = 600, 0, 0
-        #: the smaller pivot ratio of Q and Qtilde at each evaluated
-        #: point; 0.0 where the point was singular and the path deformed
+        #: `XiLevel.pivot_ratio` at each evaluated point; 0.0 where the
+        #: point was singular and the path deformed
         self.pivot_ratio = {}
 
     def _eval(self, z: complex, grid: BoundaryGrid, subgrids=()) -> list:

@@ -171,3 +171,19 @@ def tmatrix_xi_rel():
             raise AssertionError(f"T-matrix truncation not converged at L = {L}")
         return val
     return xi_rel
+
+
+@pytest.fixture(scope="session")
+def tmatrix_xi():
+    """Xi(lam) of disks from `_tmatrix_xi` at complex lam, Im on the principal
+    branch, at L = ceil(16 + 3 |lam| max a_i), certified against L + 4 to
+    1e-13 in Re and in Im modulo 2 pi.  `tmatrix_xi_rel`'s smaller L leaves
+    Re 7e-13 off at 0.7 e^{i pi/8} on the canonical disks, 2e-16 here."""
+    def xi(disks, lam):
+        L = int(np.ceil(16 + 3 * abs(lam) * max(a for _, a in disks)))
+        val, richer = (_tmatrix_xi(disks, lam, l) for l in (L, L + 4))
+        if max(abs(val.real - richer.real),
+               abs(np.angle(np.exp(1j * (val.imag - richer.imag))))) > 1e-13:
+            raise AssertionError(f"T-matrix truncation not converged at L = {L}")
+        return val
+    return xi

@@ -314,14 +314,49 @@ class TestAssembleDtDsep:
             dt_dsep_levels([single_disk[1]], SpectralPoint.imaginary(1.0), (1.0, 0.0))
 
 
+OFF_AXIS = {"ray": SpectralPoint.ray(2.0, np.pi / 8), "real": SpectralPoint.from_complex(1.7)}
+
+
 class TestFactorize:
     def test_xi_levels_keep_a_full_size_qtilde(self, two_disk_grid, lu_solves):
-        # Xi's path: Q and Qtilde each factored at N = 2n, whose pivots on
-        # the obstacles' blocks round alike, and no solve
-        for sp in SPECTRAL_POINTS:
-            lu_solves[0].clear()
-            xi_levels(two_disk_grid, sp)
-            assert lu_solves[0] == {128: 2} and not lu_solves[1]
+        # Xi's path on the imaginary axis: Q and Qtilde each factored at N =
+        # 2n, whose pivots on the obstacles' blocks round alike, and no solve
+        xi_levels(two_disk_grid, SpectralPoint.imaginary(1.0))
+        assert lu_solves[0] == {128: 2} and not lu_solves[1]
+
+    @pytest.mark.parametrize("at", OFF_AXIS)
+    def test_xi_levels_off_the_axis_by_elimination(self, two_disk_grid, lu_solves, at):
+        # Xi's path elsewhere: the LUs of A = Q_00, S and Q_11 and the one
+        # solve A^{-1} B, all at n = 64; nothing at N = 128
+        xi_levels(two_disk_grid, OFF_AXIS[at])
+        assert lu_solves[0] == {64: 3} and lu_solves[1] == {64: 1}
+
+    def test_xi_levels_one_obstacle_off_the_axis(self, single_disk):
+        # no Schur complement and no other block: exactly 0
+        level = xi_levels(single_disk[1], OFF_AXIS["ray"])[0]
+        assert level.xi == 0 and level.pivot_ratio > 0
+
+    @pytest.mark.parametrize("at", OFF_AXIS)
+    def test_xi_levels_off_the_axis_match_the_full_size_pair(self, at):
+        # circle, kite, circle, on the grid and its embedded sub-grid:
+        # log det S - sum log det Q_jj against Q's and Qtilde's full-size LUs
+        scene = make_scene([make_circle((0.0, 0.0), 1.0), make_kite((4.0, 0.0), 1.0),
+                            make_circle((0.5, 4.0), 0.8)])
+        grid = discretize(scene, 64)
+        sp, sub = OFF_AXIS[at], grid.embedded(2)
+        for level, m, g in zip(xi_levels(grid, sp, [sub]),
+                               layer_ops.q_levels(grid, sp, [sub]), (grid, sub)):
+            fq, ft = factorize(m), factorize(block_diagonal(m, g.blocks))
+            full = (fq.log_abs_det - ft.log_abs_det) + 1j * (fq.phase - ft.phase)
+            tol = (abs(fq.log_abs_det) + 1) * 1e-12
+            assert abs(level.xi.real - full.real) <= tol
+            assert abs(np.angle(np.exp(1j * (level.xi.imag - full.imag)))) <= tol
+            assert level.signs == (0.0, 0.0)
+            # the rounding scale and the flag's pivot ratio read as the pair's
+            assert level.scale == pytest.approx(abs(fq.log_abs_det) + abs(ft.log_abs_det),
+                                                rel=1e-12)
+            ratio = min(f.pivot_min / f.pivot_max for f in (fq, ft))
+            assert 0.5 * ratio <= level.pivot_ratio <= 2 * ratio
 
     def test_identity(self):
         f = factorize(np.eye(5))
@@ -356,7 +391,8 @@ class TestFactorize:
         a[0, 0] = 1.0
         with pytest.raises(SingularOperatorError) as exc:
             factorize(a)
-        assert exc.value.pivot_index is not None
+        # the first exactly zero pivot of the same LU
+        assert exc.value.pivot_index == np.flatnonzero(np.diag(sla.lu_factor(a)[0]) == 0)[0]
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_fields_from_the_pivots(self, dtype):

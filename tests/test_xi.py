@@ -697,12 +697,13 @@ class TestXiRel:
     @pytest.mark.parametrize("which", ["canonical", "three"])
     def test_sweep_meets_tmatrix_reference(self, canonical_scene, three_disks,
                                            tmatrix_xi_rel, which, n):
-        # direct real-axis values on 16 points of [0.5, 8], away from the
-        # interior Dirichlet eigenvalues, within their err_est of the
-        # T-matrix values (4.4e-15 and 5.7e-15 at worst)
+        # direct real-axis values on 16 points of [0.5, 8] (6 among them)
+        # and at 0.7, 1.9 and 3.3, away from the interior Dirichlet
+        # eigenvalues, within their err_est of the T-matrix values (4.0e-15
+        # and 5.8e-15 at worst)
         disks, scene = ((CANONICAL_DISKS, canonical_scene) if which == "canonical"
                         else three_disks)
-        lams = np.linspace(0.5, 8.0, 16)
+        lams = np.union1d(np.linspace(0.5, 8.0, 16), [0.7, 1.9, 3.3])
         for lam, s in zip(lams, xi_rel_many(scene, discretize(scene, n), lams)):
             assert abs(s.xi_rel - tmatrix_xi_rel(disks, lam)) <= s.err_est
 
@@ -741,6 +742,42 @@ class TestXiOnRay:
     def test_single_obstacle(self, single_disk):
         scene, grid = single_disk
         assert np.all(xi_on_ray(scene, grid, np.pi / 8, [0.5, 1.0]) == 0)
+
+    @pytest.mark.parametrize("which", ["canonical", "three"])
+    def test_meets_tmatrix_reference(self, canonical_scene, three_disks, tmatrix_xi,
+                                     which):
+        # Xi on the ray at angle pi/8 against the T-matrix value there, Re
+        # directly and Im modulo 2 pi (4.0e-14 off at worst)
+        disks, scene = ((CANONICAL_DISKS, canonical_scene) if which == "canonical"
+                        else three_disks)
+        us = [0.7, 1.9, 3.3]
+        for u, v in zip(us, xi_on_ray(scene, discretize(scene, 64), np.pi / 8, us)):
+            ref = tmatrix_xi(disks, u * np.exp(1j * np.pi / 8))
+            assert abs(v.real - ref.real) <= 1e-11
+            assert abs(np.angle(np.exp(1j * (v.imag - ref.imag)))) <= 1e-11
+
+    @pytest.mark.parametrize("j", [0, 1])
+    def test_singular_obstacle_block_deforms_the_path(self, canonical_scene,
+                                                      canonical_grid_32, monkeypatch, j):
+        # an exactly singular own block of obstacle j, A (j = 0) or Q_11,
+        # raises in xi_levels and the walker moves that point off the ray
+        z = 1.5 * np.exp(1j * np.pi / 8)
+        sp, q_levels = SpectralPoint.from_complex(z), layer_ops.q_levels
+        plain = xi._walker(canonical_scene, canonical_grid_32, z).step(z)[0]
+
+        def singular_block(grid, at, subgrids=()):
+            out = q_levels(grid, at, subgrids)
+            if at == sp:
+                out[0][grid.blocks[j][0], slice(*grid.blocks[j])] = 0
+            return out
+
+        monkeypatch.setattr(layer_ops, "q_levels", singular_block)
+        with pytest.raises(SingularOperatorError):
+            xi_levels(canonical_grid_32, sp)
+        walker = xi._walker(canonical_scene, canonical_grid_32, z)
+        moved = walker.step(z)[0]
+        assert walker.pivot_ratio[z] == 0.0
+        assert 0 < abs(moved - plain) <= 1e-2 * abs(plain)
 
     def test_continuity_with_imag_axis(self, canonical_scene, canonical_grid_64):
         # steep ray (close to pi/2): values near the imaginary-axis ones
