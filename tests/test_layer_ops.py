@@ -391,7 +391,15 @@ class TestFactorize:
         a[0, 0] = 1.0
         with pytest.raises(SingularOperatorError) as exc:
             factorize(a)
-        # the first exactly zero pivot of the same LU
+        assert exc.value.pivot_index is not None
+
+    @pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+    def test_singular_pivot_index_is_the_first_zero(self):
+        # getrf's info names the first exactly zero pivot of the same LU
+        a = np.diag([2.0, 1.0, 0.0, 3.0, 0.0])
+        a[1, 2] = 1.0
+        with pytest.raises(SingularOperatorError) as exc:
+            factorize(a)
         assert exc.value.pivot_index == np.flatnonzero(np.diag(sla.lu_factor(a)[0]) == 0)[0]
 
     @pytest.mark.parametrize("dtype", [float, complex])
