@@ -193,7 +193,7 @@ def cmd_shift(args) -> int:
     scene, grid = _load(args)
     lams = _spectral_grid(args)
     shifts = xi_rel_many(scene, grid, lams)
-    rows = [(s.lam, s.xi_rel, s.eta_used, s.err_est) for s in shifts]
+    rows = [(s.lam, s.xi_rel, 0.0, s.err_est) for s in shifts]  # eta_used: 0
     _write_csv(args.output, ["lambda", "xi_rel", "eta_used", "err_est"], rows)
     if args.emit_plot:
         _emit_plot(args.output, "lambda", "xi_rel")
@@ -362,7 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("xi", help="Xi along a spectral grid")
     common(sp, "emit-plot")
-    sp.add_argument("--axis", choices=("imag", "real"), default="imag")
+    sp.add_argument("--axis", choices=("imag", "real"), default="imag",
+                    help="imag: Xi(i kappa); real: Xi(lambda + i0)")
     sp.add_argument("--kappa-min", type=float, default=0.1)
     sp.add_argument("--kappa-max", type=float, default=10.0)
     sp.add_argument("--kappa-count", type=_COUNT, default=32)

@@ -25,16 +25,15 @@ along the arc of modulus r and then z0's ray, or from a point whose value
 on the branch is known.  Xi is analytic and zero-free in the open upper
 half plane, so every such path gives the same branch.  A walk may evaluate
 each point on an embedded level of its grid (`_Unwrapper.step`), as
-`trace_df` does.
+`trace_df` does; `xi_real`, `xi_rel_many` and `xi_on_ray` share `_on_walk`.
 
-The spectral shift -(1/pi) Im Xi(lambda + i0) is read at real lambda, from Q
-assembled there: the outgoing kernel is continuous up to the real axis, and
-Q and Qtilde are singular only where lambda^2 is an interior Dirichlet
-eigenvalue of an obstacle, and so then is an LU of the elimination.  Such a
-point is flagged: its pivot ratio (the smallest over those LUs of smallest
-over largest pivot magnitude) is below sqrt(eps).  Xi is analytic across
-it, so it is read from direct values at its real-axis neighbours on the same
-walk.
+Xi(lambda + i0), and the spectral shift -(1/pi) Im of it, is read at real
+lambda, from Q assembled there: the outgoing kernel is continuous up to the
+real axis, and Q and Qtilde are singular only where lambda^2 is an interior
+Dirichlet eigenvalue of an obstacle, and so then is an LU of the
+elimination.  Such a point is flagged: its pivot ratio (the smallest over
+those LUs of smallest over largest pivot magnitude) is below sqrt(eps).  Xi
+is analytic across it, so it is read from its real-axis neighbours.
 """
 
 from __future__ import annotations
@@ -54,10 +53,9 @@ from .layer_ops import (Elimination, _gemm, assemble_dq, assemble_q, block_diago
 #: delta' = _DELTA_PRIME_FRACTION * gap in every decay-rate estimate; the
 #: energy's kappa range and every walk's anchor end at _KAPPA_MAX_FACTOR / delta'
 _DELTA_PRIME_FRACTION, _KAPPA_MAX_FACTOR = 0.9, 30.0
-#: angle steps of a walk's arc from the imaginary axis; `xi_real`'s default
-#: eta / lambda; h / lambda0 of the neighbours lambda0 +- h, 2h, 4h that read a
-#: flagged real lambda0
-_ARC_STEPS, _ETA_REL, _H_REL = 4, 1e-3, 3e-5
+#: angle steps of a walk's arc from the imaginary axis; h / lambda0 of the
+#: neighbours lambda0 +- h, 2h, 4h that read a flagged real lambda0
+_ARC_STEPS, _H_REL = 4, 3e-5
 
 #: rounding-floor scale for err_est fields; a real-axis point whose
 #: `XiLevel.pivot_ratio` falls below _PIVOT_RATIO_MIN is taken as singular
@@ -67,6 +65,8 @@ _PIVOT_RATIO_MIN = np.sqrt(_EPS)
 
 @dataclass(frozen=True)
 class XiSample:
+    """Xi at sp, i kappa or lambda + i0, the 2 pi multiples its walk added to
+    Im, and a bound on the error of each of Re and Im."""
     sp: SpectralPoint
     xi: complex
     branch_offset: int
@@ -76,11 +76,9 @@ class XiSample:
 @dataclass(frozen=True)
 class ShiftSample:
     """xi_rel at lam, read at real lam or, where lam is flagged (an interior
-    Dirichlet eigenvalue), from its real-axis neighbours.  eta_used is
-    always 0; it stays because the CLI's CSV header names it."""
+    Dirichlet eigenvalue), from its real-axis neighbours."""
     lam: float
     xi_rel: float
-    eta_used: float
     err_est: float
 
 
@@ -138,9 +136,9 @@ class _Unwrapper:
     def __init__(self, grid: BoundaryGrid, last):
         self.grid, self._last = grid, last
         self.budget, self.evals, self.offset = 600, 0, 0
-        #: `XiLevel.pivot_ratio` at each evaluated point; 0.0 where the
-        #: point was singular and the path deformed
-        self.pivot_ratio = {}
+        #: `XiLevel.pivot_ratio` and `XiLevel.scale` at each evaluated point;
+        #: pivot ratio 0.0 where the point was singular and the path deformed
+        self.pivot_ratio, self.scale = {}, {}
 
     def _eval(self, z: complex, grid: BoundaryGrid, subgrids=()) -> list:
         # Xi at z on grid, then on each embedded sub-grid of it
@@ -158,6 +156,7 @@ class _Unwrapper:
                 w = w + 1j * max(1e-6, 1e-3 * abs(w)) * 4.0 ** attempt
                 continue
             self.pivot_ratio[z] = 0.0 if w != z else levels[0].pivot_ratio
+            self.scale[z] = levels[0].scale
             return [v.xi for v in levels]
         raise SingularOperatorError("path deformation failed near a "
                                     f"singular spectral point {w}")
@@ -220,27 +219,53 @@ def _positive(values, what: str) -> None:
         raise ValueError(f"{what} must be positive and finite")
 
 
-def xi_real(scene: Scene, grid: BoundaryGrid, lam: float,
-            eta: float | None = None) -> XiSample:
-    """Xi(lambda + i eta) near the positive real axis, branch fixed by
-    continuity along the arc from i|lambda + i eta|, where Im Xi = 0."""
+def _on_walk(scene: Scene, grid: BoundaryGrid, zs):
+    """(values, spreads, floors, offset): Xi at zs, points of the open upper
+    half plane or the positive reals, by one walk in decreasing modulus.  A
+    floor's Re and Im bound the rounding of Re Xi, (`XiLevel.scale` + 1) 8
+    eps, and of Im Xi, (|Xi| + 1) 16 eps / pivot ratio (inf if deformed).  A
+    flagged real lambda0 (pivot ratio below sqrt(eps)) is read from the
+    direct values f at lambda0 +- h, 2h, 4h, h = 3e-5 lambda0, as R(h) = [4
+    (f(h) + f(-h)) - (f(2h) + f(-2h))] / 6 = f(lambda0) + O(h^4), with spread
+    R(2h) - R(h) (elsewhere 0) and twice the neighbours' largest floors."""
+    zs = np.asarray(zs, dtype=complex)
+    vals, spreads, floors = (np.zeros(zs.size, dtype=complex) for _ in range(3))
+    if scene.n_obstacles == 1 or not zs.size:
+        return vals, spreads, floors, 0
+    order = np.argsort(-np.abs(zs), kind="stable")
+    walker = _walker(scene, grid, zs[order[0]])
+
+    def at(z):
+        val, ratio = walker.step(z)[0], walker.pivot_ratio[z]
+        im = (abs(val) + 1.0) * 16 * _EPS / ratio if ratio else np.inf
+        return val, complex((walker.scale[z] + 1.0) * 8 * _EPS, im)
+
+    for i in order:
+        vals[i], floors[i] = at(zs[i])
+        if zs[i].imag or walker.pivot_ratio[zs[i]] >= _PIVOT_RATIO_MIN:
+            continue
+        lam = zs[i].real
+        f, fl = zip(*(at(lam + k * _H_REL * lam) for k in (4, 2, 1, -1, -2, -4)))
+        s4, s2, s1 = (f[j] + f[5 - j] for j in range(3))
+        vals[i] = (4 * s1 - s2) / 6
+        spreads[i] = (4 * s2 - s4) / 6 - vals[i]
+        floors[i] = 2 * complex(max(np.real(fl)), max(np.imag(fl)))
+    return vals, spreads, floors, walker.offset
+
+
+def xi_real(scene: Scene, grid: BoundaryGrid, lam: float) -> XiSample:
+    """Xi(lambda + i0) at real lambda > 0 from Q assembled there, a flagged
+    lambda from its real-axis neighbours (`_on_walk`); err_est bounds Re and
+    Im: the neighbour rule's |R(2h) - R(h)| plus both rounding floors."""
     _check(scene, grid)
     _positive(lam, "lam")
-    eta = _ETA_REL * lam if eta is None else float(eta)
-    _positive(eta, "eta")
-    target = lam + 1j * eta
-    sp = SpectralPoint.from_complex(target)
-    if scene.n_obstacles == 1:
-        return XiSample(sp, 0.0 + 0.0j, 0, 0.0)
-    walker = _walker(scene, grid, target)
-    val = walker.step(target)[0]
-    floor = (abs(val.real) + 1.0) * 16 * _EPS
-    return XiSample(sp, val, walker.offset, floor)
+    (val,), (spread,), (floor,), offset = _on_walk(scene, grid, [lam])
+    return XiSample(SpectralPoint.from_complex(lam), complex(val), offset,
+                    float(abs(spread) + floor.real + floor.imag))
 
 
 def xi_rel(scene: Scene, grid: BoundaryGrid, lam: float) -> ShiftSample:
-    """Relative spectral shift xi_rel(lambda) = -(1/pi) Im Xi(lambda + i0):
-    `xi_rel_many` at one point."""
+    """Relative spectral shift -(1/pi) Im Xi(lambda + i0): `xi_rel_many` at lam."""
     return xi_rel_many(scene, grid, [lam])[0]
 
 
@@ -248,35 +273,15 @@ def xi_rel_many(scene: Scene, grid: BoundaryGrid,
                 lams: Sequence[float]) -> List[ShiftSample]:
     """xi_rel(lambda) = -(1/pi) Im Xi(lambda + i0) on a lambda grid, from Q
     assembled at real lambda: one walk from the imaginary axis along the arc
-    to the largest lambda, then down the real axis.  A flagged lambda0 (pivot
-    ratio below sqrt(eps), or exactly singular) is an interior Dirichlet
-    eigenvalue: the walk goes on to the direct values f at lambda0 + 4h, 2h,
-    h, -h, -2h, -4h, h = 3e-5 lambda0, and it is read as R(h) = [4 (f(h) +
-    f(-h)) - (f(2h) + f(-2h))] / 6, f(lambda0) to O(h^4).  Its err_est is
-    |R(2h) - R(h)| plus twice the neighbours' largest rounding floor."""
+    to the largest lambda, then down the real axis (`_on_walk`).  err_est is
+    Im Xi's rounding floor plus, at a flagged lambda, the rule's spread."""
     _check(scene, grid)
     lams = np.asarray(list(lams), dtype=float)
     _positive(lams, "lambda grid")
-    if scene.n_obstacles == 1 or not lams.size:
-        return [ShiftSample(float(l), 0.0, 0.0, 0.0) for l in lams]
-    desc = np.sort(lams)[::-1]
-    walker = _walker(scene, grid, desc[0])
-    out = {}
-    for lam in desc:
-        val, ratio = walker.step(lam)[0], walker.pivot_ratio[lam]
-        if ratio >= _PIVOT_RATIO_MIN:
-            out[lam] = ShiftSample(float(lam), float(-val.imag / np.pi), 0.0,
-                                   float((abs(val) + 1.0) * 16 * _EPS / ratio))
-            continue
-        f, floor = {}, 0.0
-        for k in (4, 2, 1, -1, -2, -4):
-            z = lam + k * _H_REL * lam
-            val = walker.step(z)[0]
-            f[k] = -val.imag / np.pi
-            floor = max(floor, (abs(val) + 1.0) * 16 * _EPS / walker.pivot_ratio[z])
-        r1, r2 = ((4 * (f[k] + f[-k]) - (f[2 * k] + f[-2 * k])) / 6 for k in (1, 2))
-        out[lam] = ShiftSample(float(lam), float(r1), 0.0, float(abs(r2 - r1) + 2 * floor))
-    return [out[lam] for lam in lams]
+    vals, spreads, floors, _ = _on_walk(scene, grid, lams)
+    # + 0.0: a single obstacle's Xi = 0 reads 0.0, not -0.0
+    rels, errs = -vals.imag / np.pi + 0.0, np.abs(spreads.imag) / np.pi + floors.imag
+    return [ShiftSample(float(l), float(r), float(e)) for l, r, e in zip(lams, rels, errs)]
 
 
 def xi_on_ray(scene: Scene, grid: BoundaryGrid, angle: float,
@@ -288,14 +293,7 @@ def xi_on_ray(scene: Scene, grid: BoundaryGrid, angle: float,
         raise ValueError(f"ray angle {angle} must lie in (0, pi/2)")
     u = np.asarray(list(u_values), dtype=float)
     _positive(u, "ray moduli")
-    if scene.n_obstacles == 1 or not u.size:
-        return np.zeros(u.size, dtype=complex)
-    order = np.argsort(u)[::-1]
-    phase = np.exp(1j * angle)
-    walker = _walker(scene, grid, u[order[0]] * phase)
-    out = np.empty(u.size, dtype=complex)
-    out[order] = [walker.step(u[idx] * phase)[0] for idx in order]
-    return out
+    return _on_walk(scene, grid, u * np.exp(1j * angle))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -94,8 +94,12 @@ def test_bench_call_forms_bind():
                      (layerdet.trace_df, (scene, grid, spec, cfg)),
                      (layerdet.birman_krein_trace, (scene, grid, spec)),
                      (layerdet.xi_rel, (scene, grid, 1.0)),
-                     (layerdet.xi_rel_many, (scene, grid, [1.0]))]:
+                     (layerdet.xi_rel_many, (scene, grid, [1.0])),
+                     (layerdet.xi_on_ray, (scene, grid, 0.4, [1.0])),
+                     (layerdet.xi_imag, (scene, grid, 1.0)),
+                     (layerdet.xi_prime, (scene, grid, spec))]:
         inspect.signature(fn).bind(*args)
+    inspect.signature(layerdet.trace_rrel).bind(scene, grid, spec, both_paths=True)
 
 
 @pytest.mark.parametrize("seed", [0, 7])

@@ -221,7 +221,7 @@ class TestRandomScenes:
 
         ref = _walked(grid, [*_descent(lam * phase, sc.gap), 0.5 * lam * phase])
         assert np.allclose(np.imag(ref[-2:]), ray.imag, rtol=0, atol=1e-10)
-        ref = _walked(grid, _descent(lam + 1e-3j * lam, sc.gap))
+        ref = _walked(grid, _descent(lam + 0j, sc.gap))
         assert abs(ref[-1].imag - real.imag) <= 1e-10
 
 
@@ -404,6 +404,11 @@ def _descent(target, gap):
     return [*(far * (abs(target) / far) ** u * np.exp(1j * ang))[:-1], target]
 
 
+def _xi_at(scene, grid, z):
+    """Xi at z in the open upper half plane, by `xi_on_ray` on z's ray."""
+    return xi_on_ray(scene, grid, np.arctan2(z.imag, z.real), [abs(z)])[0]
+
+
 def _walked(grid, path):
     """Xi at path[1:] by one walk on grid from path[0], a point of the
     imaginary axis, where Im Xi = 0, not evaluated."""
@@ -575,7 +580,7 @@ class TestXiReal:
         dp = 0.9 * far_scene.gap
         etas = (0.05, 0.2, 0.5, 1.0)
         for lam in (0.8, 2.0):
-            vals = [abs(xi_real(far_scene, grid, lam, eta=e).xi) for e in etas]
+            vals = [abs(_xi_at(far_scene, grid, lam + 1j * e)) for e in etas]
             C = vals[0] * np.exp(dp * etas[0]) * 1.05
             for e, v in zip(etas[1:], vals[1:]):
                 assert v <= C * np.exp(-dp * e) + 1e-13
@@ -584,15 +589,36 @@ class TestXiReal:
         # approach the imaginary axis along the unwrap path: Xi at a steep
         # ray point is close to Xi(i |lambda|)
         lam = 1.0
-        s = xi_real(canonical_scene, canonical_grid_64, lam, eta=50.0)
+        val = _xi_at(canonical_scene, canonical_grid_64, lam + 50j)
         target = xi_imag(canonical_scene, canonical_grid_64,
                          abs(lam + 50j)).xi.real
-        assert s.xi.real == pytest.approx(target, rel=0.2, abs=1e-12)
+        assert val.real == pytest.approx(target, rel=0.2, abs=1e-12)
 
     def test_single_obstacle(self, single_disk):
         scene, grid = single_disk
         s = xi_real(scene, grid, 2.0)
-        assert s.xi == 0 and s.branch_offset == 0
+        assert s.xi == 0 and s.branch_offset == 0 and s.err_est == 0
+
+    @pytest.mark.parametrize("n", [64, 128])
+    @pytest.mark.parametrize("which", ["canonical", "three"])
+    def test_meets_tmatrix_reference(self, canonical_scene, three_disks, tmatrix_xi,
+                                     which, n):
+        # Xi(lambda + i0) at 0.7, 1.9 and 3.3 and at each disk's j_{0,1} / a
+        # and j_{1,1} / a, read from the real-axis neighbours: Re and Im
+        # (modulo 2 pi) within err_est of the T-matrix value (2.9e-13 and
+        # 9.7e-14 off at worst), and -Im / pi is xi_rel's value, bitwise
+        from scipy.special import jn_zeros
+
+        disks, scene = ((CANONICAL_DISKS, canonical_scene) if which == "canonical"
+                        else three_disks)
+        grid = discretize(scene, n)
+        lams = [0.7, 1.9, 3.3, *(float(jn_zeros(order, 1)[0]) / a
+                                 for _, a in disks for order in (0, 1))]
+        for lam in lams:
+            s, ref = xi_real(scene, grid, lam), tmatrix_xi(disks, lam)
+            assert abs(s.xi.real - ref.real) <= s.err_est
+            assert abs(np.angle(np.exp(1j * (s.xi.imag - ref.imag)))) <= s.err_est
+            assert -s.xi.imag / np.pi == xi_rel(scene, grid, lam).xi_rel
 
 
 class TestXiRel:
@@ -632,7 +658,7 @@ class TestXiRel:
         for lam, b in zip(lams, batch):
             single = xi_rel(canonical_scene, canonical_grid_64, lam)
             assert b == single
-            assert b.lam == lam and b.eta_used == 0
+            assert b.lam == lam
 
     @pytest.mark.parametrize("order", [0, 1], ids=["j01", "j11"])
     def test_interior_eigenvalue_falls_back_to_rays(
@@ -640,16 +666,14 @@ class TestXiRel:
         # (named for the ray fallback this replaced) at a unit disk's
         # Dirichlet eigenvalue Q(lambda) is singular to working precision and
         # the direct value is off by ~1e-2; the point is read from direct
-        # values on the real axis around it (eta_used 0), and matches the
-        # direct values a little way off the eigenvalue on either side
+        # values on the real axis around it, and matches the direct values a
+        # little way off the eigenvalue on either side
         from scipy.special import jn_zeros
 
         lam = float(jn_zeros(order, 1)[0])
         s = xi_rel(canonical_scene, canonical_grid_64, lam)
-        assert s.eta_used == 0
         sides = xi_rel_many(canonical_scene, canonical_grid_64,
                             [lam - 1e-5, lam + 1e-5])
-        assert all(side.eta_used == 0 for side in sides)
         assert abs(s.xi_rel - 0.5 * (sides[0].xi_rel + sides[1].xi_rel)) <= 1e-7
 
     @pytest.mark.parametrize("order", [0, 1], ids=["j01", "j11"])
@@ -668,7 +692,7 @@ class TestXiRel:
             grid = canonical_grid_128 if n == 128 else discretize(canonical_scene, n)
             s = xi_rel(canonical_scene, grid, lam)
             err = abs(s.xi_rel - ref)
-            assert s.eta_used == 0 and err <= s.err_est
+            assert err <= s.err_est
             assert (err <= 2e-12) if n == 32 else (s.err_est <= 1e-12)
 
     def test_interior_eigenvalue_inside_a_sweep(self, canonical_scene, canonical_grid_128,
@@ -690,7 +714,6 @@ class TestXiRel:
         disks, scene = three_disks
         lams = [float(jn_zeros(order, 1)[0]) / a for _, a in disks for order in (0, 1)]
         for lam, s in zip(lams, xi_rel_many(scene, discretize(scene, 64), lams)):
-            assert s.eta_used == 0
             assert abs(s.xi_rel - tmatrix_xi_rel(disks, lam)) <= s.err_est <= 1e-12
 
     @pytest.mark.parametrize("n", [64, 128])
@@ -723,7 +746,6 @@ class TestXiRel:
         monkeypatch.setattr(xi, "xi_levels", singular_at_lam)
         batch = xi_rel_many(canonical_scene, canonical_grid_32, [1.3, lam, 0.5])
         assert abs(batch[1].xi_rel - direct[1].xi_rel) <= batch[1].err_est
-        assert batch[1].eta_used == 0
         assert batch[0] == direct[0] and batch[2] == direct[2]
 
     def test_direct_value_converged_to_its_err_est(self, canonical_scene,
@@ -836,7 +858,7 @@ class TestWalkerPaths:
         # from 1j to 1024 + 1j bisects down to 1024 unit steps, more than
         # the 600 + 30 evaluations a walk of one step may make
         monkeypatch.setattr(xi, "xi_levels", lambda grid, sp, subgrids=(): [
-            SimpleNamespace(xi=1j * np.pi / 3 * sp.lam.real, pivot_ratio=1.0)])
+            SimpleNamespace(xi=1j * np.pi / 3 * sp.lam.real, pivot_ratio=1.0, scale=0.0)])
         walker = xi._walker(None, None, 1024 + 1j, anchor=(1j, 0j))
         with pytest.raises(ConvergenceError, match="budget of 630 evaluations exceeded"):
             walker.step(1024 + 1j)
@@ -858,7 +880,7 @@ class TestWalkerPaths:
         # where the real assembly would refuse kappa < kappa_min
         lam = 1e-8
         val = xi_real(canonical_scene, canonical_grid_32, lam).xi
-        ref = _walked(canonical_grid_32, _descent(lam + 1e-3j * lam, canonical_scene.gap))
+        ref = _walked(canonical_grid_32, _descent(lam + 0j, canonical_scene.gap))
         assert abs(val.imag - ref[-1].imag) <= 1e-10
 
     def test_far_target_meets_the_axis_at_kappa_max(self):
@@ -877,15 +899,6 @@ class TestWalkerPaths:
         assert path[0] == pytest.approx(1j * kappa_max, rel=1e-15)
         assert path[0] not in walker.pivot_ratio
         assert max(abs(np.array(path))) == pytest.approx(u, rel=1e-15)
-
-    @pytest.mark.parametrize("eta", [0.0, -1e-3, np.nan], ids=["xi_real_zero",
-                                                              "xi_real_negative",
-                                                              "xi_real_nan"])
-    def test_nonpositive_eta_rejected_before_walking(
-            self, canonical_scene, canonical_grid_64, q_assemblies, eta):
-        with pytest.raises(ValueError, match="eta"):
-            xi_real(canonical_scene, canonical_grid_64, 0.7, eta=eta)
-        assert q_assemblies[0] == 0
 
     @pytest.mark.parametrize("call, message", [
         pytest.param(lambda s, g: xi_on_ray(s, g, -0.3, [1.0]),
@@ -923,12 +936,13 @@ class TestWalkerPaths:
     @given(lams=st.lists(st.floats(0.3, 3.0), min_size=1, max_size=3))
     def test_batch_matches_ray_richardson_within_err_est(
             self, canonical_scene, canonical_grid_32, lams):
-        # an independent value: -(1/pi) Im xi_real on the rays at eta in
-        # {4, 2, 1} * 1e-3 lambda, Richardson-extrapolated to eta -> 0
+        # an independent value: -(1/pi) Im Xi(lambda + i eta) on the rays
+        # through eta in {4, 2, 1} * 1e-3 lambda, Richardson-extrapolated to
+        # eta -> 0
         batch = xi_rel_many(canonical_scene, canonical_grid_32, lams)
         for lam, b in zip(lams, batch):
-            f4, f2, f1 = (-xi_real(canonical_scene, canonical_grid_32, lam,
-                                   eta=k * 1e-3 * lam).xi.imag / np.pi
+            f4, f2, f1 = (-_xi_at(canonical_scene, canonical_grid_32,
+                                  lam + 1j * k * 1e-3 * lam).imag / np.pi
                           for k in (4, 2, 1))
             g2, g1 = 2 * f2 - f4, 2 * f1 - f2
             rich = (4 * g1 - g2) / 3
